@@ -27,7 +27,7 @@ than silently reproducing them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import comb
 
 
@@ -185,13 +185,26 @@ _PUBLISHED = {
 TABLE1_HEADER = "N,n,d,q,bound12,bound8,known_exact,lower_bounds,note"
 
 
+def rows_csv(rows: list[BoundsRow]) -> str:
+    """CSV text: the TABLE1_HEADER line, then one line per row."""
+    lines = [TABLE1_HEADER]
+    for row in rows:
+        known = str(row.known_exact.value) if row.known_exact and row.known_exact.exact else ""
+        lows = ";".join(str(v) for v in row.lower_bounds)
+        lines.append(
+            f"{row.N},{row.n},{row.d},{row.q},{row.chi_exact_upper_thm},"
+            f"{row.chi_exact_upper_nat},{known},{lows},{row.note}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 def table1() -> str:
     """CSV of the comparison table, recomputed; discrepancies are noted.
 
     Columns bound12 and bound8 hold the counting bound and the trivial
     q^(Nd) bound as exact decimal integers.
     """
-    lines = [TABLE1_HEADER]
+    rows = []
     for N, n, d, q in TABLE1_PARAMS:
         row = bounds_row(N, n, q, d)
         notes = [row.note] if row.note else []
@@ -207,10 +220,5 @@ def table1() -> str:
                 f"bound8 published {pub8[0]}^{pub8[1]} but recomputed {q}^{N * d}"
             )
         notes.extend(mismatched)
-        known = str(row.known_exact.value) if row.known_exact and row.known_exact.exact else ""
-        lows = ";".join(str(v) for v in row.lower_bounds)
-        lines.append(
-            f"{N},{n},{d},{q},{row.chi_exact_upper_thm},{row.chi_exact_upper_nat},"
-            f"{known},{lows},{'; '.join(notes)}"
-        )
-    return "\n".join(lines) + "\n"
+        rows.append(replace(row, note="; ".join(notes)))
+    return rows_csv(rows)

@@ -210,15 +210,7 @@ def _cmd_color_assign(args: argparse.Namespace) -> int:
 def _cmd_bounds_row(args: argparse.Namespace) -> int:
     row = bounds_mod.bounds_row(args.N, args.n, args.q, args.d)
     if args.format == "csv":
-        known = str(row.known_exact.value) if row.known_exact and row.known_exact.exact else ""
-        lows = ";".join(str(v) for v in row.lower_bounds)
-        text = (
-            bounds_mod.TABLE1_HEADER
-            + "\n"
-            + f"{row.N},{row.n},{row.d},{row.q},{row.chi_exact_upper_thm},"
-            + f"{row.chi_exact_upper_nat},{known},{lows},{row.note}\n"
-        )
-        _emit(text, args.out)
+        _emit(bounds_mod.rows_csv([row]), args.out)
     else:
         data = {
             "N": row.N,
@@ -252,15 +244,20 @@ def _cmd_bounds_table1(args: argparse.Namespace) -> int:
 
 # -- parser -----------------------------------------------------------------
 
+def _common_flags(budget: int) -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--budget", type=int, default=budget, help="max items to enumerate")
+    common.add_argument("--seed", type=int, default=0, help="seed for randomized search")
+    common.add_argument("--threads", type=int, default=1, help="worker count for verification scans")
+    common.add_argument("--out", type=str, default=None, help="write output to this file")
+    return common
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="matgraph", description=__doc__)
     sub = parser.add_subparsers(dest="family", required=True, parser_class=_Parser)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max items to enumerate")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized search")
-    common.add_argument("--threads", type=int, default=1, help="worker count for verification scans")
-    common.add_argument("--out", type=str, default=None, help="write output to this file")
+    common = _common_flags(DEFAULT_BUDGET)
 
     field = sub.add_parser("field").add_subparsers(dest="cmd", required=True, parser_class=_Parser)
     p = field.add_parser("describe", parents=[common])
@@ -272,11 +269,11 @@ def build_parser() -> _Parser:
     _field_flags(p, with_n=True)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_graph_stats)
-    p = graph_sub.add_parser("export", parents=[common])
+    # export's own parent parser, so its smaller default stays off the shared --budget
+    p = graph_sub.add_parser("export", parents=[_common_flags(graph.EXPORT_BUDGET)])
     _field_flags(p, with_n=True)
     p.add_argument("--format", choices=["dot", "csv"], required=True)
-    # export defaults to the smaller vertex budget
-    p.set_defaults(func=_cmd_graph_export, budget=graph.EXPORT_BUDGET)
+    p.set_defaults(func=_cmd_graph_export)
 
     code_sub = sub.add_parser("code").add_subparsers(dest="cmd", required=True, parser_class=_Parser)
     p = code_sub.add_parser("gabidulin", parents=[common])

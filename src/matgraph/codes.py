@@ -36,6 +36,7 @@ from .linalg import (
     rank_distance,
     row_reduce,
     vec_rank_distance,
+    word_rank,
 )
 
 Rows = tuple[tuple[int, ...], ...]
@@ -76,13 +77,8 @@ class LinearRankCode:
             raise ValueError("generator is not full rank")
         if matrix_rank_over([list(r) for r in parity], ext) != self.n - self.k:
             raise ValueError("parity matrix is not full rank")
-        for g in generator:
-            for h in parity:
-                s = 0
-                for gz, hz in zip(g, h):
-                    s = ext.add(s, ext.mul(gz, hz))
-                if s != 0:
-                    raise ValueError("generator and parity matrices are not orthogonal")
+        if any(any(parity_syndrome(tower, parity, g)) for g in generator):
+            raise ValueError("generator and parity matrices are not orthogonal")
 
     @property
     def size(self) -> int:
@@ -90,14 +86,19 @@ class LinearRankCode:
 
     def syndrome(self, word: Sequence[int]) -> tuple[int, ...]:
         """word * parity^T as a tuple of n-k field elements."""
-        ext = self.tower.ext
-        out = []
-        for h in self.parity:
-            s = 0
-            for wz, hz in zip(word, h):
-                s = ext.add(s, ext.mul(wz, hz))
-            out.append(s)
-        return tuple(out)
+        return parity_syndrome(self.tower, self.parity, word)
+
+
+def parity_syndrome(tower: FieldTower, parity: Rows, word: Sequence[int]) -> tuple[int, ...]:
+    """word * parity^T over F_{q^N}, one field element per parity row."""
+    ext = tower.ext
+    out = []
+    for h in parity:
+        s = 0
+        for wz, hz in zip(word, h):
+            s = ext.add(s, ext.mul(wz, hz))
+        out.append(s)
+    return tuple(out)
 
 
 def gabidulin_parity(
@@ -130,22 +131,23 @@ def gabidulin_parity(
     )
 
 
+def _dual_rows(tower: FieldTower, rows: Rows, n: int, name: str) -> Rows:
+    """Basis of {v : v R^T = 0} for the full-rank matrix R given by ``rows``."""
+    ext = tower.ext
+    rows = [list(r) for r in rows]
+    if rows and matrix_rank_over(rows, ext) != len(rows):
+        raise ValueError(f"{name} matrix is rank deficient")
+    return tuple(null_space(rows, n, ext))
+
+
 def generator_from_parity(tower: FieldTower, parity: Rows, n: int) -> Rows:
     """Basis of the solution space of v H^T = 0, as generator rows."""
-    ext = tower.ext
-    rows = [list(r) for r in parity]
-    if rows and matrix_rank_over(rows, ext) != len(rows):
-        raise ValueError("parity matrix is rank deficient")
-    return tuple(null_space(rows, n, ext))
+    return _dual_rows(tower, parity, n, "parity")
 
 
 def parity_from_generator(tower: FieldTower, generator: Rows, n: int) -> Rows:
     """A full-rank parity matrix annihilating the generator rows."""
-    ext = tower.ext
-    rows = [list(r) for r in generator]
-    if rows and matrix_rank_over(rows, ext) != len(rows):
-        raise ValueError("generator matrix is rank deficient")
-    return tuple(null_space(rows, n, ext))
+    return _dual_rows(tower, generator, n, "generator")
 
 
 def gabidulin(
@@ -213,22 +215,19 @@ def enumerate_codewords(
         yield VecExt(code.tower, word)
 
 
+def word_rank_histogram(tower: FieldTower, words: Iterator[Sequence[int]]) -> dict[int, int]:
+    """Number of words of each column rank."""
+    spectrum: dict[int, int] = {}
+    for word in words:
+        w = word_rank(tower, word)
+        spectrum[w] = spectrum.get(w, 0) + 1
+    return spectrum
+
+
 def rank_spectrum(code: LinearRankCode, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
     """Histogram of codeword column ranks; counts sum to the code size."""
-    spectrum: dict[int, int] = {}
-    if code.tower.q == 2:
-        # With q = 2 an entry's encoding is already its F_2 coordinate
-        # bitmask, so the word itself is the column list of the matrix form.
-        from .linalg import _rank_bits
-
-        for word in enumerate_span(code.tower, code.generator, code.n, budget=budget):
-            w = _rank_bits(list(word))
-            spectrum[w] = spectrum.get(w, 0) + 1
-    else:
-        for v in enumerate_codewords(code, budget=budget):
-            w = column_rank(v)
-            spectrum[w] = spectrum.get(w, 0) + 1
-    return spectrum
+    words = enumerate_span(code.tower, code.generator, code.n, budget=budget)
+    return word_rank_histogram(code.tower, words)
 
 
 def min_rank_distance(code: LinearRankCode, budget: int = DEFAULT_BUDGET) -> int:

@@ -31,21 +31,22 @@ from typing import Sequence
 import numpy as np
 
 from .gftower import FieldTower
-from .graph import GraphParams, _field_add_sub_tables
-from .codes import Rows, enumerate_span, gabidulin_parity
+from .graph import GraphParams, _field_add_sub_tables, _radix, _translate, _vertex_digits
+from .codes import Rows, enumerate_span, gabidulin_parity, parity_syndrome, word_rank_histogram
 from .linalg import (
     DEFAULT_BUDGET,
     MatFq,
     VecExt,
-    _rank_bits,
     check_budget,
-    column_rank,
     matrix_rank_over,
     matrix_to_vector,
     null_space,
     vec_from_index,
     vec_index,
+    word_rank,
 )
+# Not called here; kept bound because benchmarks/tracing.py wraps them by name.
+from .linalg import _rank_bits, column_rank  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -72,18 +73,14 @@ class Coloring:
         for r in h_rows:
             if len(r) != self.params.n:
                 raise ValueError("parity rows must have length n")
+        expected = self.params.tower.order ** len(h_rows)
+        if self.num_colors != expected:
+            raise ValueError(f"num_colors is {self.num_colors}, but q^(N*rows) = {expected}")
         object.__setattr__(self, "h_rows", h_rows)
 
     def syndrome(self, v: VecExt | Sequence[int]) -> tuple[int, ...]:
         entries = v.entries if isinstance(v, VecExt) else tuple(v)
-        ext = self.params.tower.ext
-        out = []
-        for h in self.h_rows:
-            s = 0
-            for vz, hz in zip(entries, h):
-                s = ext.add(s, ext.mul(vz, hz))
-            out.append(s)
-        return tuple(out)
+        return parity_syndrome(self.params.tower, self.h_rows, entries)
 
     def color_index(self, v: VecExt | Sequence[int]) -> int:
         """Syndrome coordinates concatenated as base-q digits, coordinate 0
@@ -259,20 +256,17 @@ def search_forbidden_H(
     raise SearchExhaustedError(restarts, best_count or 0, best_spectrum)
 
 
+def _kernel_words(tower: FieldTower, h_rows: Rows, n: int, budget: int):
+    """Every word of the kernel code {v : v H^T = 0}, zero word first."""
+    basis = tuple(null_space([list(r) for r in h_rows], n, tower.ext))
+    return enumerate_span(tower, basis, n, budget=budget)
+
+
 def kernel_rank_spectrum(
     tower: FieldTower, h_rows: Rows, n: int, budget: int = DEFAULT_BUDGET
 ) -> dict[int, int]:
     """Rank histogram of the kernel code {v : v H^T = 0}."""
-    basis = null_space([list(r) for r in h_rows], n, tower.ext)
-    check_budget(tower.order ** len(basis), budget)
-    spectrum: dict[int, int] = {}
-    for word in enumerate_span(tower, tuple(basis), n, budget=budget):
-        if tower.q == 2:
-            w = _rank_bits(list(word))
-        else:
-            w = column_rank(VecExt(tower, word))
-        spectrum[w] = spectrum.get(w, 0) + 1
-    return spectrum
+    return word_rank_histogram(tower, _kernel_words(tower, h_rows, n, budget))
 
 
 def exact_d_coloring(
@@ -323,32 +317,17 @@ def _kernel_violation(
     coloring: Coloring, d: int, kind: str, budget: int
 ) -> tuple[int, int] | None:
     tower = coloring.params.tower
-    n = coloring.params.n
-    basis = null_space([list(r) for r in coloring.h_rows], n, tower.ext)
-    check_budget(tower.order ** len(basis), budget)
-    for word in enumerate_span(tower, tuple(basis), n, budget=budget):
-        if not any(word):
-            continue
-        if tower.q == 2:
-            w = _rank_bits(list(word))
-        else:
-            w = column_rank(VecExt(tower, word))
-        if _rank_in_violation(kind, w, d):
+    for word in _kernel_words(tower, coloring.h_rows, coloring.params.n, budget):
+        if any(word) and _rank_in_violation(kind, word_rank(tower, word), d):
             return (0, vec_index(VecExt(tower, word)))
     return None
 
 
 def _vector_rank_table(params: GraphParams) -> np.ndarray:
+    """Column rank of every vector, indexed by vector index."""
     tower = params.tower
-    V = tower.order ** params.n
-    out = np.empty(V, dtype=np.uint8)
-    if tower.q == 2:
-        for idx in range(V):
-            out[idx] = _rank_bits(list(vec_from_index(tower, params.n, idx).entries))
-    else:
-        for idx in range(V):
-            out[idx] = column_rank(vec_from_index(tower, params.n, idx))
-    return out
+    words = itertools.product(range(tower.order), repeat=params.n)  # index order
+    return np.fromiter((word_rank(tower, w) for w in words), np.uint8, tower.order ** params.n)
 
 
 def color_table(coloring: Coloring, budget: int = DEFAULT_BUDGET) -> np.ndarray:
@@ -379,14 +358,8 @@ def _pairwise_violation(
     _, sub = _field_add_sub_tables(tower)
     # The base-q digits of the vector index are the F_q coordinates of the
     # vector, so index-wise digit subtraction is vector subtraction.
-    D = params.n * params.N
-    q = params.q
-    digits = np.zeros((V, D), dtype=np.uint8)
-    idxs = np.arange(V, dtype=np.int64)
-    for pos in range(D - 1, -1, -1):
-        idxs, rem = np.divmod(idxs, q)
-        digits[:, pos] = rem
-    radix = np.array([q ** (D - 1 - t) for t in range(D)], dtype=np.int64)
+    digits = _vertex_digits(params)
+    radix = _radix(params)
 
     def scan(lo: int, hi: int) -> tuple[int, int] | None:
         for u in range(lo, hi):
@@ -394,7 +367,7 @@ def _pairwise_violation(
             same = same[same != u]
             if same.size == 0:
                 continue
-            diff_idx = sub[digits[same], digits[u][None, :]].astype(np.int64) @ radix
+            diff_idx = _translate(sub, digits[same], digits[u], radix)
             w = ranks[diff_idx]
             if kind == "le":
                 bad = np.flatnonzero((w >= 1) & (w <= d))

@@ -141,6 +141,14 @@ def _radix(params: GraphParams) -> np.ndarray:
     return np.array([params.q ** (D - 1 - t) for t in range(D)], dtype=np.int64)
 
 
+def _translate(
+    table: np.ndarray, digits: np.ndarray, by: np.ndarray, radix: np.ndarray
+) -> np.ndarray:
+    """Index of each digit row of ``digits`` combined entrywise with the digit
+    row ``by`` through ``table`` (the F_q addition or subtraction table)."""
+    return table[digits, by].astype(np.int64) @ radix
+
+
 def neighbor_index_table(params: GraphParams, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """(order, degree) array: row v lists the vertex indices adjacent to v."""
     check_budget(params.order, budget)
@@ -150,8 +158,7 @@ def neighbor_index_table(params: GraphParams, budget: int = DEFAULT_BUDGET) -> n
     steps = _rank_one_indices(params)
     table = np.empty((params.order, len(steps)), dtype=np.int32)
     for j, R in enumerate(steps):
-        rdig = np.array(R.entries, dtype=np.uint8)
-        table[:, j] = add[digits, rdig[None, :]].astype(np.int64) @ radix
+        table[:, j] = _translate(add, digits, np.array(R.entries, dtype=np.uint8), radix)
     return table
 
 
@@ -197,7 +204,7 @@ def verify_distance_equals_rank(
     radix = _radix(params)
     for u in range(params.order):
         dist = bfs_distances(nbr, u)
-        diff_idx = sub[digits, digits[u][None, :]].astype(np.int64) @ radix
+        diff_idx = _translate(sub, digits, digits[u], radix)
         expected = ranks[diff_idx].astype(np.int16)
         if not np.array_equal(dist, expected):
             v = int(np.flatnonzero(dist != expected)[0])
@@ -251,8 +258,7 @@ def check_vertex_transitivity(
     digits = _vertex_digits(params)
     radix = _radix(params)
     for T in translations:
-        tdig = np.array(T.entries, dtype=np.uint8)
-        image = add[digits, tdig[None, :]].astype(np.int64) @ radix
+        image = _translate(add, digits, np.array(T.entries, dtype=np.uint8), radix)
         mapped = {(int(image[u]), int(image[v])) for (u, v) in edges}
         if mapped != edges:
             return False

@@ -10,7 +10,7 @@ metric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .gftower import FieldTower
 
@@ -215,7 +215,7 @@ def null_space(rows: list[list[int]], ncols: int, fieldview) -> list[tuple[int, 
     return basis
 
 
-def _rank_bits(masks: list[int]) -> int:
+def _rank_bits(masks: Sequence[int]) -> int:
     """Rank of a binary matrix whose rows are given as bitmasks."""
     pivots: dict[int, int] = {}
     rank = 0
@@ -272,9 +272,18 @@ def matrix_to_vector(M: MatFq) -> VecExt:
     return VecExt(tower, tuple(tower.contract(M.column(j)) for j in range(M.cols)))
 
 
+def word_rank(tower: FieldTower, word: Sequence[int]) -> int:
+    """Rank over F_q of the N x n matrix form of a word of F_{q^N} encodings.
+
+    With q = 2 an entry's encoding is already its column's F_2 bitmask."""
+    if tower.q == 2:
+        return _rank_bits(word)
+    return matrix_rank_over(list(zip(*map(tower.expand, word))), tower.base)
+
+
 def column_rank(v: VecExt) -> int:
     """Number of entries of v linearly independent over F_q."""
-    return rank(vector_to_matrix(v))
+    return word_rank(v.tower, v.entries)
 
 
 def vec_rank_distance(v1: VecExt, v2: VecExt) -> int:

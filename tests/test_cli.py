@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from matgraph.cli import build_parser
+
 
 def run_cli(*args: str):
     return subprocess.run(
@@ -209,3 +211,42 @@ def test_thread_count_does_not_change_output(tmp_path):
     ]
     assert runs[0].returncode == runs[1].returncode == 0
     assert runs[0].stdout == runs[1].stdout
+
+
+FIELD = ["--q", "2", "--m", "1", "--N", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, budget",
+    [
+        (["field", "describe", *FIELD], 1 << 20),
+        (["graph", "stats", *FIELD, "--n", "2"], 1 << 20),
+        (["graph", "export", *FIELD, "--n", "2", "--format", "csv"], 1 << 16),
+        (["code", "gabidulin", *FIELD, "--n", "2", "--k", "1"], 1 << 20),
+        (["code", "spectrum", "code.json"], 1 << 20),
+        (["code", "builtin", "C3"], 1 << 20),
+        (["color", "dist", *FIELD, "--n", "2", "--d", "1"], 1 << 20),
+        (["color", "exact", *FIELD, "--n", "2", "--d", "1"], 1 << 20),
+        (["color", "verify", "col.json"], 1 << 20),
+        (["color", "assign", "col.json", "--vertex", "0000"], 1 << 20),
+        (["bounds", "row", "--N", "2", "--n", "2", "--d", "1", "--q", "2"], 1 << 20),
+        (["bounds", "table1"], 1 << 20),
+    ],
+)
+def test_budget_defaults(argv, budget):
+    assert build_parser().parse_args(argv).budget == budget
+
+
+def test_color_verify_rejects_mismatched_num_colors(tmp_path):
+    col = tmp_path / "col.json"
+    res = run_cli(
+        "color", "dist", "--q", "2", "--m", "1", "--N", "2", "--n", "2",
+        "--d", "1", "--out", str(col),
+    )
+    assert res.returncode == 0
+    data = json.loads(col.read_text())
+    data["num_colors"] = "5"
+    col.write_text(json.dumps(data))
+    res = run_cli("color", "verify", str(col))
+    assert res.returncode == 1
+    assert "num_colors" in res.stderr

@@ -212,3 +212,14 @@ def test_coloring_json_roundtrip():
 def test_coloring_rejects_bad_mode():
     with pytest.raises(ValueError):
         Coloring(P222, "sometimes-d", 1, (), 1, tag="x")
+
+
+def test_coloring_rejects_num_colors_not_matching_rows():
+    with pytest.raises(ValueError, match="num_colors"):
+        Coloring(P222, "at-most-d", 1, ((1, 1),), 5, tag="x")
+    with pytest.raises(ValueError, match="num_colors"):
+        Coloring(P222, "exactly-d", 3, (), 4, tag="x")
+    data = coloring_to_json(d_distance_coloring(P222, 1))
+    data["num_colors"] = "16"
+    with pytest.raises(ValueError, match="num_colors"):
+        coloring_from_json(data)

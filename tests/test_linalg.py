@@ -30,6 +30,7 @@ from matgraph.linalg import (
     vec_from_index,
     vec_index,
     vector_to_matrix,
+    word_rank,
     zero_matrix,
 )
 
@@ -258,3 +259,19 @@ def test_row_reduce_and_null_space():
             assert acc == 0
     # no constraints: the whole space
     assert len(null_space([], 3, f)) == 3
+
+
+@pytest.mark.parametrize(
+    "pmN", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2), (3, 1, 3), (2, 3, 2)]
+)
+def test_word_rank_matches_matrix_rank_exhaustively(pmN):
+    tower = build_tower(*pmN)
+    checked = 0
+    for n in range(1, tower.N + 1):
+        if tower.q ** (tower.N * n) > 40000:
+            break
+        for word in itertools.product(range(tower.order), repeat=n):
+            expected = rank(vector_to_matrix(VecExt(tower, word)))
+            assert word_rank(tower, word) == expected, (pmN, word)
+            checked += 1
+    assert checked >= tower.order
