@@ -22,21 +22,26 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .gftower import FieldTower, build_tower
 from .linalg import (
     DEFAULT_BUDGET,
+    RANK_BLOCK,
     MatFq,
     VecExt,
     check_budget,
     column_rank,
+    index_digits,
     matrix_rank_over,
     null_space,
     rank_distance,
+    ranks,
+    require_int64,
     row_reduce,
     vec_rank_distance,
-    word_rank,
 )
 
 Rows = tuple[tuple[int, ...], ...]
@@ -174,37 +179,74 @@ def gabidulin(
 # codeword enumeration and the rank spectrum
 # ---------------------------------------------------------------------------
 
+def span_blocks(
+    tower: FieldTower, rows: Rows, n: int, budget: int = DEFAULT_BUDGET
+) -> Iterator[np.ndarray]:
+    """All F_{q^N}-linear combinations of the given rows, as (B, n) int64
+    blocks of encodings with B <= RANK_BLOCK.
+
+    Scalars run in encoding order with the first row most significant, so
+    the iteration order is deterministic.  Yields q^(N*len(rows)) words in
+    all; the rows are assumed independent.  The combinations of the last
+    rows whose count fits in a block are tabulated once; each block adds
+    that table to a run of consecutive combinations of the other rows.
+    """
+    order = tower.order
+    k = len(rows)
+    check_budget(order ** k, budget)
+    require_int64(tower)
+    ext = tower.ext
+    p = tower.p
+    if p == 2:
+        def lift(words):
+            return words
+
+        def add(a, b):
+            return a ^ b
+
+        def lower(words):
+            return words
+    else:
+        # Addition in F_{q^N} is digit-wise addition mod p on base-p digits.
+        weights = p ** np.arange(tower.m * tower.N, dtype=np.int64)
+
+        def lift(words):
+            return words[..., None] // weights % p
+
+        def add(a, b):
+            return (a + b) % p
+
+        def lower(digits):
+            return digits @ weights
+
+    scaled = [
+        lift(np.array([[ext.mul(c, x) for x in row] for c in range(order)], dtype=np.int64))
+        for row in rows
+    ]
+    inner_rows = 0
+    while inner_rows < k and order ** (inner_rows + 1) <= RANK_BLOCK:
+        inner_rows += 1
+    outer = scaled[: k - inner_rows]
+    inner = lift(np.zeros((1, n), dtype=np.int64))
+    for table in scaled[k - inner_rows :]:
+        inner = add(inner[:, None], table[None]).reshape(-1, *table.shape[1:])
+    step = RANK_BLOCK // len(inner)
+    outer_count = order ** len(outer)
+    for lo in range(0, outer_count, step):
+        digits = index_digits(np.arange(lo, min(lo + step, outer_count)), len(outer), order)
+        prefix = lift(np.zeros((len(digits), n), dtype=np.int64))
+        for i, table in enumerate(outer):
+            prefix = add(prefix, table[digits[:, i]])
+        block = add(prefix[:, None], inner[None])
+        yield lower(block.reshape(-1, *block.shape[2:]))
+
+
 def enumerate_span(
     tower: FieldTower, rows: Rows, n: int, budget: int = DEFAULT_BUDGET
 ) -> Iterator[tuple[int, ...]]:
-    """All F_{q^N}-linear combinations of the given rows, as entry tuples.
-
-    Scalars run in encoding order with the first row most significant, so
-    the iteration order is deterministic.  Yields q^(N*len(rows)) words; the
-    rows are assumed independent.
-    """
-    order = tower.order
-    check_budget(order ** len(rows), budget)
-    ext = tower.ext
-    if tower.p == 2:
-        def add_vec(a, b):
-            return tuple(x ^ y for x, y in zip(a, b))
-    else:
-        def add_vec(a, b):
-            return tuple(ext.add(x, y) for x, y in zip(a, b))
-    zero = (0,) * n
-    scaled = [
-        [tuple(ext.mul(c, x) for x in row) for c in range(order)] for row in rows
-    ]
-
-    def rec(i: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if i == len(rows):
-            yield acc
-            return
-        for c in range(order):
-            yield from rec(i + 1, add_vec(acc, scaled[i][c]))
-
-    yield from rec(0, zero)
+    """The words of ``span_blocks`` one at a time, as entry tuples."""
+    for block in span_blocks(tower, rows, n, budget=budget):
+        yield from map(tuple, block.tolist())
 
 
 def enumerate_codewords(
@@ -215,19 +257,21 @@ def enumerate_codewords(
         yield VecExt(code.tower, word)
 
 
-def word_rank_histogram(tower: FieldTower, words: Iterator[Sequence[int]]) -> dict[int, int]:
-    """Number of words of each column rank."""
+def word_rank_histogram(tower: FieldTower, blocks: Iterable[np.ndarray]) -> dict[int, int]:
+    """Number of words of each column rank, over (B, n) blocks of words;
+    ranks in increasing order."""
     spectrum: dict[int, int] = {}
-    for word in words:
-        w = word_rank(tower, word)
-        spectrum[w] = spectrum.get(w, 0) + 1
-    return spectrum
+    for block in blocks:
+        for w, c in enumerate(np.bincount(ranks(tower, block))):
+            if c:
+                spectrum[w] = spectrum.get(w, 0) + int(c)
+    return dict(sorted(spectrum.items()))
 
 
 def rank_spectrum(code: LinearRankCode, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
     """Histogram of codeword column ranks; counts sum to the code size."""
-    words = enumerate_span(code.tower, code.generator, code.n, budget=budget)
-    return word_rank_histogram(code.tower, words)
+    blocks = span_blocks(code.tower, code.generator, code.n, budget=budget)
+    return word_rank_histogram(code.tower, blocks)
 
 
 def min_rank_distance(code: LinearRankCode, budget: int = DEFAULT_BUDGET) -> int:

@@ -31,21 +31,25 @@ from typing import Sequence
 import numpy as np
 
 from .gftower import FieldTower
-from .graph import GraphParams, _field_add_sub_tables, _radix, _translate, _vertex_digits
-from .codes import Rows, enumerate_span, gabidulin_parity, parity_syndrome, word_rank_histogram
+from .graph import GraphParams, _radix, _translate, _vertex_digits
+from .codes import Rows, gabidulin_parity, parity_syndrome, span_blocks, word_rank_histogram
 from .linalg import (
     DEFAULT_BUDGET,
+    RANK_BLOCK,
     MatFq,
     VecExt,
     check_budget,
+    fq_tables,
+    index_digits,
     matrix_rank_over,
     matrix_to_vector,
     null_space,
+    ranks,
     vec_from_index,
     vec_index,
-    word_rank,
 )
 # Not called here; kept bound because benchmarks/tracing.py wraps them by name.
+from .codes import enumerate_span  # noqa: F401
 from .linalg import _rank_bits, column_rank  # noqa: F401
 
 
@@ -228,14 +232,15 @@ def search_forbidden_H(
         cols: list[tuple[int, ...]] = []
         for _ in range(n):
             take = min(d - 1, len(cols))
-            subsets = list(itertools.combinations(cols, take))
+            bases = []
+            for S in itertools.combinations(cols, take):
+                rows = [list(c) for c in S]
+                bases.append((rows, matrix_rank_over(rows, ext)))
             cand = None
             for _ in range(column_tries):
                 cand = tuple(rng.randrange(order) for _ in range(m))
                 ok = True
-                for S in subsets:
-                    rows = [list(c) for c in S]
-                    base_rank = matrix_rank_over(rows, ext)
+                for rows, base_rank in bases:
                     if matrix_rank_over(rows + [list(cand)], ext) == base_rank:
                         ok = False
                         break
@@ -256,17 +261,17 @@ def search_forbidden_H(
     raise SearchExhaustedError(restarts, best_count or 0, best_spectrum)
 
 
-def _kernel_words(tower: FieldTower, h_rows: Rows, n: int, budget: int):
-    """Every word of the kernel code {v : v H^T = 0}, zero word first."""
+def _kernel_blocks(tower: FieldTower, h_rows: Rows, n: int, budget: int):
+    """Every word of the kernel code {v : v H^T = 0} in blocks, zero word first."""
     basis = tuple(null_space([list(r) for r in h_rows], n, tower.ext))
-    return enumerate_span(tower, basis, n, budget=budget)
+    return span_blocks(tower, basis, n, budget=budget)
 
 
 def kernel_rank_spectrum(
     tower: FieldTower, h_rows: Rows, n: int, budget: int = DEFAULT_BUDGET
 ) -> dict[int, int]:
     """Rank histogram of the kernel code {v : v H^T = 0}."""
-    return word_rank_histogram(tower, _kernel_words(tower, h_rows, n, budget))
+    return word_rank_histogram(tower, _kernel_blocks(tower, h_rows, n, budget))
 
 
 def exact_d_coloring(
@@ -307,27 +312,33 @@ def exact_d_coloring(
 # verification
 # ---------------------------------------------------------------------------
 
-def _rank_in_violation(kind: str, w: int, d: int) -> bool:
+def _rank_in_violation(kind: str, w: np.ndarray, d: int) -> np.ndarray:
+    """Which ranks of nonzero differences break the rule; rank 0 never does."""
     if kind == "le":
-        return 1 <= w <= d
-    return w == d
+        return (w >= 1) & (w <= d)
+    return (w >= 1) & (w == d)
 
 
 def _kernel_violation(
     coloring: Coloring, d: int, kind: str, budget: int
 ) -> tuple[int, int] | None:
     tower = coloring.params.tower
-    for word in _kernel_words(tower, coloring.h_rows, coloring.params.n, budget):
-        if any(word) and _rank_in_violation(kind, word_rank(tower, word), d):
-            return (0, vec_index(VecExt(tower, word)))
+    for block in _kernel_blocks(tower, coloring.h_rows, coloring.params.n, budget):
+        bad = np.flatnonzero(_rank_in_violation(kind, ranks(tower, block), d))
+        if bad.size:
+            return (0, vec_index(VecExt(tower, tuple(block[bad[0]].tolist()))))
     return None
 
 
 def _vector_rank_table(params: GraphParams) -> np.ndarray:
     """Column rank of every vector, indexed by vector index."""
     tower = params.tower
-    words = itertools.product(range(tower.order), repeat=params.n)  # index order
-    return np.fromiter((word_rank(tower, w) for w in words), np.uint8, tower.order ** params.n)
+    V = tower.order ** params.n
+    out = np.empty(V, dtype=np.uint8)
+    for lo in range(0, V, RANK_BLOCK):
+        idx = np.arange(lo, min(lo + RANK_BLOCK, V))
+        out[lo : lo + len(idx)] = ranks(tower, index_digits(idx, params.n, tower.order))
+    return out
 
 
 def color_table(coloring: Coloring, budget: int = DEFAULT_BUDGET) -> np.ndarray:
@@ -354,8 +365,8 @@ def _pairwise_violation(
     V = tower.order ** params.n
     check_budget(V, budget)
     colors = color_table(coloring, budget=budget)
-    ranks = _vector_rank_table(params)
-    _, sub = _field_add_sub_tables(tower)
+    rank_of = _vector_rank_table(params)
+    sub = fq_tables(tower).sub
     # The base-q digits of the vector index are the F_q coordinates of the
     # vector, so index-wise digit subtraction is vector subtraction.
     digits = _vertex_digits(params)
@@ -368,11 +379,7 @@ def _pairwise_violation(
             if same.size == 0:
                 continue
             diff_idx = _translate(sub, digits[same], digits[u], radix)
-            w = ranks[diff_idx]
-            if kind == "le":
-                bad = np.flatnonzero((w >= 1) & (w <= d))
-            else:
-                bad = np.flatnonzero(w == d)
+            bad = np.flatnonzero(_rank_in_violation(kind, rank_of[diff_idx], d))
             if bad.size:
                 return (u, int(same[bad[0]]))
         return None

@@ -18,15 +18,20 @@ import numpy as np
 from .gftower import FieldTower
 from .linalg import (
     DEFAULT_BUDGET,
+    RANK_BLOCK,
     MatFq,
     check_budget,
     enumerate_rank_one,
+    fq_tables,
+    index_digits,
     mat_from_index,
     mat_index,
     mat_label,
-    rank,
     rank_one_count,
+    ranks,
 )
+# Not called here; kept bound because benchmarks/tracing.py wraps it by name.
+from .linalg import rank  # noqa: F401
 
 EXPORT_BUDGET = 1 << 16
 
@@ -112,28 +117,9 @@ def graph_distance_bfs(M1: MatFq, M2: MatFq, budget: int = DEFAULT_BUDGET) -> in
 # dense verification helpers (numpy)
 # ---------------------------------------------------------------------------
 
-def _field_add_sub_tables(tower: FieldTower) -> tuple[np.ndarray, np.ndarray]:
-    q = tower.q
-    add = np.zeros((q, q), dtype=np.uint8)
-    sub = np.zeros((q, q), dtype=np.uint8)
-    for a in range(q):
-        for b in range(q):
-            add[a, b] = tower.base.add(a, b)
-            sub[a, b] = tower.base.sub(a, b)
-    return add, sub
-
-
 def _vertex_digits(params: GraphParams) -> np.ndarray:
     """(order, N*n) array of entry digits, entry (0,0) most significant."""
-    V = params.order
-    D = params.N * params.n
-    q = params.q
-    digits = np.zeros((V, D), dtype=np.uint8)
-    idx = np.arange(V, dtype=np.int64)
-    for pos in range(D - 1, -1, -1):
-        idx, rem = np.divmod(idx, q)
-        digits[:, pos] = rem
-    return digits
+    return index_digits(np.arange(params.order), params.N * params.n, params.q)
 
 
 def _radix(params: GraphParams) -> np.ndarray:
@@ -152,7 +138,7 @@ def _translate(
 def neighbor_index_table(params: GraphParams, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """(order, degree) array: row v lists the vertex indices adjacent to v."""
     check_budget(params.order, budget)
-    add, _ = _field_add_sub_tables(params.tower)
+    add = fq_tables(params.tower).add
     digits = _vertex_digits(params)
     radix = _radix(params)
     steps = _rank_one_indices(params)
@@ -181,9 +167,15 @@ def bfs_distances(nbr: np.ndarray, source: int) -> np.ndarray:
 def rank_table(params: GraphParams, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Rank of every vertex matrix, indexed by vertex index."""
     check_budget(params.order, budget)
+    N, n, q = params.N, params.n, params.q
+    # Column j of a vertex matrix, read as base-q digits with row 0 least
+    # significant, is the F_{q^N} encoding of word entry j.
+    weights = (q ** np.arange(N, dtype=np.int64))[:, None]
     out = np.empty(params.order, dtype=np.uint8)
-    for idx in range(params.order):
-        out[idx] = rank(mat_from_index(params.tower, params.N, params.n, idx))
+    for lo in range(0, params.order, RANK_BLOCK):
+        idx = np.arange(lo, min(lo + RANK_BLOCK, params.order))
+        digits = index_digits(idx, N * n, q).reshape(-1, N, n)
+        out[lo : lo + len(idx)] = ranks(params.tower, (digits * weights).sum(axis=1))
     return out
 
 
@@ -198,14 +190,14 @@ def verify_distance_equals_rank(
     """
     check_budget(params.order, budget)
     nbr = neighbor_index_table(params, budget=budget)
-    ranks = rank_table(params, budget=budget)
-    _, sub = _field_add_sub_tables(params.tower)
+    rank_of = rank_table(params, budget=budget)
+    sub = fq_tables(params.tower).sub
     digits = _vertex_digits(params)
     radix = _radix(params)
     for u in range(params.order):
         dist = bfs_distances(nbr, u)
         diff_idx = _translate(sub, digits, digits[u], radix)
-        expected = ranks[diff_idx].astype(np.int16)
+        expected = rank_of[diff_idx].astype(np.int16)
         if not np.array_equal(dist, expected):
             v = int(np.flatnonzero(dist != expected)[0])
             return (u, v, int(dist[v]), int(expected[v]))
@@ -254,7 +246,7 @@ def check_vertex_transitivity(
         for M1, M2 in zip(sample, sample[1:]):
             if M1 + (M2 - M1) != M2:
                 return False
-    add, _ = _field_add_sub_tables(tower)
+    add = fq_tables(tower).add
     digits = _vertex_digits(params)
     radix = _radix(params)
     for T in translations:
@@ -280,8 +272,10 @@ def _edge_iter(params: GraphParams) -> Iterator[tuple[int, int]]:
 
 
 def export_dot(params: GraphParams, budget: int = EXPORT_BUDGET) -> str:
-    """DOT text for the whole graph; vertex labels are base-q digit strings."""
-    check_budget(params.order, budget)
+    """DOT text for the whole graph; vertex labels are base-q digit strings.
+
+    ``budget`` bounds the vertex and edge lines together."""
+    check_budget(params.order + params.order * params.degree // 2, budget)
     lines = ["graph matrix_graph {"]
     for idx in range(params.order):
         lines.append(f'  "{mat_label(mat_from_index(params.tower, params.N, params.n, idx))}";')
@@ -294,8 +288,10 @@ def export_dot(params: GraphParams, budget: int = EXPORT_BUDGET) -> str:
 
 
 def export_edgelist_csv(params: GraphParams, budget: int = EXPORT_BUDGET) -> str:
-    """CSV edge list, one undirected edge per line as u_label,v_label."""
-    check_budget(params.order, budget)
+    """CSV edge list, one undirected edge per line as u_label,v_label.
+
+    ``budget`` bounds the edge lines."""
+    check_budget(params.order * params.degree // 2, budget)
     lines = ["u,v"]
     for u, w in _edge_iter(params):
         lu = mat_label(mat_from_index(params.tower, params.N, params.n, u))

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -66,6 +67,18 @@ def test_graph_export_budget_exceeded():
         "--format", "csv", "--budget", "100",
     )
     assert res.returncode == 3
+
+
+def test_graph_export_edge_lines_exceed_default_budget():
+    # 65536 vertices fit the 2^16 default, but 7,372,800 edge lines do not;
+    # the check comes before any line is built, so this exits at once.
+    start = time.perf_counter()
+    res = run_cli(
+        "graph", "export", "--q", "2", "--m", "1", "--N", "4", "--n", "4", "--format", "csv",
+    )
+    assert res.returncode == 3
+    assert "7372800" in res.stderr
+    assert time.perf_counter() - start < 10.0
 
 
 def test_code_gabidulin_and_spectrum(tmp_path):

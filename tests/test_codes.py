@@ -1,7 +1,12 @@
 """Rank-metric codes: the MRD construction, duality, spectra, built-ins."""
 
+import importlib.util
+import itertools
 import json
+import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from matgraph.gftower import build_tower
@@ -18,10 +23,22 @@ from matgraph.codes import (
     is_equidistant,
     min_rank_distance,
     parity_from_generator,
+    enumerate_span,
     rank_spectrum,
     same_row_space,
+    span_blocks,
 )
-from matgraph.linalg import BudgetExceededError, VecExt, column_rank, vec_rank_distance
+from matgraph.coloring import kernel_rank_spectrum
+from matgraph.linalg import (
+    RANK_BLOCK,
+    BudgetExceededError,
+    VecExt,
+    column_rank,
+    count_rank_k,
+    vec_rank_distance,
+)
+
+ORACLES = Path(__file__).resolve().parents[1] / "benchmarks" / "oracles.py"
 
 T8 = build_tower(2, 1, 3)
 T4N2 = build_tower(2, 1, 2)  # q = 2, N = 2: top field F_4
@@ -129,12 +146,67 @@ def test_spectrum_total_is_code_size():
         spectrum = rank_spectrum(code)
         assert sum(spectrum.values()) == code.size
         assert spectrum[0] == 1
+    # k = n: the whole space, with the exact count of each rank
+    assert spectrum == {r: count_rank_k(3, 3, 2, r) for r in range(4)}
 
 
 def test_spectrum_budget():
     code = gabidulin(T8, 3, 3)
     with pytest.raises(BudgetExceededError):
         rank_spectrum(code, budget=100)
+
+
+def _span_reference(tower, rows, n):
+    """Every combination sum(c_i * rows[i]), scalars in encoding order with
+    the first row most significant, by scalar field operations."""
+    ext = tower.ext
+    out = []
+    for scalars in itertools.product(range(tower.order), repeat=len(rows)):
+        word = (0,) * n
+        for c, row in zip(scalars, rows):
+            word = tuple(ext.add(a, ext.mul(c, x)) for a, x in zip(word, row))
+        out.append(word)
+    return out
+
+
+@pytest.mark.parametrize(
+    "pmN, n, k",
+    [
+        ((2, 1, 4), 3, 3),  # one full block
+        ((2, 1, 4), 2, 4),  # 16 blocks of 2^12 words
+        ((3, 1, 2), 2, 4),  # a table of 729 words, 5 outer combinations per block
+        ((2, 2, 2), 2, 3),  # m > 1
+        ((5, 1, 2), 2, 2),
+        ((2, 1, 13), 2, 1),  # the field alone is larger than a block
+        ((3, 1, 2), 2, 0),  # the zero code
+    ],
+)
+def test_span_blocks_match_scalar_reference(pmN, n, k):
+    tower = build_tower(*pmN)
+    rng = random.Random(repr(pmN) + str(k))
+    rows = tuple(tuple(rng.randrange(tower.order) for _ in range(n)) for _ in range(k))
+    blocks = list(span_blocks(tower, rows, n))
+    assert all(b.dtype == np.int64 and 1 <= len(b) <= RANK_BLOCK for b in blocks)
+    expected = _span_reference(tower, rows, n)
+    assert [tuple(w) for b in blocks for w in b.tolist()] == expected
+    assert list(enumerate_span(tower, rows, n)) == expected
+
+
+def test_empty_span_and_trivial_kernel_are_the_zero_word():
+    assert list(enumerate_span(T8, (), 3)) == [(0, 0, 0)]
+    blocks = list(span_blocks(T8, (), 3))
+    assert len(blocks) == 1 and blocks[0].tolist() == [[0, 0, 0]]
+    # a full-rank square parity matrix has the zero word as its whole kernel
+    assert kernel_rank_spectrum(T8, ((1, 0), (0, 1)), 2) == {0: 1}
+
+
+def test_spectrum_of_2_20_words_matches_mrd_closed_form():
+    spec = importlib.util.spec_from_file_location("matgraph_bench_oracles", ORACLES)
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    code = gabidulin(build_tower(2, 1, 10), 4, 2)
+    assert code.size == 1 << 20
+    assert rank_spectrum(code) == oracles.mrd_rank_spectrum(2, 10, 4, 2)
 
 
 def test_check_parity_columns_gabidulin():

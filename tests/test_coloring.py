@@ -122,6 +122,23 @@ def test_search_forbidden_h_deterministic():
     assert a.restarts_used == b.restarts_used
 
 
+@pytest.mark.parametrize(
+    "pmN, n, d, m, seed, h_rows, restarts_used",
+    [
+        ((2, 1, 4), 3, 2, 2, 1, ((1, 2, 8), (2, 11, 6)), 3),
+        ((2, 1, 4), 3, 2, 2, 3, ((15, 13, 5), (13, 5, 13)), 2),
+        ((3, 1, 3), 3, 3, 1, 1, ((26, 13, 13),), 16),
+        ((3, 1, 3), 3, 3, 1, 7, ((1, 0, 0),), 10),
+    ],
+)
+def test_search_forbidden_h_pinned_results(pmN, n, d, m, seed, h_rows, restarts_used):
+    # Each column subset is ranked once per column, not once per draw; the
+    # random draws, and so these results, must stay as pinned.
+    found = search_forbidden_H(build_tower(*pmN), n, d, m, seed=seed)
+    assert found.h_rows == h_rows
+    assert found.restarts_used == restarts_used
+
+
 def test_search_d_above_n_trivially_verified():
     found = search_forbidden_H(P222.tower, 2, 3, 1, seed=0)
     assert found.verified  # no word can have rank above n

@@ -23,6 +23,7 @@ from matgraph.linalg import (
     enumerate_matrices,
     enumerate_rank_one,
     mat_from_index,
+    rank,
     rank_distance,
     zero_matrix,
 )
@@ -151,6 +152,25 @@ def test_export_dot_shape():
     assert dot.startswith("graph matrix_graph {")
     assert '"0" -- "1";' in dot
     assert dot.rstrip().endswith("}")
+
+
+@pytest.mark.parametrize("Nnq", [(3, 2, 2), (2, 2, 3), (2, 2, 4)])
+def test_rank_table_matches_per_matrix_rank(Nnq):
+    N, n, q = Nnq
+    p, m = {2: (2, 1), 3: (3, 1), 4: (2, 2)}[q]
+    params = GraphParams(build_tower(p, m, N), n)
+    expected = [rank(mat_from_index(params.tower, N, n, v)) for v in range(params.order)]
+    assert rank_table(params).tolist() == expected
+
+
+def test_export_budget_counts_output_lines():
+    # P222: 16 vertices and 16 * 9 / 2 = 72 edges
+    assert export_dot(P222, budget=88).count(" -- ") == 72
+    with pytest.raises(BudgetExceededError):
+        export_dot(P222, budget=87)
+    assert len(export_edgelist_csv(P222, budget=72).splitlines()) == 73
+    with pytest.raises(BudgetExceededError):
+        export_edgelist_csv(P222, budget=71)
 
 
 def test_export_budget():

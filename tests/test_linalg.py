@@ -2,7 +2,9 @@
 
 import itertools
 import random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from matgraph.gftower import build_tower
@@ -26,6 +28,7 @@ from matgraph.linalg import (
     rank,
     rank_distance,
     rank_one_count,
+    ranks,
     row_reduce,
     vec_from_index,
     vec_index,
@@ -270,8 +273,16 @@ def test_word_rank_matches_matrix_rank_exhaustively(pmN):
     for n in range(1, tower.N + 1):
         if tower.q ** (tower.N * n) > 40000:
             break
-        for word in itertools.product(range(tower.order), repeat=n):
+        words = list(itertools.product(range(tower.order), repeat=n))
+        batched = ranks(tower, np.array(words, dtype=np.int64))
+        for word, got in zip(words, batched.tolist()):
             expected = rank(vector_to_matrix(VecExt(tower, word)))
             assert word_rank(tower, word) == expected, (pmN, word)
+            assert got == expected, (pmN, word)
             checked += 1
     assert checked >= tower.order
+
+
+def test_ranks_rejects_encodings_beyond_int64():
+    with pytest.raises(ValueError):
+        ranks(SimpleNamespace(order=1 << 62), np.zeros((1, 1), dtype=np.int64))
