@@ -23,6 +23,9 @@ DEFAULT_BUDGET = 1 << 20
 # of 2^10, 2^12, 2^14 and 2^16 words took 0.24, 0.19, 0.18 and 0.26 s and
 # grew the resident set by 0.9, 1.9, 3.1 and 13 MB.
 RANK_BLOCK = 1 << 12
+# The F_q tables have q^2 entries, built by scalar field operations in up to
+# about 2 s at q = 3^5; above this order the batched ranks go word by word.
+FQ_TABLE_MAX_Q = 1 << 8
 
 
 class BudgetExceededError(RuntimeError):
@@ -330,7 +333,8 @@ def ranks(tower: FieldTower, words: np.ndarray) -> np.ndarray:
     clears that coordinate from every entry holding it (the pivot itself
     becomes zero and drops out) and gains 1 in rank.  With q = 2 the
     encodings are bitmasks and clearing is an XOR; otherwise entries are
-    expanded to F_q digits and cleared with the tables of ``fq_tables``.
+    expanded to F_q digits and cleared with the tables of ``fq_tables``,
+    or, when q > FQ_TABLE_MAX_Q, ranked one at a time by ``word_rank``.
     Agrees with ``word_rank`` on every word.
     """
     require_int64(tower)
@@ -346,6 +350,8 @@ def ranks(tower: FieldTower, words: np.ndarray) -> np.ndarray:
             out += has[rows, piv]
             A ^= np.where(has, A[rows, piv][:, None], 0)
         return out
+    if tower.q > FQ_TABLE_MAX_Q:
+        return np.array([word_rank(tower, w) for w in words.tolist()], dtype=np.int64)
     t = fq_tables(tower)
     q = tower.q
     A = ((words[:, :, None] // q ** np.arange(tower.N, dtype=np.int64)) % q).astype(t.add.dtype)

@@ -17,13 +17,13 @@ from matgraph.codes import (
     code_from_json,
     code_to_json,
     enumerate_codewords,
+    enumerate_span,
     gabidulin,
     gabidulin_parity,
     generator_from_parity,
     is_equidistant,
     min_rank_distance,
     parity_from_generator,
-    enumerate_span,
     rank_spectrum,
     same_row_space,
     span_blocks,

@@ -283,6 +283,16 @@ def test_word_rank_matches_matrix_rank_exhaustively(pmN):
     assert checked >= tower.order
 
 
+def test_ranks_above_table_order_match_word_rank():
+    tower = build_tower(257, 1, 2)  # q^2 table entries over FQ_TABLE_MAX_Q^2
+    rng = random.Random(257)
+    words = [(rng.randrange(tower.order), rng.randrange(tower.order)) for _ in range(300)]
+    words += [(0, 0), (1, 0), (3, 3 * 257), (5, 10)]
+    expected = [word_rank(tower, w) for w in words]
+    assert ranks(tower, np.array(words, dtype=np.int64)).tolist() == expected
+    assert {0, 1, 2} <= set(expected)
+
+
 def test_ranks_rejects_encodings_beyond_int64():
     with pytest.raises(ValueError):
         ranks(SimpleNamespace(order=1 << 62), np.zeros((1, 1), dtype=np.int64))
