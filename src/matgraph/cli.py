@@ -118,7 +118,7 @@ def _cmd_code_spectrum(args: argparse.Namespace) -> int:
     spectrum = codes.rank_spectrum(code, budget=args.budget)
     result = {
         "spectrum": {str(w): spectrum[w] for w in sorted(spectrum)},
-        "min_rank_distance": codes.min_rank_distance(code, budget=args.budget),
+        "min_rank_distance": codes.min_nonzero_rank(spectrum),
         "size": str(code.size),
     }
     _dump_json(result, args.out)

@@ -32,6 +32,7 @@ from .linalg import (
     RANK_BLOCK,
     MatFq,
     VecExt,
+    add_digits,
     check_budget,
     column_rank,
     index_digits,
@@ -179,6 +180,19 @@ def gabidulin(
 # codeword enumeration and the rank spectrum
 # ---------------------------------------------------------------------------
 
+def _multiples(tower: FieldTower, row: Sequence[int]) -> np.ndarray:
+    """(q^N, len(row)) table of c * row for every c in F_{q^N}, c in encoding
+    order.  The base-p digits c_t of c are its coordinates over the F_p-basis
+    elements e_t encoded as p^t, so by F_p-linearity c * x is the digit-wise
+    sum of c_t (e_t x) mod p: only the N*m products e_t x per entry are
+    field products."""
+    p = tower.p
+    weights = p ** np.arange(tower.m * tower.N, dtype=np.int64)
+    products = np.array([[tower.ext.mul(int(e), x) for x in row] for e in weights], dtype=np.int64)
+    coeffs = np.arange(tower.order, dtype=np.int64)[:, None] // weights % p
+    return np.tensordot(coeffs, products[..., None] // weights % p, axes=1) % p @ weights
+
+
 def span_blocks(
     tower: FieldTower, rows: Rows, n: int, budget: int = DEFAULT_BUDGET
 ) -> Iterator[np.ndarray]:
@@ -190,55 +204,29 @@ def span_blocks(
     all; the rows are assumed independent.  The combinations of the last
     rows whose count fits in a block are tabulated once; each block adds
     that table to a run of consecutive combinations of the other rows.
+    Words may have length n = 0.
     """
     order = tower.order
     k = len(rows)
     check_budget(order ** k, budget)
     require_int64(tower)
-    ext = tower.ext
-    p = tower.p
-    if p == 2:
-        def lift(words):
-            return words
-
-        def add(a, b):
-            return a ^ b
-
-        def lower(words):
-            return words
-    else:
-        # Addition in F_{q^N} is digit-wise addition mod p on base-p digits.
-        weights = p ** np.arange(tower.m * tower.N, dtype=np.int64)
-
-        def lift(words):
-            return words[..., None] // weights % p
-
-        def add(a, b):
-            return (a + b) % p
-
-        def lower(digits):
-            return digits @ weights
-
-    scaled = [
-        lift(np.array([[ext.mul(c, x) for x in row] for c in range(order)], dtype=np.int64))
-        for row in rows
-    ]
+    p, width = tower.p, tower.m * tower.N
+    scaled = [_multiples(tower, row) for row in rows]
     inner_rows = 0
     while inner_rows < k and order ** (inner_rows + 1) <= RANK_BLOCK:
         inner_rows += 1
     outer = scaled[: k - inner_rows]
-    inner = lift(np.zeros((1, n), dtype=np.int64))
+    inner = np.zeros((1, n), dtype=np.int64)
     for table in scaled[k - inner_rows :]:
-        inner = add(inner[:, None], table[None]).reshape(-1, *table.shape[1:])
+        inner = add_digits(inner[:, None], table, p, width).reshape(len(inner) * order, n)
     step = RANK_BLOCK // len(inner)
     outer_count = order ** len(outer)
     for lo in range(0, outer_count, step):
         digits = index_digits(np.arange(lo, min(lo + step, outer_count)), len(outer), order)
-        prefix = lift(np.zeros((len(digits), n), dtype=np.int64))
+        prefix = np.zeros((len(digits), n), dtype=np.int64)
         for i, table in enumerate(outer):
-            prefix = add(prefix, table[digits[:, i]])
-        block = add(prefix[:, None], inner[None])
-        yield lower(block.reshape(-1, *block.shape[2:]))
+            prefix = add_digits(prefix, table[digits[:, i]], p, width)
+        yield add_digits(prefix[:, None], inner, p, width).reshape(len(prefix) * len(inner), n)
 
 
 def enumerate_span(
@@ -274,13 +262,17 @@ def rank_spectrum(code: LinearRankCode, budget: int = DEFAULT_BUDGET) -> dict[in
     return word_rank_histogram(code.tower, blocks)
 
 
-def min_rank_distance(code: LinearRankCode, budget: int = DEFAULT_BUDGET) -> int:
-    """Least nonzero codeword rank (equals the pairwise minimum by linearity)."""
-    spectrum = rank_spectrum(code, budget=budget)
+def min_nonzero_rank(spectrum: dict[int, int]) -> int:
+    """Least nonzero rank that a rank spectrum counts."""
     weights = [w for w, c in spectrum.items() if w >= 1 and c > 0]
     if not weights:
         raise ValueError("the zero code has no minimum distance")
     return min(weights)
+
+
+def min_rank_distance(code: LinearRankCode, budget: int = DEFAULT_BUDGET) -> int:
+    """Least nonzero codeword rank (equals the pairwise minimum by linearity)."""
+    return min_nonzero_rank(rank_spectrum(code, budget=budget))
 
 
 def check_parity_columns(tower: FieldTower, parity: Rows, d: int, n: int | None = None) -> bool:

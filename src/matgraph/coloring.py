@@ -31,21 +31,20 @@ from typing import Sequence
 import numpy as np
 
 from .gftower import FieldTower
-from .graph import GraphParams, _radix, _translate, _vertex_digits
+from .graph import GraphParams
 from .codes import Rows, gabidulin_parity, parity_syndrome, span_blocks, word_rank_histogram
 from .linalg import (
     DEFAULT_BUDGET,
     RANK_BLOCK,
     MatFq,
     VecExt,
+    add_digits,
     check_budget,
-    fq_tables,
     index_digits,
     matrix_rank_over,
     matrix_to_vector,
     null_space,
     ranks,
-    vec_from_index,
     vec_index,
 )
 # Not called here; kept bound because benchmarks/tracing.py wraps them by name.
@@ -342,14 +341,18 @@ def _vector_rank_table(params: GraphParams) -> np.ndarray:
 
 
 def color_table(coloring: Coloring, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """Color index of every vertex, indexed by vector index."""
+    """Color index of every vertex, indexed by vector index.
+
+    The syndromes v H^T = sum_j v_j H[:, j] of all vertices, in vector-index
+    order, are the F_{q^N}-span of the columns of H in ``span_blocks`` order.
+    """
     params = coloring.params
-    V = params.tower.order ** params.n
-    check_budget(V, budget)
-    out = np.empty(V, dtype=np.int64)
-    for idx in range(V):
-        out[idx] = coloring.color_index(vec_from_index(params.tower, params.n, idx))
-    return out
+    tower = params.tower
+    h_rows = coloring.h_rows
+    columns = tuple(tuple(row[j] for row in h_rows) for j in range(params.n))
+    weights = tower.order ** np.arange(len(h_rows) - 1, -1, -1, dtype=np.int64)
+    blocks = span_blocks(tower, columns, len(h_rows), budget=budget)
+    return np.concatenate([block @ weights for block in blocks])
 
 
 def realized_colors(coloring: Coloring, budget: int = DEFAULT_BUDGET) -> int:
@@ -366,11 +369,7 @@ def _pairwise_violation(
     check_budget(V, budget)
     colors = color_table(coloring, budget=budget)
     rank_of = _vector_rank_table(params)
-    sub = fq_tables(tower).sub
-    # The base-q digits of the vector index are the F_q coordinates of the
-    # vector, so index-wise digit subtraction is vector subtraction.
-    digits = _vertex_digits(params)
-    radix = _radix(params)
+    width = params.n * tower.N * tower.m
 
     def scan(lo: int, hi: int) -> tuple[int, int] | None:
         for u in range(lo, hi):
@@ -378,7 +377,7 @@ def _pairwise_violation(
             same = same[same != u]
             if same.size == 0:
                 continue
-            diff_idx = _translate(sub, digits[same], digits[u], radix)
+            diff_idx = add_digits(same, u, tower.p, width, sign=-1)
             bad = np.flatnonzero(_rank_in_violation(kind, rank_of[diff_idx], d))
             if bad.size:
                 return (u, int(same[bad[0]]))

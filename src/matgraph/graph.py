@@ -1,10 +1,12 @@
 """The rank-distance-one adjacency graph on N x n matrices over F_q.
 
 Vertices are all q^(Nn) matrices; two are adjacent when their difference has
-rank 1.  The graph is never materialized: neighbor iteration adds each
-rank-one matrix to the current vertex.  Dense helpers (neighbor index table,
-level BFS) exist for exhaustive verification at small orders and are the
-independent oracle for the claim that graph distance equals rank distance.
+rank 1, so the graph is the Cayley graph of (F_q^(N x n), +) with the
+rank-one matrices as generators.  ``neighbors`` adds each rank-one matrix
+to a ``MatFq``.  Everything else walks the graph on vertex indices: the
+neighbor index table translates every index by each rank-one step with
+``linalg.add_digits``, and one level BFS over that table is the oracle for
+the claim that graph distance equals rank distance.
 """
 
 from __future__ import annotations
@@ -20,13 +22,11 @@ from .linalg import (
     DEFAULT_BUDGET,
     RANK_BLOCK,
     MatFq,
+    add_digits,
     check_budget,
     enumerate_rank_one,
-    fq_tables,
     index_digits,
-    mat_from_index,
     mat_index,
-    mat_label,
     rank_one_count,
     ranks,
 )
@@ -76,75 +76,41 @@ def neighbors(M: MatFq, budget: int = DEFAULT_BUDGET) -> Iterator[MatFq]:
 
 
 @functools.lru_cache(maxsize=32)
-def _rank_one_indices(params: GraphParams) -> tuple[MatFq, ...]:
-    return tuple(enumerate_rank_one(params.tower, params.N, params.n))
+def _rank_one_indices(params: GraphParams) -> tuple[int, ...]:
+    """Vertex index of each rank-one matrix, in rank-one order: the steps."""
+    return tuple(mat_index(R) for R in enumerate_rank_one(params.tower, params.N, params.n))
+
+
+def _width(params: GraphParams) -> int:
+    """Base-p digits of a vertex index: the F_p coordinates of a matrix."""
+    return params.N * params.n * params.tower.m
 
 
 def graph_distance_bfs(M1: MatFq, M2: MatFq, budget: int = DEFAULT_BUDGET) -> int:
     """Shortest-path length between M1 and M2 by breadth-first search.
 
-    Enumerates the component of M1 in the worst case, so the graph order
-    must be within budget.
+    Builds the whole neighbor index table, so it must be within budget.
     """
     if (M1.rows, M1.cols) != (M2.rows, M2.cols) or M1.tower != M2.tower:
         raise ValueError("vertices belong to different graphs")
-    params = GraphParams(M1.tower, M1.cols)
-    check_budget(params.order, budget)
-    if M1 == M2:
-        return 0
-    target = mat_index(M2)
-    steps = _rank_one_indices(params)
-    dist = {mat_index(M1): 0}
-    frontier = [M1]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for R in steps:
-                w = v + R
-                widx = mat_index(w)
-                if widx not in dist:
-                    if widx == target:
-                        return d
-                    dist[widx] = d
-                    nxt.append(w)
-        frontier = nxt
-    raise AssertionError("target not reached; matrix graphs are connected")
+    if M1.rows != M1.tower.N:
+        raise ValueError(f"vertices must have N = {M1.tower.N} rows, have {M1.rows}")
+    nbr = neighbor_index_table(GraphParams(M1.tower, M1.cols), budget=budget)
+    return int(bfs_distances(nbr, mat_index(M1))[mat_index(M2)])
 
 
 # ---------------------------------------------------------------------------
 # dense verification helpers (numpy)
 # ---------------------------------------------------------------------------
 
-def _vertex_digits(params: GraphParams) -> np.ndarray:
-    """(order, N*n) array of entry digits, entry (0,0) most significant."""
-    return index_digits(np.arange(params.order), params.N * params.n, params.q)
-
-
-def _radix(params: GraphParams) -> np.ndarray:
-    D = params.N * params.n
-    return np.array([params.q ** (D - 1 - t) for t in range(D)], dtype=np.int64)
-
-
-def _translate(
-    table: np.ndarray, digits: np.ndarray, by: np.ndarray, radix: np.ndarray
-) -> np.ndarray:
-    """Index of each digit row of ``digits`` combined entrywise with the digit
-    row ``by`` through ``table`` (the F_q addition or subtraction table)."""
-    return table[digits, by].astype(np.int64) @ radix
-
-
 def neighbor_index_table(params: GraphParams, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """(order, degree) array: row v lists the vertex indices adjacent to v."""
-    check_budget(params.order, budget)
-    add = fq_tables(params.tower).add
-    digits = _vertex_digits(params)
-    radix = _radix(params)
-    steps = _rank_one_indices(params)
-    table = np.empty((params.order, len(steps)), dtype=np.int32)
-    for j, R in enumerate(steps):
-        table[:, j] = _translate(add, digits, np.array(R.entries, dtype=np.uint8), radix)
+    """(order, degree) array: row v lists the vertex indices adjacent to v,
+    column j being v plus rank-one step j."""
+    check_budget(params.order * params.degree, budget)
+    vertices = np.arange(params.order, dtype=np.int64)
+    table = np.empty((params.order, params.degree), dtype=np.int32)
+    for j, step in enumerate(_rank_one_indices(params)):
+        table[:, j] = add_digits(vertices, step, params.tower.p, _width(params))
     return table
 
 
@@ -188,15 +154,12 @@ def verify_distance_equals_rank(
     difference matrix.  Returns None when all pairs agree, otherwise the
     first mismatch as (u, v, bfs_distance, rank_distance).
     """
-    check_budget(params.order, budget)
     nbr = neighbor_index_table(params, budget=budget)
     rank_of = rank_table(params, budget=budget)
-    sub = fq_tables(params.tower).sub
-    digits = _vertex_digits(params)
-    radix = _radix(params)
+    vertices = np.arange(params.order, dtype=np.int64)
     for u in range(params.order):
         dist = bfs_distances(nbr, u)
-        diff_idx = _translate(sub, digits, digits[u], radix)
+        diff_idx = add_digits(vertices, u, params.tower.p, _width(params), sign=-1)
         expected = rank_of[diff_idx].astype(np.int16)
         if not np.array_equal(dist, expected):
             v = int(np.flatnonzero(dist != expected)[0])
@@ -231,26 +194,20 @@ def check_vertex_transitivity(
     map v -> v + T sends the edge set onto itself, and that translating M1 by
     M2 - M1 lands on M2.
     """
-    check_budget(params.order, budget)
-    tower = params.tower
+    p, width = params.tower.p, _width(params)
     nbr = neighbor_index_table(params, budget=budget)
-    edges = {
-        (u, int(w)) for u in range(params.order) for w in nbr[u]
-    }
+    edges = {(u, int(w)) for u in range(params.order) for w in nbr[u]}
     if sample is None:
-        translations = [
-            mat_from_index(tower, params.N, params.n, t) for t in range(params.order)
-        ]
+        translations = range(params.order)
     else:
-        translations = [M2 - M1 for M1, M2 in zip(sample, sample[1:])]
-        for M1, M2 in zip(sample, sample[1:]):
-            if M1 + (M2 - M1) != M2:
+        pairs = [(mat_index(M1), mat_index(M2)) for M1, M2 in zip(sample, sample[1:])]
+        translations = [int(add_digits(v2, v1, p, width, sign=-1)) for v1, v2 in pairs]
+        for (v1, v2), t in zip(pairs, translations):
+            if add_digits(v1, t, p, width) != v2:
                 return False
-    add = fq_tables(tower).add
-    digits = _vertex_digits(params)
-    radix = _radix(params)
-    for T in translations:
-        image = _translate(add, digits, np.array(T.entries, dtype=np.uint8), radix)
+    vertices = np.arange(params.order, dtype=np.int64)
+    for t in translations:
+        image = add_digits(vertices, t, p, width)
         mapped = {(int(image[u]), int(image[v])) for (u, v) in edges}
         if mapped != edges:
             return False
@@ -261,14 +218,19 @@ def check_vertex_transitivity(
 # export
 # ---------------------------------------------------------------------------
 
-def _edge_iter(params: GraphParams) -> Iterator[tuple[int, int]]:
-    steps = _rank_one_indices(params)
-    for idx in range(params.order):
-        v = mat_from_index(params.tower, params.N, params.n, idx)
-        for R in steps:
-            widx = mat_index(v + R)
-            if idx < widx:
-                yield idx, widx
+def _edges_and_labels(params: GraphParams, budget: int) -> tuple[np.ndarray, list[str]]:
+    """Each undirected edge once as a (u, w) row with u < w, in table-row
+    order, and the base-q digit label of every vertex.
+
+    ``budget`` bounds the edges; the neighbor table holds each edge twice.
+    """
+    if params.q > 10:
+        raise ValueError("digit labels support q <= 10 only")
+    nbr = neighbor_index_table(params, budget=2 * budget)
+    u, j = np.nonzero(nbr > np.arange(params.order)[:, None])
+    digits = index_digits(np.arange(params.order), params.N * params.n, params.q)
+    labels = ["".join(map(str, row)) for row in digits.tolist()]
+    return np.column_stack([u, nbr[u, j]]), labels
 
 
 def export_dot(params: GraphParams, budget: int = EXPORT_BUDGET) -> str:
@@ -276,13 +238,10 @@ def export_dot(params: GraphParams, budget: int = EXPORT_BUDGET) -> str:
 
     ``budget`` bounds the vertex and edge lines together."""
     check_budget(params.order + params.order * params.degree // 2, budget)
+    edges, labels = _edges_and_labels(params, budget)
     lines = ["graph matrix_graph {"]
-    for idx in range(params.order):
-        lines.append(f'  "{mat_label(mat_from_index(params.tower, params.N, params.n, idx))}";')
-    for u, w in _edge_iter(params):
-        lu = mat_label(mat_from_index(params.tower, params.N, params.n, u))
-        lw = mat_label(mat_from_index(params.tower, params.N, params.n, w))
-        lines.append(f'  "{lu}" -- "{lw}";')
+    lines += [f'  "{label}";' for label in labels]
+    lines += [f'  "{labels[u]}" -- "{labels[w]}";' for u, w in edges.tolist()]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -292,9 +251,6 @@ def export_edgelist_csv(params: GraphParams, budget: int = EXPORT_BUDGET) -> str
 
     ``budget`` bounds the edge lines."""
     check_budget(params.order * params.degree // 2, budget)
-    lines = ["u,v"]
-    for u, w in _edge_iter(params):
-        lu = mat_label(mat_from_index(params.tower, params.N, params.n, u))
-        lw = mat_label(mat_from_index(params.tower, params.N, params.n, w))
-        lines.append(f"{lu},{lw}")
+    edges, labels = _edges_and_labels(params, budget)
+    lines = ["u,v"] + [f"{labels[u]},{labels[w]}" for u, w in edges.tolist()]
     return "\n".join(lines) + "\n"

@@ -295,7 +295,6 @@ def word_rank(tower: FieldTower, word: Sequence[int]) -> int:
 class FqTables(NamedTuple):
     """F_q arithmetic as lookup tables indexed by encodings; inv[0] is 0."""
 
-    add: np.ndarray
     sub: np.ndarray
     mul: np.ndarray
     inv: np.ndarray
@@ -309,7 +308,6 @@ def fq_tables(tower: FieldTower) -> FqTables:
     elems = range(q)
     dtype = np.min_scalar_type(q - 1)
     tables = FqTables(
-        np.array([[base.add(a, b) for b in elems] for a in elems], dtype=dtype),
         np.array([[base.sub(a, b) for b in elems] for a in elems], dtype=dtype),
         np.array([[base.mul(a, b) for b in elems] for a in elems], dtype=dtype),
         np.array([0] + [base.inv(a) for a in range(1, q)], dtype=dtype),
@@ -317,6 +315,23 @@ def fq_tables(tower: FieldTower) -> FqTables:
     for table in tables:
         table.flags.writeable = False
     return tables
+
+
+def add_digits(a, b, p: int, width: int, sign: int = 1) -> np.ndarray:
+    """a + sign*b for F_p-coordinate vectors packed as base-p integers of
+    ``width`` digits, elementwise with numpy broadcasting.
+
+    Vertex indices, vector indices and F_{q^N} encodings are all such
+    integers (q = p^m), so this adds matrices, vectors and field elements
+    alike.  With p = 2 it is XOR; otherwise it works digit by digit mod p.
+    """
+    if p == 2:
+        return np.bitwise_xor(a, b)
+    weights = p ** np.arange(width, dtype=np.int64)
+    # a // p^t differs from digit t of a by a multiple of p.
+    a = np.asarray(a, dtype=np.int64)[..., None] // weights
+    b = np.asarray(b, dtype=np.int64)[..., None] // weights
+    return (a + sign * b) % p @ weights
 
 
 def require_int64(tower: FieldTower) -> None:
@@ -354,7 +369,7 @@ def ranks(tower: FieldTower, words: np.ndarray) -> np.ndarray:
         return np.array([word_rank(tower, w) for w in words.tolist()], dtype=np.int64)
     t = fq_tables(tower)
     q = tower.q
-    A = ((words[:, :, None] // q ** np.arange(tower.N, dtype=np.int64)) % q).astype(t.add.dtype)
+    A = ((words[:, :, None] // q ** np.arange(tower.N, dtype=np.int64)) % q).astype(t.sub.dtype)
     for c in range(tower.N):
         has = A[:, :, c] != 0
         piv = has.argmax(axis=1)

@@ -22,6 +22,7 @@ from matgraph.codes import (
     gabidulin_parity,
     generator_from_parity,
     is_equidistant,
+    min_nonzero_rank,
     min_rank_distance,
     parity_from_generator,
     rank_spectrum,
@@ -179,6 +180,7 @@ def _span_reference(tower, rows, n):
         ((5, 1, 2), 2, 2),
         ((2, 1, 13), 2, 1),  # the field alone is larger than a block
         ((3, 1, 2), 2, 0),  # the zero code
+        ((3, 2, 2), 2, 2),  # odd p, m > 1: a table of 81 words, 50 outer combinations per block
     ],
 )
 def test_span_blocks_match_scalar_reference(pmN, n, k):
@@ -207,6 +209,17 @@ def test_spectrum_of_2_20_words_matches_mrd_closed_form():
     code = gabidulin(build_tower(2, 1, 10), 4, 2)
     assert code.size == 1 << 20
     assert rank_spectrum(code) == oracles.mrd_rank_spectrum(2, 10, 4, 2)
+
+
+def test_span_of_zero_length_words():
+    blocks = list(span_blocks(T8, ((), ()), 0))
+    assert [b.shape for b in blocks] == [(64, 0)]
+
+
+def test_min_nonzero_rank_reads_the_spectrum():
+    assert min_nonzero_rank({0: 1, 2: 6, 3: 9}) == 2
+    with pytest.raises(ValueError, match="no minimum distance"):
+        min_nonzero_rank({0: 1})
 
 
 def test_check_parity_columns_gabidulin():

@@ -204,6 +204,25 @@ def test_color_table_matches_color_index():
         assert table[idx] == col.color_index(vec_from_index(P322.tower, 2, idx))
 
 
+@pytest.mark.parametrize(
+    "col",
+    [
+        d_distance_coloring(P223, 1),
+        exact_d_coloring(P223, 2, seed=1, m=1),
+        d_distance_coloring(GraphParams(build_tower(2, 2, 2), 2), 1),
+        Coloring(GraphParams(build_tower(2, 2, 2), 2), "at-most-d", 1, ((1, 5), (7, 0)), 256, tag="x"),
+        exact_d_coloring(P223, 3),  # no parity rows: one color
+    ],
+)
+def test_color_table_matches_color_index_on_every_vertex(col):
+    params = col.params
+    V = params.tower.order ** params.n
+    expected = [col.color_index(vec_from_index(params.tower, params.n, v)) for v in range(V)]
+    assert color_table(col).tolist() == expected
+    if not col.h_rows:
+        assert expected == [0] * V
+
+
 def test_threads_do_not_change_results():
     col = d_distance_coloring(P322, 1)
     assert find_violation(col, pairwise=True, threads=1) == find_violation(

@@ -1,5 +1,7 @@
 """Implicit matrix graph: degrees, BFS distances, transitivity, export."""
 
+import hashlib
+
 import pytest
 
 from matgraph.gftower import build_tower
@@ -23,6 +25,7 @@ from matgraph.linalg import (
     enumerate_matrices,
     enumerate_rank_one,
     mat_from_index,
+    mat_index,
     rank,
     rank_distance,
     zero_matrix,
@@ -84,10 +87,42 @@ def test_bfs_distance_same_vertex():
 
 
 def test_bfs_equals_rank_distance_small():
-    mats = list(enumerate_matrices(P222.tower, 2, 2))
-    for A in mats:
-        for B in mats:
-            assert graph_distance_bfs(A, B) == rank_distance(A, B)
+    for params in (P222, P223, GraphParams(build_tower(2, 2, 2), 1)):
+        mats = list(enumerate_matrices(params.tower, params.N, params.n))
+        for A in mats:
+            for B in mats:
+                assert graph_distance_bfs(A, B) == rank_distance(A, B)
+
+
+@pytest.mark.parametrize("pmNn", [(2, 1, 3, 2), (3, 1, 2, 2), (2, 2, 2, 2), (3, 2, 2, 1)])
+def test_neighbor_index_table_matches_matrix_sums(pmNn):
+    p, m, N, n = pmNn
+    params = GraphParams(build_tower(p, m, N), n)
+    steps = list(enumerate_rank_one(params.tower, N, n))
+    expected = [
+        [mat_index(mat_from_index(params.tower, N, n, v) + R) for R in steps]
+        for v in range(params.order)
+    ]
+    assert neighbor_index_table(params).tolist() == expected
+
+
+def test_neighbor_table_budget_counts_entries():
+    # P222: 16 vertices of degree 9, so the table has 144 entries
+    assert neighbor_index_table(P222, budget=144).shape == (16, 9)
+    z = zero_matrix(P222.tower, 2, 2)
+    for budget in (16, 143):
+        with pytest.raises(BudgetExceededError):
+            neighbor_index_table(P222, budget=budget)
+        with pytest.raises(BudgetExceededError):
+            verify_distance_equals_rank(P222, budget=budget)
+        with pytest.raises(BudgetExceededError):
+            graph_distance_bfs(z, z, budget=budget)
+
+
+def test_bfs_rejects_matrices_that_are_not_vertices():
+    small = zero_matrix(P322.tower, 2, 2)  # the tower has N = 3
+    with pytest.raises(ValueError, match="rows"):
+        graph_distance_bfs(small, small)
 
 
 def test_dense_all_pairs_check():
@@ -161,6 +196,26 @@ def test_rank_table_matches_per_matrix_rank(Nnq):
     params = GraphParams(build_tower(p, m, N), n)
     expected = [rank(mat_from_index(params.tower, N, n, v)) for v in range(params.order)]
     assert rank_table(params).tolist() == expected
+
+
+# Output of export_dot and export_edgelist_csv, recorded before both read
+# their edges from the neighbor index table.
+EXPORT_SHA256 = {
+    (2, 2, 2, "dot"): "43abf06235c7333fc1446c486b6f9d52fa9b97c6caa7f3587470dae7f99a6303",
+    (2, 2, 2, "csv"): "634621e2b2ed6c4e8b8c67b0af69b586f801bc5fbecfc2a430d152583f20abcf",
+}
+
+
+def test_export_bytes_are_pinned():
+    assert hashlib.sha256(export_dot(P222).encode()).hexdigest() == EXPORT_SHA256[2, 2, 2, "dot"]
+    csv = export_edgelist_csv(P222)
+    assert hashlib.sha256(csv.encode()).hexdigest() == EXPORT_SHA256[2, 2, 2, "csv"]
+    k3 = GraphParams(build_tower(3, 1, 1), 1)
+    assert export_dot(k3) == (
+        'graph matrix_graph {\n  "0";\n  "1";\n  "2";\n'
+        '  "0" -- "1";\n  "0" -- "2";\n  "1" -- "2";\n}\n'
+    )
+    assert export_edgelist_csv(k3) == "u,v\n0,1\n0,2\n1,2\n"
 
 
 def test_export_budget_counts_output_lines():

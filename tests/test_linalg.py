@@ -12,6 +12,7 @@ from matgraph.linalg import (
     BudgetExceededError,
     MatFq,
     VecExt,
+    add_digits,
     column_rank,
     count_rank_k,
     enumerate_matrices,
@@ -296,3 +297,16 @@ def test_ranks_above_table_order_match_word_rank():
 def test_ranks_rejects_encodings_beyond_int64():
     with pytest.raises(ValueError):
         ranks(SimpleNamespace(order=1 << 62), np.zeros((1, 1), dtype=np.int64))
+
+
+@pytest.mark.parametrize("pmN", [(2, 1, 4), (3, 1, 3), (2, 2, 2), (3, 2, 2)])
+def test_add_digits_is_field_addition_and_subtraction(pmN):
+    tower = build_tower(*pmN)
+    ext = tower.ext
+    width = tower.m * tower.N
+    a, b = np.divmod(np.arange(tower.order ** 2), tower.order)
+    added = add_digits(a, b, tower.p, width).tolist()
+    subtracted = add_digits(a, b, tower.p, width, sign=-1).tolist()
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert added == [ext.add(x, y) for x, y in pairs]
+    assert subtracted == [ext.sub(x, y) for x, y in pairs]
