@@ -27,13 +27,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _tower_from_flags(args: argparse.Namespace):
     q, m = args.q, args.m
+    # The integer p >= 2 with p**m == q, by bisection; 2**m > q when m is at
+    # least q's bit length.  Whether p is prime is build_tower's check.
     p = None
-    for cand in range(2, q + 1):
-        if cand ** m == q:
-            p = cand
-            break
-        if cand ** m > q:
-            break
+    if q >= 2 and 1 <= m < q.bit_length():
+        lo, hi = 2, 1 << (q.bit_length() // m + 1)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if mid**m < q else (lo, mid)
+        p = lo if lo**m == q else None
     if p is None:
         raise ValueError(f"q = {q} is not a prime power with exponent m = {m}")
     return build_tower(p, m, args.N)

@@ -35,13 +35,14 @@ from .linalg import (
     add_digits,
     check_budget,
     column_rank,
-    index_digits,
+    from_digits_array,
     matrix_rank_over,
     null_space,
     rank_distance,
     ranks,
     require_int64,
     row_reduce,
+    to_digits_array,
     vec_rank_distance,
 )
 
@@ -186,11 +187,11 @@ def _multiples(tower: FieldTower, row: Sequence[int]) -> np.ndarray:
     elements e_t encoded as p^t, so by F_p-linearity c * x is the digit-wise
     sum of c_t (e_t x) mod p: only the N*m products e_t x per entry are
     field products."""
-    p = tower.p
-    weights = p ** np.arange(tower.m * tower.N, dtype=np.int64)
-    products = np.array([[tower.ext.mul(int(e), x) for x in row] for e in weights], dtype=np.int64)
-    coeffs = np.arange(tower.order, dtype=np.int64)[:, None] // weights % p
-    return np.tensordot(coeffs, products[..., None] // weights % p, axes=1) % p @ weights
+    p, width = tower.p, tower.m * tower.N
+    products = [[tower.ext.mul(p**t, x) for x in row] for t in range(width)]
+    coeffs = to_digits_array(np.arange(tower.order), p, width)
+    sums = np.tensordot(coeffs, to_digits_array(products, p, width), axes=1)
+    return from_digits_array(sums % p, p)
 
 
 def span_blocks(
@@ -222,7 +223,8 @@ def span_blocks(
     step = RANK_BLOCK // len(inner)
     outer_count = order ** len(outer)
     for lo in range(0, outer_count, step):
-        digits = index_digits(np.arange(lo, min(lo + step, outer_count)), len(outer), order)
+        idx = np.arange(lo, min(lo + step, outer_count))
+        digits = to_digits_array(idx, order, len(outer))[:, ::-1]  # first row most significant
         prefix = np.zeros((len(digits), n), dtype=np.int64)
         for i, table in enumerate(outer):
             prefix = add_digits(prefix, table[digits[:, i]], p, width)

@@ -30,7 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .gftower import FieldTower
+from .bounds import chi_exact_upper_exponent
+from .gftower import FieldTower, from_digits
 from .graph import GraphParams
 from .codes import Rows, gabidulin_parity, parity_syndrome, span_blocks, word_rank_histogram
 from .linalg import (
@@ -40,11 +41,12 @@ from .linalg import (
     VecExt,
     add_digits,
     check_budget,
-    index_digits,
+    from_digits_array,
     matrix_rank_over,
     matrix_to_vector,
     null_space,
     ranks,
+    to_digits_array,
     vec_index,
 )
 # Not called here; kept bound because benchmarks/tracing.py wraps them by name.
@@ -86,13 +88,9 @@ class Coloring:
         return parity_syndrome(self.params.tower, self.h_rows, entries)
 
     def color_index(self, v: VecExt | Sequence[int]) -> int:
-        """Syndrome coordinates concatenated as base-q digits, coordinate 0
+        """Syndrome coordinates concatenated as base-q^N digits, coordinate 0
         most significant."""
-        idx = 0
-        order = self.params.tower.order
-        for s in self.syndrome(v):
-            idx = idx * order + s
-        return idx
+        return from_digits(reversed(self.syndrome(v)), self.params.tower.order)
 
     def color_of_matrix(self, M: MatFq) -> int:
         return self.color_index(matrix_to_vector(M))
@@ -191,8 +189,6 @@ def clique_d1(params: GraphParams, budget: int = DEFAULT_BUDGET) -> CliqueWitnes
 def forbidden_rows_target(params: GraphParams, d: int) -> int:
     """Row count for the exactly-d construction: the counting exponent
     ceil(log_q(2 + C(n-1, d-1) (q^N - 1)^(d-1))) rounded up to whole rows."""
-    from .bounds import chi_exact_upper_exponent
-
     e = chi_exact_upper_exponent(params.N, params.n, params.q, d)
     return -(-e // params.N)
 
@@ -336,7 +332,8 @@ def _vector_rank_table(params: GraphParams) -> np.ndarray:
     out = np.empty(V, dtype=np.uint8)
     for lo in range(0, V, RANK_BLOCK):
         idx = np.arange(lo, min(lo + RANK_BLOCK, V))
-        out[lo : lo + len(idx)] = ranks(tower, index_digits(idx, params.n, tower.order))
+        words = to_digits_array(idx, tower.order, params.n)[:, ::-1]
+        out[lo : lo + len(idx)] = ranks(tower, words)
     return out
 
 
@@ -345,14 +342,15 @@ def color_table(coloring: Coloring, budget: int = DEFAULT_BUDGET) -> np.ndarray:
 
     The syndromes v H^T = sum_j v_j H[:, j] of all vertices, in vector-index
     order, are the F_{q^N}-span of the columns of H in ``span_blocks`` order.
+    Raises ValueError when the color indices, below num_colors, do not fit
+    int64.
     """
     params = coloring.params
     tower = params.tower
     h_rows = coloring.h_rows
     columns = tuple(tuple(row[j] for row in h_rows) for j in range(params.n))
-    weights = tower.order ** np.arange(len(h_rows) - 1, -1, -1, dtype=np.int64)
     blocks = span_blocks(tower, columns, len(h_rows), budget=budget)
-    return np.concatenate([block @ weights for block in blocks])
+    return np.concatenate([from_digits_array(block[:, ::-1], tower.order) for block in blocks])
 
 
 def realized_colors(coloring: Coloring, budget: int = DEFAULT_BUDGET) -> int:

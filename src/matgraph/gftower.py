@@ -22,6 +22,36 @@ from __future__ import annotations
 from typing import Iterable
 
 
+def to_digits(x: int, radix: int, width: int) -> list[int]:
+    """The ``width`` base-``radix`` digits of ``x``, least significant first.
+
+    Every integer encoding in the library (field elements, vertex, vector
+    and color indices) is such a digit string; this and ``from_digits`` are
+    the one scalar codec, and ``linalg`` holds their array forms.
+    """
+    if x < 0:
+        raise ValueError(f"{x} is negative")
+    out = []
+    rest = x
+    for _ in range(width):
+        rest, d = divmod(rest, radix)
+        out.append(d)
+    if rest:
+        raise ValueError(f"{x} does not fit in {width} base-{radix} digits")
+    return out
+
+
+def from_digits(digits: Iterable[int], radix: int) -> int:
+    """The integer whose base-``radix`` digits, least significant first, are
+    ``digits``; inverse of ``to_digits``."""
+    x = 0
+    for d in reversed(list(digits)):
+        if not 0 <= d < radix:
+            raise ValueError(f"digit {d} out of range for radix {radix}")
+        x = x * radix + d
+    return x
+
+
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -109,22 +139,10 @@ class ExtField:
 
     def digits(self, a: int) -> list[int]:
         """Subfield coordinates of ``a``, low degree first."""
-        self._check(a)
-        r = self.subfield.order
-        out = []
-        for _ in range(self.degree):
-            a, d = divmod(a, r)
-            out.append(d)
-        return out
+        return to_digits(a, self.subfield.order, self.degree)
 
     def undigits(self, coeffs: Iterable[int]) -> int:
-        r = self.subfield.order
-        a = 0
-        for c in reversed(list(coeffs)):
-            if not 0 <= c < r:
-                raise ValueError(f"coordinate {c} out of range for subfield of order {r}")
-            a = a * r + c
-        return a
+        return from_digits(coeffs, self.subfield.order)
 
     def add(self, a: int, b: int) -> int:
         self._check(a)
@@ -246,13 +264,7 @@ def _poly_mod(dividend: list[int], divisor: list[int], field) -> list[int]:
 
 def _int_to_poly(t: int, degree: int, field) -> list[int]:
     """Monic polynomial of the given degree whose low coefficients encode t."""
-    coeffs = []
-    r = field.order
-    for _ in range(degree):
-        t, d = divmod(t, r)
-        coeffs.append(d)
-    coeffs.append(1)
-    return coeffs
+    return to_digits(t, field.order, degree) + [1]
 
 
 def is_irreducible(poly: list[int], field) -> bool:
@@ -374,24 +386,13 @@ class FieldTower:
 
     def fq_coeffs(self, a: int) -> list[int]:
         """F_p coordinates of an F_q element, low degree first."""
-        if not 0 <= a < self.q:
-            raise ValueError(f"{a} is not an element of F_{self.q}")
-        out = []
-        for _ in range(self.m):
-            a, d = divmod(a, self.p)
-            out.append(d)
-        return out
+        return to_digits(a, self.p, self.m)
 
     def fq_from_coeffs(self, coeffs: Iterable[int]) -> int:
         coeffs = list(coeffs)
         if len(coeffs) != self.m:
             raise ValueError(f"expected {self.m} coordinates, got {len(coeffs)}")
-        a = 0
-        for c in reversed(coeffs):
-            if not 0 <= c < self.p:
-                raise ValueError(f"coordinate {c} out of range mod {self.p}")
-            a = a * self.p + c
-        return a
+        return from_digits(coeffs, self.p)
 
     def ext_coeffs(self, x: int) -> list[list[int]]:
         """Nested F_p coordinates of an F_{q^N} element."""

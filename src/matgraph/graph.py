@@ -25,10 +25,11 @@ from .linalg import (
     add_digits,
     check_budget,
     enumerate_rank_one,
-    index_digits,
+    from_digits_array,
     mat_index,
     rank_one_count,
     ranks,
+    to_digits_array,
 )
 # Not called here; kept bound because benchmarks/tracing.py wraps it by name.
 from .linalg import rank  # noqa: F401
@@ -105,12 +106,17 @@ def graph_distance_bfs(M1: MatFq, M2: MatFq, budget: int = DEFAULT_BUDGET) -> in
 
 def neighbor_index_table(params: GraphParams, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """(order, degree) array: row v lists the vertex indices adjacent to v,
-    column j being v plus rank-one step j."""
+    column j being v plus rank-one step j.
+
+    Built in blocks of about RANK_BLOCK entries, each one broadcast
+    ``add_digits`` of a run of vertices and all the steps."""
     check_budget(params.order * params.degree, budget)
-    vertices = np.arange(params.order, dtype=np.int64)
+    steps = np.array(_rank_one_indices(params), dtype=np.int64)
     table = np.empty((params.order, params.degree), dtype=np.int32)
-    for j, step in enumerate(_rank_one_indices(params)):
-        table[:, j] = add_digits(vertices, step, params.tower.p, _width(params))
+    rows = max(1, RANK_BLOCK // params.degree)
+    for lo in range(0, params.order, rows):
+        vertices = np.arange(lo, min(lo + rows, params.order), dtype=np.int64)
+        table[lo : lo + rows] = add_digits(vertices[:, None], steps, params.tower.p, _width(params))
     return table
 
 
@@ -134,14 +140,13 @@ def rank_table(params: GraphParams, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Rank of every vertex matrix, indexed by vertex index."""
     check_budget(params.order, budget)
     N, n, q = params.N, params.n, params.q
-    # Column j of a vertex matrix, read as base-q digits with row 0 least
-    # significant, is the F_{q^N} encoding of word entry j.
-    weights = (q ** np.arange(N, dtype=np.int64))[:, None]
     out = np.empty(params.order, dtype=np.uint8)
     for lo in range(0, params.order, RANK_BLOCK):
         idx = np.arange(lo, min(lo + RANK_BLOCK, params.order))
-        digits = index_digits(idx, N * n, q).reshape(-1, N, n)
-        out[lo : lo + len(idx)] = ranks(params.tower, (digits * weights).sum(axis=1))
+        # Entries in row-major order, (0, 0) first; column j read with row 0
+        # least significant is the F_{q^N} encoding of word entry j.
+        entries = to_digits_array(idx, q, N * n)[:, ::-1].reshape(-1, N, n)
+        out[lo : lo + len(idx)] = ranks(params.tower, from_digits_array(entries.swapaxes(1, 2), q))
     return out
 
 
@@ -196,7 +201,6 @@ def check_vertex_transitivity(
     """
     p, width = params.tower.p, _width(params)
     nbr = neighbor_index_table(params, budget=budget)
-    edges = {(u, int(w)) for u in range(params.order) for w in nbr[u]}
     if sample is None:
         translations = range(params.order)
     else:
@@ -207,9 +211,9 @@ def check_vertex_transitivity(
                 return False
     vertices = np.arange(params.order, dtype=np.int64)
     for t in translations:
+        # The edges of u map onto those of image[u], for every u.
         image = add_digits(vertices, t, p, width)
-        mapped = {(int(image[u]), int(image[v])) for (u, v) in edges}
-        if mapped != edges:
+        if not np.array_equal(np.sort(image[nbr], axis=1), np.sort(nbr[image], axis=1)):
             return False
     return True
 
@@ -228,8 +232,8 @@ def _edges_and_labels(params: GraphParams, budget: int) -> tuple[np.ndarray, lis
         raise ValueError("digit labels support q <= 10 only")
     nbr = neighbor_index_table(params, budget=2 * budget)
     u, j = np.nonzero(nbr > np.arange(params.order)[:, None])
-    digits = index_digits(np.arange(params.order), params.N * params.n, params.q)
-    labels = ["".join(map(str, row)) for row in digits.tolist()]
+    digits = to_digits_array(np.arange(params.order), params.q, params.N * params.n)
+    labels = ["".join(map(str, row)) for row in digits[:, ::-1].tolist()]
     return np.column_stack([u, nbr[u, j]]), labels
 
 

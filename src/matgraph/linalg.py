@@ -15,7 +15,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .gftower import FieldTower
+from .gftower import FieldTower, from_digits, to_digits
 
 DEFAULT_BUDGET = 1 << 20
 # Words per block of every bulk rank computation and span enumeration.  On
@@ -317,6 +317,27 @@ def fq_tables(tower: FieldTower) -> FqTables:
     return tables
 
 
+def _digit_weights(radix: int, width: int) -> np.ndarray:
+    """radix**t for t < width, as int64; radix**width must fit int64."""
+    if radix ** width >= 1 << 63:
+        raise ValueError(f"{radix}**{width} does not fit int64")
+    return radix ** np.arange(width, dtype=np.int64)
+
+
+def to_digits_array(x, radix: int, width: int) -> np.ndarray:
+    """Array form of ``gftower.to_digits``: the base-``radix`` digits of each
+    entry of ``x``, least significant first, along a new last axis (int64).
+    Entries are assumed to lie in [0, radix**width)."""
+    return np.asarray(x, dtype=np.int64)[..., None] // _digit_weights(radix, width) % radix
+
+
+def from_digits_array(digits, radix: int) -> np.ndarray:
+    """Array form of ``gftower.from_digits``: folds the last axis of
+    ``digits``, least significant first, into int64 integers."""
+    digits = np.asarray(digits, dtype=np.int64)
+    return digits @ _digit_weights(radix, digits.shape[-1])
+
+
 def add_digits(a, b, p: int, width: int, sign: int = 1) -> np.ndarray:
     """a + sign*b for F_p-coordinate vectors packed as base-p integers of
     ``width`` digits, elementwise with numpy broadcasting.
@@ -327,8 +348,10 @@ def add_digits(a, b, p: int, width: int, sign: int = 1) -> np.ndarray:
     """
     if p == 2:
         return np.bitwise_xor(a, b)
-    weights = p ** np.arange(width, dtype=np.int64)
-    # a // p^t differs from digit t of a by a multiple of p.
+    # The array codec inlined, with one set of weights: a // p^t differs
+    # from digit t of a by a multiple of p, which the "% p" of the sum
+    # removes, so the operands skip their own reduction.
+    weights = _digit_weights(p, width)
     a = np.asarray(a, dtype=np.int64)[..., None] // weights
     b = np.asarray(b, dtype=np.int64)[..., None] // weights
     return (a + sign * b) % p @ weights
@@ -369,7 +392,7 @@ def ranks(tower: FieldTower, words: np.ndarray) -> np.ndarray:
         return np.array([word_rank(tower, w) for w in words.tolist()], dtype=np.int64)
     t = fq_tables(tower)
     q = tower.q
-    A = ((words[:, :, None] // q ** np.arange(tower.N, dtype=np.int64)) % q).astype(t.sub.dtype)
+    A = to_digits_array(words, q, tower.N).astype(t.sub.dtype)
     for c in range(tower.N):
         has = A[:, :, c] != 0
         piv = has.argmax(axis=1)
@@ -418,38 +441,13 @@ def rank_one_count(N: int, n: int, q: int) -> int:
 # enumeration, indexing, labels
 # ---------------------------------------------------------------------------
 
-def _index_digits(index: int, length: int, q: int) -> tuple[int, ...]:
-    """Base-q digits of ``index``, most significant first."""
-    out = [0] * length
-    for pos in range(length - 1, -1, -1):
-        index, d = divmod(index, q)
-        out[pos] = d
-    if index:
-        raise ValueError("index out of range")
-    return tuple(out)
-
-
-def index_digits(indices: np.ndarray, length: int, radix: int) -> np.ndarray:
-    """Base-``radix`` digits of each index, most significant first: the
-    array form of ``_index_digits``, shape (len(indices), length)."""
-    out = np.empty((len(indices), length), dtype=np.min_scalar_type(radix - 1))
-    rest = np.asarray(indices, dtype=np.int64)
-    for pos in range(length - 1, -1, -1):
-        rest, out[:, pos] = np.divmod(rest, radix)
-    return out
-
-
 def mat_index(M: MatFq) -> int:
     """Integer index of M: row-major entries as base-q digits, entry (0,0) most significant."""
-    idx = 0
-    q = M.tower.q
-    for e in M.entries:
-        idx = idx * q + e
-    return idx
+    return from_digits(reversed(M.entries), M.tower.q)
 
 
 def mat_from_index(tower: FieldTower, rows: int, cols: int, index: int) -> MatFq:
-    return MatFq(tower, rows, cols, _index_digits(index, rows * cols, tower.q))
+    return MatFq(tower, rows, cols, to_digits(index, tower.q, rows * cols)[::-1])
 
 
 def mat_label(M: MatFq) -> str:
@@ -467,15 +465,11 @@ def mat_from_label(tower: FieldTower, rows: int, cols: int, label: str) -> MatFq
 
 def vec_index(v: VecExt) -> int:
     """Integer index of v: entries as base-q^N digits, entry 0 most significant."""
-    idx = 0
-    order = v.tower.order
-    for e in v.entries:
-        idx = idx * order + e
-    return idx
+    return from_digits(reversed(v.entries), v.tower.order)
 
 
 def vec_from_index(tower: FieldTower, n: int, index: int) -> VecExt:
-    return VecExt(tower, _index_digits(index, n, tower.order))
+    return VecExt(tower, to_digits(index, tower.order, n)[::-1])
 
 
 def enumerate_matrices(
@@ -501,25 +495,15 @@ def enumerate_rank_one(
     mul = tower.base.mul
     normalized = []
     for widx in range(1, q ** cols):
-        w = _index_digits(widx, cols, q)
+        w = to_digits(widx, q, cols)[::-1]
         first = next(x for x in w if x)
         if first == 1:
             normalized.append(w)
     for uidx in range(1, q ** rows):
-        u = _index_digits(uidx, rows, q)
+        u = to_digits(uidx, q, rows)[::-1]
         for w in normalized:
             entries = tuple(mul(ui, wj) for ui in u for wj in w)
             yield MatFq(tower, rows, cols, entries)
-
-
-def enumerate_vectors(
-    tower: FieldTower, n: int, budget: int = DEFAULT_BUDGET
-) -> Iterator[VecExt]:
-    """All length-n vectors over F_{q^N} in index order."""
-    total = tower.order ** n
-    check_budget(total, budget)
-    for idx in range(total):
-        yield vec_from_index(tower, n, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +528,3 @@ def mat_from_json(tower: FieldTower, data: list[list[list[int]]]) -> MatFq:
         entries.extend(tower.fq_from_coeffs(c) for c in r)
     return MatFq(tower, rows, cols, tuple(entries))
 
-
-def vec_to_json(v: VecExt) -> list[list[list[int]]]:
-    return [v.tower.ext_coeffs(e) for e in v.entries]
-
-
-def vec_from_json(tower: FieldTower, data: list[list[list[int]]]) -> VecExt:
-    return VecExt(tower, tuple(tower.ext_from_coeffs(c) for c in data))

@@ -1,6 +1,7 @@
 """End-to-end CLI checks: output shapes, exit codes, determinism."""
 
 import json
+import random
 import subprocess
 import sys
 import time
@@ -8,6 +9,9 @@ import time
 import pytest
 
 from matgraph.cli import build_parser
+from matgraph.coloring import Coloring, coloring_to_json
+from matgraph.gftower import build_tower
+from matgraph.graph import GraphParams
 
 
 def run_cli(*args: str):
@@ -39,6 +43,22 @@ def test_field_describe():
 def test_field_describe_rejects_non_prime_power():
     res = run_cli("field", "describe", "--q", "6", "--m", "1", "--N", "2")
     assert res.returncode == 1
+
+
+@pytest.mark.parametrize(
+    "q, m, code, p",
+    [("1000000007", "1", 0, 1000000007), ("8", "3", 0, 2), ("9", "1", 1, None), ("1", "1", 1, None)],
+)
+def test_field_describe_prime_power_parse(q, m, code, p):
+    start = time.perf_counter()
+    res = run_cli("field", "describe", "--q", q, "--m", m, "--N", "1")
+    assert time.perf_counter() - start < 30
+    assert res.returncode == code, res.stderr
+    if p is not None:
+        data = json.loads(res.stdout)
+        assert (data["p"], data["m"]) == (p, int(m))
+    else:
+        assert res.stderr.startswith("error: ")
 
 
 def test_graph_stats_text():
@@ -263,3 +283,14 @@ def test_color_verify_rejects_mismatched_num_colors(tmp_path):
     res = run_cli("color", "verify", str(col))
     assert res.returncode == 1
     assert "num_colors" in res.stderr
+
+
+def test_color_verify_pairwise_rejects_colors_beyond_int64(tmp_path):
+    params = GraphParams(build_tower(2, 1, 8), 2)
+    rng = random.Random(0)
+    h_rows = tuple(tuple(rng.randrange(256) for _ in range(2)) for _ in range(9))
+    col = tmp_path / "col.json"
+    col.write_text(json.dumps(coloring_to_json(Coloring(params, "exactly-d", 1, h_rows, 256**9, tag="x"))))
+    res = run_cli("color", "verify", str(col), "--pairwise")
+    assert res.returncode == 1
+    assert "int64" in res.stderr

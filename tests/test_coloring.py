@@ -1,6 +1,7 @@
 """Syndrome colorings: construction, verification modes, the greedy search."""
 
 import json
+import random
 
 import pytest
 
@@ -221,6 +222,29 @@ def test_color_table_matches_color_index_on_every_vertex(col):
     assert color_table(col).tolist() == expected
     if not col.h_rows:
         assert expected == [0] * V
+
+
+def _random_rows(tower, n, rows, seed):
+    rng = random.Random(seed)
+    return tuple(tuple(rng.randrange(tower.order) for _ in range(n)) for _ in range(rows))
+
+
+def test_color_table_rejects_color_indices_beyond_int64():
+    params = GraphParams(build_tower(2, 1, 8), 2)
+    # 256^7 colors fit int64.
+    col = Coloring(params, "exactly-d", 1, _random_rows(params.tower, 2, 7, seed=1), 256**7, tag="x")
+    table = color_table(col)
+    for v in (0, 1, 258, 40000, 65535):
+        assert table[v] == col.color_index(vec_from_index(params.tower, 2, v))
+    # 256^9 colors: the indices need 72 bits.
+    col = Coloring(params, "exactly-d", 1, _random_rows(params.tower, 2, 9, seed=0), 256**9, tag="x")
+    assert col.color_index(vec_from_index(params.tower, 2, 1)) >= 1 << 63
+    with pytest.raises(ValueError):
+        color_table(col)
+    with pytest.raises(ValueError):
+        realized_colors(col)
+    with pytest.raises(ValueError):
+        find_violation(col, pairwise=True)
 
 
 def test_threads_do_not_change_results():

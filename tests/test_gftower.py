@@ -7,10 +7,12 @@ from matgraph.gftower import (
     FieldTower,
     build_tower,
     find_irreducible,
+    from_digits,
     is_irreducible,
     is_prime,
     multiplicative_order,
     PrimeField,
+    to_digits,
 )
 
 # exhaustive towers with q^N <= 512 used across the axiom tests
@@ -242,3 +244,35 @@ def test_element_serialization():
     tower = build_tower(2, 2, 2)
     for x in range(tower.order):
         assert tower.ext_from_coeffs(tower.ext_coeffs(x)) == x
+
+
+def test_digit_codec_is_least_significant_first():
+    assert to_digits(6, 2, 4) == [0, 1, 1, 0]
+    assert to_digits(5 + 2 * 257, 257, 3) == [5, 2, 0]
+    assert from_digits([0, 1, 1, 0], 2) == 6
+    assert to_digits(0, 3, 0) == [] and from_digits([], 3) == 0
+
+
+@pytest.mark.parametrize("radix, width", [(2, 1), (2, 10), (3, 5), (4, 3), (10, 4), (257, 3), (65537, 2)])
+def test_digit_codec_round_trip(radix, width):
+    top = radix ** width - 1
+    for x in sorted({0, 1, radix - 1, min(radix, top), top // 3, top - 1, top}):
+        digits = to_digits(x, radix, width)
+        assert len(digits) == width and all(0 <= d < radix for d in digits)
+        assert from_digits(digits, radix) == x
+    first = range(min(top + 1, 300))
+    assert [from_digits(to_digits(x, radix, width), radix) for x in first] == list(first)
+
+
+def test_digit_codec_rejects_out_of_range():
+    for x in (-1, 9, 10**6):
+        with pytest.raises(ValueError):
+            to_digits(x, 3, 2)
+    assert to_digits(8, 3, 2) == [2, 2]
+    for digits in ([3, 0], [0, -1]):
+        with pytest.raises(ValueError):
+            from_digits(digits, 3)
+    with pytest.raises(ValueError):
+        build_tower(2, 2, 2).fq_coeffs(4)
+    with pytest.raises(ValueError):
+        build_tower(3, 1, 2).ext.digits(9)

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from matgraph import graph as graph_module
 from matgraph.gftower import build_tower
 from matgraph.graph import (
     GraphParams,
@@ -94,7 +95,7 @@ def test_bfs_equals_rank_distance_small():
                 assert graph_distance_bfs(A, B) == rank_distance(A, B)
 
 
-@pytest.mark.parametrize("pmNn", [(2, 1, 3, 2), (3, 1, 2, 2), (2, 2, 2, 2), (3, 2, 2, 1)])
+@pytest.mark.parametrize("pmNn", [(2, 1, 3, 2), (3, 1, 2, 2), (2, 2, 2, 2), (3, 2, 2, 1), (3, 1, 3, 2)])
 def test_neighbor_index_table_matches_matrix_sums(pmNn):
     p, m, N, n = pmNn
     params = GraphParams(build_tower(p, m, N), n)
@@ -152,6 +153,14 @@ def test_not_bipartite():
 
 def test_vertex_transitivity_exhaustive():
     assert check_vertex_transitivity(P222)
+    assert check_vertex_transitivity(GraphParams(build_tower(2, 1, 3), 3), sample=None)
+
+
+def test_vertex_transitivity_detects_a_non_translation_invariant_table(monkeypatch):
+    table = neighbor_index_table(P222).copy()
+    table[0, 0] = table[0, 1]  # one edge of vertex 0 rerouted
+    monkeypatch.setattr(graph_module, "neighbor_index_table", lambda params, budget: table)
+    assert not check_vertex_transitivity(P222)
 
 
 def test_vertex_transitivity_sampled():

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from matgraph.gftower import build_tower
+from matgraph.gftower import build_tower, from_digits, to_digits
 from matgraph.linalg import (
     BudgetExceededError,
     MatFq,
@@ -17,6 +17,7 @@ from matgraph.linalg import (
     count_rank_k,
     enumerate_matrices,
     enumerate_rank_one,
+    from_digits_array,
     mat_from_index,
     mat_from_json,
     mat_from_label,
@@ -31,6 +32,7 @@ from matgraph.linalg import (
     rank_one_count,
     ranks,
     row_reduce,
+    to_digits_array,
     vec_from_index,
     vec_index,
     vector_to_matrix,
@@ -310,3 +312,28 @@ def test_add_digits_is_field_addition_and_subtraction(pmN):
     pairs = list(zip(a.tolist(), b.tolist()))
     assert added == [ext.add(x, y) for x, y in pairs]
     assert subtracted == [ext.sub(x, y) for x, y in pairs]
+
+
+@pytest.mark.parametrize("radix, width", [(2, 1), (2, 62), (3, 6), (4, 5), (9, 4), (257, 3), (65537, 3), (2**31 - 1, 2)])
+def test_array_digit_codec_agrees_with_scalar_codec(radix, width):
+    top = radix ** width - 1
+    rng = random.Random(radix * 100 + width)
+    values = [0, 1, radix - 1, top - 1, top] + [rng.randrange(top + 1) for _ in range(200)]
+    digits = to_digits_array(values, radix, width)
+    assert digits.shape == (len(values), width)
+    assert digits.tolist() == [to_digits(x, radix, width) for x in values]
+    assert from_digits_array(digits, radix).tolist() == values
+    assert [from_digits(d, radix) for d in digits.tolist()] == values
+    # Digits go along a new last axis, whatever the input's shape.
+    grid = np.array(values[:200]).reshape(10, 20)
+    assert to_digits_array(grid, radix, width).shape == (10, 20, width)
+    assert np.array_equal(from_digits_array(to_digits_array(grid, radix, width), radix), grid)
+
+
+def test_array_digit_codec_requires_int64_range():
+    assert from_digits_array(np.full((1, 7), 255), 256).tolist() == [(1 << 56) - 1]
+    for radix, width in ((256, 8), (256, 9), (2, 63), (3, 40)):
+        with pytest.raises(ValueError):
+            from_digits_array(np.zeros((1, width), dtype=np.int64), radix)
+        with pytest.raises(ValueError):
+            to_digits_array([0], radix, width)
