@@ -267,18 +267,69 @@ def _int_to_poly(t: int, degree: int, field) -> list[int]:
     return to_digits(t, field.order, degree) + [1]
 
 
+def _monic(poly: list[int], field) -> list[int]:
+    """``poly`` divided by its leading coefficient."""
+    if poly[-1] == 1:
+        return poly
+    lead = field.inv(poly[-1])
+    return [field.mul(lead, c) for c in poly]
+
+
+def _poly_mulmod(a: list[int], b: list[int], modulus: list[int], field) -> list[int]:
+    """a * b reduced by a monic modulus."""
+    if not a or not b:
+        return []
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    prod[i + j] = field.add(prod[i + j], field.mul(ai, bj))
+    return _poly_mod(prod, modulus, field)
+
+
+def _poly_powmod(a: list[int], e: int, modulus: list[int], field) -> list[int]:
+    """a**e reduced by a monic modulus of degree at least 1, by squaring; e >= 1."""
+    result = None
+    while e:
+        if e & 1:
+            result = a if result is None else _poly_mulmod(result, a, modulus, field)
+        e >>= 1
+        if e:
+            a = _poly_mulmod(a, a, modulus, field)
+    return result
+
+
+def _poly_gcd(a: list[int], b: list[int], field) -> list[int]:
+    """Monic greatest common divisor of a monic a and any b."""
+    while b:
+        b = _monic(b, field)
+        a, b = b, _poly_mod(a, b, field)
+    return a
+
+
 def is_irreducible(poly: list[int], field) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg/2."""
+    """Ben-Or's test: a polynomial f of degree d over F_r is irreducible
+    exactly when gcd(f, x^(r^i) - x) = 1 for every i <= d/2, since
+    x^(r^i) - x is the product of the monic irreducibles whose degree
+    divides i.  ``poly`` is low degree first with a nonzero leading
+    coefficient; the work is polynomial in d and log r.
+    """
     deg = len(poly) - 1
     if deg < 1:
         return False
-    if deg == 1:
-        return True
-    for dd in range(1, deg // 2 + 1):
-        for t in range(field.order ** dd):
-            divisor = _int_to_poly(t, dd, field)
-            if not _poly_mod(poly, divisor, field):
-                return False
+    if deg > 1 and poly[0] == 0:
+        return False  # x divides it
+    f = _monic(poly, field)
+    power = [0, 1]  # x, then x^(r^i) mod f
+    for _ in range(deg // 2):
+        power = _poly_powmod(power, field.order, f, field)
+        diff = power + [0] * (2 - len(power))
+        diff[1] = field.sub(diff[1], 1)
+        while diff and diff[-1] == 0:
+            diff.pop()
+        if len(_poly_gcd(f, diff, field)) > 1:
+            return False
     return True
 
 

@@ -5,15 +5,18 @@ rank 1, so the graph is the Cayley graph of (F_q^(N x n), +) with the
 rank-one matrices as generators.  ``neighbors`` adds each rank-one matrix
 to a ``MatFq``.  Everything else walks the graph on vertex indices: the
 neighbor index table translates every index by each rank-one step with
-``linalg.add_digits``, and one level BFS over that table is the oracle for
-the claim that graph distance equals rank distance.
+``linalg.add_digits``.  Two BFS bodies walk that table: a level BFS from
+one source (``bfs_distances``) answers single queries, and a bit-parallel
+BFS carrying 64 sources per machine word (``all_sources_distances``) is
+the oracle for the claim that graph distance equals rank distance on every
+pair.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -150,25 +153,106 @@ def rank_table(params: GraphParams, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     return out
 
 
+def _in_neighbor_or(nbr: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The pull step of the bit-parallel BFS over ``nbr``.
+
+    Returns a function that maps one uint64 word per vertex to, at every
+    vertex w, the OR of the words of all u with an edge u -> w (row u of
+    ``nbr`` lists w), and 0 where w has no in-edge.  The in-neighbour lists
+    are the table's entries grouped by value with a stable argsort.
+    """
+    V, degree = nbr.shape
+    heads = nbr.ravel()
+    tails = np.argsort(heads, kind="stable")
+    tails //= degree
+    counts = np.bincount(heads, minlength=V)
+    has_in = counts > 0
+    # reduceat reads an empty segment as one stray element, so only the
+    # vertices that have an in-edge get a segment.
+    starts = (np.cumsum(counts) - counts)[has_in]
+
+    def pull(words: np.ndarray) -> np.ndarray:
+        out = np.zeros(V, dtype=np.uint64)
+        out[has_in] = np.bitwise_or.reduceat(words.take(tails), starts)
+        return out
+
+    return pull
+
+
+def all_sources_distances(nbr: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Distances from every source, 64 sources per bit-parallel BFS.
+
+    Yields (first source, (B, V) int16 distances, -1 if unreached) for each
+    block of B <= 64 consecutive sources.  Every vertex holds one uint64
+    word of seen bits and one of frontier bits, bit k standing for source
+    first + k; a level ORs the frontier words of each vertex's in-neighbours
+    (multi-source BFS, Then et al., VLDB 2014).
+
+    ``bfs_distances`` stays the BFS for one source: it expands only the
+    rows of its frontier, while this pass first sorts all order x degree
+    table entries into in-neighbour lists and then pulls over all of them at
+    every level, however few sources share the word.  On (N,n,q) = (4,3,2)
+    the sort alone costs about ten single-source level BFS runs.
+    """
+    V = nbr.shape[0]
+    pull = _in_neighbor_or(nbr)
+    for first in range(0, V, 64):
+        sources = np.arange(first, min(first + 64, V))
+        everyone = np.uint64((1 << len(sources)) - 1)
+        seen = np.zeros(V, dtype=np.uint64)
+        seen[sources] = np.uint64(1) << np.arange(len(sources), dtype=np.uint64)
+        # unseen[v, k] counts the levels so far at which source first + k had
+        # not reached v: its distance, or one more than the last level if
+        # never reached.
+        unseen = np.zeros((V, 64), dtype=np.int16)
+        frontier = seen
+        level = 0
+        while True:
+            unseen += _bits(~seen)
+            if (seen == everyone).all():
+                break
+            frontier = pull(frontier) & ~seen
+            if not frontier.any():
+                break
+            level += 1
+            seen |= frontier
+        dist = unseen.T[: len(sources)].copy()
+        dist[dist > level] = -1
+        yield first, dist
+
+
+def _bits(words: np.ndarray) -> np.ndarray:
+    """(V, 64) 0/1 array of the bits of V uint64 words, bit k in column k."""
+    octets = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(octets, bitorder="little").reshape(-1, 64)
+
+
 def verify_distance_equals_rank(
     params: GraphParams, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, int, int, int] | None:
     """Check d(u, v) == rank(u - v) for every ordered vertex pair.
 
-    Runs a full BFS from every source and compares against the rank of the
-    difference matrix.  Returns None when all pairs agree, otherwise the
-    first mismatch as (u, v, bfs_distance, rank_distance).
+    Runs the bit-parallel BFS from every source, 64 at a time, and compares
+    the distances against the rank of the difference matrices.  Returns None
+    when all pairs agree, otherwise the first mismatch, smallest u and then
+    smallest v, as (u, v, bfs_distance, rank_distance).
     """
     nbr = neighbor_index_table(params, budget=budget)
     rank_of = rank_table(params, budget=budget)
+    p, width = params.tower.p, _width(params)
     vertices = np.arange(params.order, dtype=np.int64)
-    for u in range(params.order):
-        dist = bfs_distances(nbr, u)
-        diff_idx = add_digits(vertices, u, params.tower.p, _width(params), sign=-1)
-        expected = rank_of[diff_idx].astype(np.int16)
-        if not np.array_equal(dist, expected):
-            v = int(np.flatnonzero(dist != expected)[0])
-            return (u, v, int(dist[v]), int(expected[v]))
+    for first, block in all_sources_distances(nbr):
+        # 16 sources at a time: for odd p, add_digits holds a
+        # (sources, order, width) int64 digit array, the largest in the check.
+        for lo in range(0, len(block), 16):
+            dist = block[lo : lo + 16]
+            u = first + lo
+            diff_idx = add_digits(vertices, vertices[u : u + len(dist), None], p, width, sign=-1)
+            expected = rank_of[diff_idx].astype(np.int16)
+            wrong = dist != expected
+            if wrong.any():
+                k, v = (int(i) for i in np.argwhere(wrong)[0])
+                return (u + k, v, int(dist[k, v]), int(expected[k, v]))
     return None
 
 

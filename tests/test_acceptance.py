@@ -118,12 +118,16 @@ def test_criterion_3_distance_equals_rank():
             (3, 3, 2),
             (3, 2, 3),
             (4, 3, 2),
+            (6, 2, 2),
+            (3, 2, 4),
         )
         for N, n, q in instances:
             params = GraphParams(_tower(q, N), n)
             assert params.order <= 4096
-            assert verify_distance_equals_rank(params) is None, (N, n, q)
-            assert eccentricity_of_zero(params) == n, (N, n, q)
+            # the neighbor table's size: (3, 2, 4) has 1,290,240 entries, over the 2^20 default
+            budget = params.order * params.degree
+            assert verify_distance_equals_rank(params, budget=budget) is None, (N, n, q)
+            assert eccentricity_of_zero(params, budget=budget) == n, (N, n, q)
 
 
 def test_criterion_4_gabidulin_mrd():

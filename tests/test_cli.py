@@ -40,6 +40,16 @@ def test_field_describe():
     assert data["modulus_qN"] == [[1], [1], [0], [1]]
 
 
+def test_field_describe_large_prime_quadratic():
+    # x^2 + 1 is the smallest irreducible, as p = 3 mod 4; a trial division
+    # of each candidate by all p monic linear polynomials would not finish
+    start = time.perf_counter()
+    res = run_cli("field", "describe", "--q", "1000000007", "--m", "1", "--N", "2")
+    assert time.perf_counter() - start < 30
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["modulus_qN"] == [[1], [0], [1]]
+
+
 def test_field_describe_rejects_non_prime_power():
     res = run_cli("field", "describe", "--q", "6", "--m", "1", "--N", "2")
     assert res.returncode == 1

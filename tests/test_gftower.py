@@ -217,6 +217,48 @@ def test_find_irreducible_has_no_factors():
         assert val != 0
 
 
+def _trial_division_irreducible(poly, field):
+    """Reference test: no monic divisor of degree 1..deg/2 leaves remainder 0."""
+    deg = len(poly) - 1
+    if deg < 1:
+        return False
+    for dd in range(1, deg // 2 + 1):
+        for t in range(field.order ** dd):
+            divisor = to_digits(t, field.order, dd) + [1]
+            rem = list(poly)
+            for top in range(deg, dd - 1, -1):
+                c = rem[top]
+                for i, d in enumerate(divisor):
+                    rem[top - dd + i] = field.sub(rem[top - dd + i], field.mul(c, d))
+            if not any(rem):
+                return False
+    return True
+
+
+F4 = ExtField(PrimeField(2), (1, 1, 1))
+# (field, largest degree): every monic polynomial up to that degree
+IRREDUCIBILITY_CASES = [(PrimeField(2), 4), (PrimeField(3), 4), (F4, 4), (PrimeField(5), 3)]
+
+
+@pytest.mark.parametrize("field, max_degree", IRREDUCIBILITY_CASES)
+def test_is_irreducible_matches_trial_division(field, max_degree):
+    for deg in range(max_degree + 1):
+        for t in range(field.order ** deg):
+            poly = to_digits(t, field.order, deg) + [1]
+            assert is_irreducible(poly, field) == _trial_division_irreducible(poly, field), poly
+
+
+@pytest.mark.parametrize("field, max_degree", IRREDUCIBILITY_CASES + [(PrimeField(2), 6)])
+def test_find_irreducible_is_smallest_by_trial_division(field, max_degree):
+    for deg in range(1, max_degree + 1):
+        first = next(
+            t
+            for t in range(field.order ** deg)
+            if _trial_division_irreducible(to_digits(t, field.order, deg) + [1], field)
+        )
+        assert find_irreducible(field, deg) == tuple(to_digits(first, field.order, deg) + [1])
+
+
 def test_extfield_rejects_non_monic_modulus():
     with pytest.raises(ValueError):
         ExtField(PrimeField(3), (1, 2))

@@ -2,12 +2,14 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from matgraph import graph as graph_module
 from matgraph.gftower import build_tower
 from matgraph.graph import (
     GraphParams,
+    all_sources_distances,
     bfs_distances,
     check_vertex_transitivity,
     degree,
@@ -161,6 +163,64 @@ def test_vertex_transitivity_detects_a_non_translation_invariant_table(monkeypat
     table[0, 0] = table[0, 1]  # one edge of vertex 0 rerouted
     monkeypatch.setattr(graph_module, "neighbor_index_table", lambda params, budget: table)
     assert not check_vertex_transitivity(P222)
+
+
+# First mismatch after one edge of row r is rerouted, t[r, c] = t[r, s];
+# values recorded with the one-source-at-a-time BFS it replaced.
+@pytest.mark.parametrize(
+    "params, rcs, expected",
+    [
+        (P222, (0, 0, 1), (0, 1, 2, 1)),
+        (P223, (0, 0, 1), (0, 1, 2, 1)),
+        (P322, (0, 0, 1), (0, 1, 2, 1)),
+        (P222, (5, 2, 0), (5, 6, 2, 1)),
+        (P223, (5, 2, 0), (5, 6, 2, 1)),
+        (P322, (5, 2, 0), (5, 6, 2, 1)),
+        (P222, (15, 1, 3), (15, 13, 2, 1)),
+        (P223, (80, 1, 3), (80, 74, 2, 1)),
+        (P322, (63, 1, 3), (63, 61, 2, 1)),
+    ],
+)
+def test_distance_check_pins_first_mismatch(monkeypatch, params, rcs, expected):
+    r, c, s = rcs
+    table = neighbor_index_table(params).copy()
+    table[r, c] = table[r, s]
+    monkeypatch.setattr(graph_module, "neighbor_index_table", lambda params, budget: table)
+    assert verify_distance_equals_rank(params) == expected
+
+
+def _stacked_bfs(nbr):
+    return np.stack([bfs_distances(nbr, s) for s in range(nbr.shape[0])])
+
+
+def _all_sources(nbr):
+    blocks = list(all_sources_distances(nbr))
+    assert [first for first, _ in blocks] == list(range(0, nbr.shape[0], 64))
+    return np.concatenate([dist for _, dist in blocks])
+
+
+@pytest.mark.parametrize("pmNn", [(2, 1, 2, 2), (3, 1, 2, 2), (3, 1, 3, 2), (2, 2, 2, 2)])
+def test_all_sources_distances_match_level_bfs(pmNn):
+    # V = 16, 81 (a partial last block), 729 (11 full blocks and one of 25), 256 (m = 2)
+    p, m, N, n = pmNn
+    nbr = neighbor_index_table(GraphParams(build_tower(p, m, N), n))
+    assert np.array_equal(_all_sources(nbr), _stacked_bfs(nbr))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # two directed triangles: no path between them
+        [[1, 2], [2, 0], [0, 1], [4, 5], [5, 3], [3, 4]],
+        # no row lists vertex 4, the last one, and only row 4 lists vertex 0
+        [[1, 2], [2, 3], [3, 1], [1, 2], [0, 0]],
+    ],
+)
+def test_all_sources_distances_on_hand_built_tables(rows):
+    nbr = np.array(rows, dtype=np.int32)
+    dist = _all_sources(nbr)
+    assert (dist == -1).any()
+    assert np.array_equal(dist, _stacked_bfs(nbr))
 
 
 def test_vertex_transitivity_sampled():
