@@ -47,7 +47,6 @@ from .linalg import (
     null_space,
     ranks,
     to_digits_array,
-    vec_index,
 )
 # Not called here; kept bound because benchmarks/tracing.py wraps them by name.
 from .codes import enumerate_span  # noqa: F401
@@ -321,7 +320,7 @@ def _kernel_violation(
     for block in _kernel_blocks(tower, coloring.h_rows, coloring.params.n, budget):
         bad = np.flatnonzero(_rank_in_violation(kind, ranks(tower, block), d))
         if bad.size:
-            return (0, vec_index(VecExt(tower, tuple(block[bad[0]].tolist()))))
+            return (0, from_digits(reversed(block[bad[0]].tolist()), tower.order))
     return None
 
 

@@ -5,13 +5,17 @@ subfield with r elements is encoded as the integer sum(c_i * r**i), where
 (c_0, ..., c_{e-1}) are its coordinates in the polynomial basis, low degree
 first.  Encodings nest: an element of F_{q^N} is an integer below q**N whose
 base-q digits are its F_q coordinates, and each F_q coordinate is an integer
-below p**m whose base-p digits are F_p coordinates.
+below p**m whose base-p digits are F_p coordinates.  So addition at every
+level is one base-p digit rule, XOR when p = 2 and digit by digit mod p
+otherwise: ``_add_digits`` here, and its numpy form ``linalg.add_digits``.
 
-Moduli are chosen deterministically: among the monic irreducible polynomials
-of the required degree, the one whose integer encoding (constant coefficient
-in the least significant digit) is smallest.  For F_8 this selects
-x^3 + x + 1, so the residue class a of x satisfies a^3 = a + 1 and is
-primitive.
+``ExtField(K, f)`` is the ring K[x]/(f) for any monic f; it is a field,
+with a valid ``inv``, only when f is irreducible.  Moduli are chosen
+deterministically: the monic irreducible of the required degree with the
+smallest encoding (constant coefficient least significant), found by
+Ben-Or's test, which runs in ``ExtField(F_r, f)`` for each candidate f.
+For F_8 this selects x^3 + x + 1, so the residue class a of x satisfies
+a^3 = a + 1 and is primitive.
 
 All objects are immutable after construction and safe to share between
 threads.
@@ -50,6 +54,21 @@ def from_digits(digits: Iterable[int], radix: int) -> int:
             raise ValueError(f"digit {d} out of range for radix {radix}")
         x = x * radix + d
     return x
+
+
+def _add_digits(a: int, b: int, p: int, sign: int = 1) -> int:
+    """a + sign*b for F_p-coordinate vectors packed as base-p integers: XOR
+    when p = 2, digit by digit mod p otherwise.  The scalar form of
+    ``linalg.add_digits``, kept here so that this module needs no numpy."""
+    if p == 2:
+        return a ^ b
+    out, scale = 0, 1
+    while a or b:
+        a, x = divmod(a, p)
+        b, y = divmod(b, p)
+        out += (x + sign * y) % p * scale
+        scale *= p
+    return out
 
 
 def is_prime(p: int) -> bool:
@@ -100,15 +119,13 @@ class PrimeField:
             raise ValueError("exponent must be nonnegative")
         return pow(self._check(a), e, self.p)
 
-    def elements(self) -> range:
-        return range(self.p)
-
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
 
 
 class ExtField:
-    """An extension K[x]/(modulus) of a subfield K, elements encoded as integers.
+    """The ring K[x]/(modulus) over a field K, elements encoded as integers;
+    an extension field, where ``inv`` is valid, iff the modulus is irreducible.
 
     ``modulus`` is a monic polynomial over the subfield, given as a tuple of
     subfield encodings, low degree first, including the leading 1.
@@ -145,27 +162,13 @@ class ExtField:
         return from_digits(coeffs, self.subfield.order)
 
     def add(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
-        if self._bits:
-            return a ^ b
-        sf = self.subfield
-        return self.undigits(sf.add(x, y) for x, y in zip(self.digits(a), self.digits(b)))
+        return _add_digits(self._check(a), self._check(b), self.char)
 
     def sub(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
-        if self._bits:
-            return a ^ b
-        sf = self.subfield
-        return self.undigits(sf.sub(x, y) for x, y in zip(self.digits(a), self.digits(b)))
+        return _add_digits(self._check(a), self._check(b), self.char, -1)
 
     def neg(self, a: int) -> int:
-        self._check(a)
-        if self._bits:
-            return a
-        sf = self.subfield
-        return self.undigits(sf.neg(x) for x in self.digits(a))
+        return _add_digits(0, self._check(a), self.char, -1)
 
     def mul(self, a: int, b: int) -> int:
         self._check(a)
@@ -180,26 +183,7 @@ class ExtField:
                 if a & self._top:
                     a ^= self._modint
             return res
-        sf = self.subfield
-        da = self.digits(a)
-        db = self.digits(b)
-        prod = [0] * (2 * self.degree - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    if bj:
-                        prod[i + j] = sf.add(prod[i + j], sf.mul(ai, bj))
-        # long division by the monic modulus
-        for idx in range(len(prod) - 1, self.degree - 1, -1):
-            c = prod[idx]
-            if c:
-                prod[idx] = 0
-                base = idx - self.degree
-                for t in range(self.degree):
-                    mt = self.modulus[t]
-                    if mt:
-                        prod[base + t] = sf.sub(prod[base + t], sf.mul(c, mt))
-        return self.undigits(prod[: self.degree])
+        return self.undigits(_poly_mulmod(self.digits(a), self.digits(b), self.modulus, self.subfield))
 
     def inv(self, a: int) -> int:
         if self._check(a) == 0:
@@ -212,16 +196,13 @@ class ExtField:
             raise ValueError("exponent must be nonnegative")
         self._check(a)
         result = 1
-        base = a
         while e:
             if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                result = self.mul(result, a)
             e >>= 1
+            if e:
+                a = self.mul(a, a)
         return result
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def __repr__(self) -> str:
         return f"ExtField(order={self.order}, modulus={self.modulus})"
@@ -242,7 +223,7 @@ def multiplicative_order(field, a: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over an arbitrary field view (for irreducibility search)
+# polynomials over a field view, low degree first (ExtField.mul, Ben-Or)
 # ---------------------------------------------------------------------------
 
 def _poly_mod(dividend: list[int], divisor: list[int], field) -> list[int]:
@@ -262,11 +243,6 @@ def _poly_mod(dividend: list[int], divisor: list[int], field) -> list[int]:
     return rem
 
 
-def _int_to_poly(t: int, degree: int, field) -> list[int]:
-    """Monic polynomial of the given degree whose low coefficients encode t."""
-    return to_digits(t, field.order, degree) + [1]
-
-
 def _monic(poly: list[int], field) -> list[int]:
     """``poly`` divided by its leading coefficient."""
     if poly[-1] == 1:
@@ -277,8 +253,6 @@ def _monic(poly: list[int], field) -> list[int]:
 
 def _poly_mulmod(a: list[int], b: list[int], modulus: list[int], field) -> list[int]:
     """a * b reduced by a monic modulus."""
-    if not a or not b:
-        return []
     prod = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -288,23 +262,10 @@ def _poly_mulmod(a: list[int], b: list[int], modulus: list[int], field) -> list[
     return _poly_mod(prod, modulus, field)
 
 
-def _poly_powmod(a: list[int], e: int, modulus: list[int], field) -> list[int]:
-    """a**e reduced by a monic modulus of degree at least 1, by squaring; e >= 1."""
-    result = None
-    while e:
-        if e & 1:
-            result = a if result is None else _poly_mulmod(result, a, modulus, field)
-        e >>= 1
-        if e:
-            a = _poly_mulmod(a, a, modulus, field)
-    return result
-
-
 def _poly_gcd(a: list[int], b: list[int], field) -> list[int]:
     """Monic greatest common divisor of a monic a and any b."""
-    while b:
-        b = _monic(b, field)
-        a, b = b, _poly_mod(a, b, field)
+    while b := _poly_mod(b, a, field):
+        a, b = _monic(b, field), a
     return a
 
 
@@ -321,14 +282,11 @@ def is_irreducible(poly: list[int], field) -> bool:
     if deg > 1 and poly[0] == 0:
         return False  # x divides it
     f = _monic(poly, field)
-    power = [0, 1]  # x, then x^(r^i) mod f
+    ring = ExtField(field, f)  # a ring, not a field, when f is reducible
+    x = power = field.order  # the encoding of x, as deg >= 2 in the loop
     for _ in range(deg // 2):
-        power = _poly_powmod(power, field.order, f, field)
-        diff = power + [0] * (2 - len(power))
-        diff[1] = field.sub(diff[1], 1)
-        while diff and diff[-1] == 0:
-            diff.pop()
-        if len(_poly_gcd(f, diff, field)) > 1:
+        power = ring.pow(power, field.order)  # x^(r^i) mod f
+        if len(_poly_gcd(f, ring.digits(ring.sub(power, x)), field)) > 1:
             return False
     return True
 
@@ -338,7 +296,7 @@ def find_irreducible(field, degree: int) -> tuple[int, ...]:
     if degree < 1:
         raise ValueError("degree must be positive")
     for t in range(field.order ** degree):
-        poly = _int_to_poly(t, degree, field)
+        poly = to_digits(t, field.order, degree) + [1]
         if is_irreducible(poly, field):
             return tuple(poly)
     raise AssertionError("no irreducible polynomial found")  # cannot happen

@@ -350,11 +350,14 @@ def add_digits(a, b, p: int, width: int, sign: int = 1) -> np.ndarray:
         return np.bitwise_xor(a, b)
     # The array codec inlined, with one set of weights: a // p^t differs
     # from digit t of a by a multiple of p, which the "% p" of the sum
-    # removes, so the operands skip their own reduction.
+    # removes, so the operands skip their own reduction.  The sum is
+    # reduced in place, so only one full-size digit array is alive.
     weights = _digit_weights(p, width)
     a = np.asarray(a, dtype=np.int64)[..., None] // weights
     b = np.asarray(b, dtype=np.int64)[..., None] // weights
-    return (a + sign * b) % p @ weights
+    s = a + sign * b
+    s %= p
+    return s @ weights
 
 
 def require_int64(tower: FieldTower) -> None:

@@ -1,5 +1,9 @@
 """Field tower arithmetic: moduli selection, axioms, frobenius, expansion."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from matgraph.gftower import (
@@ -169,19 +173,22 @@ def test_expand_contract_roundtrip():
             assert tower.contract(coeffs) == x
 
 
-def test_expand_is_linear_and_basis_aligned():
-    tower = build_tower(2, 1, 3)
-    assert tower.expand(0) == (0, 0, 0)
+@pytest.mark.parametrize("p,m,N", SMALL_TOWERS + [(3, 2, 2)])
+def test_expand_is_linear_and_basis_aligned(p, m, N):
+    # odd p with m > 1 is where the packed digit rule of ExtField.add/sub
+    # differs most from adding F_q coordinates with the base field
+    tower = build_tower(p, m, N)
+    assert tower.expand(0) == (0,) * N
     for i, b in enumerate(tower.basis):
         unit = tuple(1 if j == i else 0 for j in range(tower.N))
         assert tower.expand(b) == unit
-    f = tower.ext
-    for x in range(8):
-        for y in range(8):
-            summed = tuple(
-                tower.base.add(a, c) for a, c in zip(tower.expand(x), tower.expand(y))
-            )
-            assert tower.expand(f.add(x, y)) == summed
+    f, base = tower.ext, tower.base
+    for x in range(f.order):
+        for y in range(f.order):
+            ex, ey = tower.expand(x), tower.expand(y)
+            assert tower.expand(f.add(x, y)) == tuple(map(base.add, ex, ey))
+            assert tower.expand(f.sub(x, y)) == tuple(map(base.sub, ex, ey))
+        assert tower.expand(f.neg(x)) == tuple(map(base.neg, tower.expand(x)))
 
 
 def test_contract_rejects_wrong_length():
@@ -236,8 +243,9 @@ def _trial_division_irreducible(poly, field):
 
 
 F4 = ExtField(PrimeField(2), (1, 1, 1))
+F9 = ExtField(PrimeField(3), (1, 0, 1))  # Ben-Or's ring then multiplies generically over odd q
 # (field, largest degree): every monic polynomial up to that degree
-IRREDUCIBILITY_CASES = [(PrimeField(2), 4), (PrimeField(3), 4), (F4, 4), (PrimeField(5), 3)]
+IRREDUCIBILITY_CASES = [(PrimeField(2), 4), (PrimeField(3), 4), (F4, 4), (PrimeField(5), 3), (F9, 3)]
 
 
 @pytest.mark.parametrize("field, max_degree", IRREDUCIBILITY_CASES)
@@ -318,3 +326,24 @@ def test_digit_codec_rejects_out_of_range():
         build_tower(2, 2, 2).fq_coeffs(4)
     with pytest.raises(ValueError):
         build_tower(3, 1, 2).ext.digits(9)
+
+
+GFTOWER = Path(__file__).resolve().parents[1] / "src" / "matgraph" / "gftower.py"
+
+
+def test_gftower_runs_without_numpy():
+    # the scalar arithmetic stays importable and usable without numpy
+    script = f"""
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("gftower_alone", {str(GFTOWER)!r})
+gftower = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(gftower)
+for p, m, N in [(3, 2, 2), (2, 1, 8)]:
+    f = gftower.build_tower(p, m, N).ext
+    a, b = f.order - 2, 5
+    assert f.mul(f.inv(a), a) == 1
+    assert f.sub(f.add(a, b), b) == a and f.add(a, f.neg(a)) == 0
+assert "numpy" not in sys.modules, "gftower imported numpy"
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
