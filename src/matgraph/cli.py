@@ -150,8 +150,9 @@ def _print_violation(col: coloring.Coloring, pair: tuple[int, int]) -> None:
     n = col.params.n
     labels = []
     for idx in pair:
-        v = linalg.vec_from_index(tower, n, idx)
-        labels.append(linalg.mat_label(linalg.vector_to_matrix(v)))
+        M = linalg.vector_to_matrix(linalg.vec_from_index(tower, n, idx))
+        # digit labels need q <= 10; beyond that the entries are comma-separated
+        labels.append(linalg.mat_label(M) if tower.q <= 10 else ",".join(map(str, M.entries)))
     sys.stderr.write(f"violating pair: {labels[0]} {labels[1]}\n")
 
 
@@ -250,7 +251,7 @@ def _common_flags(budget: int) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget", type=int, default=budget, help="max items to enumerate")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized search")
-    common.add_argument("--threads", type=int, default=1, help="worker count for verification scans")
+    common.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
     common.add_argument("--out", type=str, default=None, help="write output to this file")
     return common
 

@@ -17,14 +17,14 @@ share a color exactly when their difference lies in the kernel code of H.
 
 Verification runs in two modes that must agree: a kernel scan (enumerate
 kernel words, check their ranks) justified by linearity, and an
-assumption-free full pairwise scan over all q^(Nn) vertices.
+assumption-free pairwise scan that compares all q^(Nn) vertices with
+their color classes, grouped by one sort.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -358,8 +358,12 @@ def realized_colors(coloring: Coloring, budget: int = DEFAULT_BUDGET) -> int:
 
 
 def _pairwise_violation(
-    coloring: Coloring, d: int, kind: str, budget: int, threads: int
+    coloring: Coloring, d: int, kind: str, budget: int
 ) -> tuple[int, int] | None:
+    """Pairwise mode of ``find_violation``.  A stable argsort by color lists
+    each class in index order; blocks of vertices u meet their whole class,
+    padded to the largest one, through one ``add_digits``.  u meets itself
+    too, but a zero difference has rank 0 and never breaks the rule."""
     params = coloring.params
     tower = params.tower
     V = tower.order ** params.n
@@ -367,28 +371,21 @@ def _pairwise_violation(
     colors = color_table(coloring, budget=budget)
     rank_of = _vector_rank_table(params)
     width = params.n * tower.N * tower.m
-
-    def scan(lo: int, hi: int) -> tuple[int, int] | None:
-        for u in range(lo, hi):
-            same = np.flatnonzero(colors == colors[u])
-            same = same[same != u]
-            if same.size == 0:
-                continue
-            diff_idx = add_digits(same, u, tower.p, width, sign=-1)
-            bad = np.flatnonzero(_rank_in_violation(kind, rank_of[diff_idx], d))
-            if bad.size:
-                return (u, int(same[bad[0]]))
-        return None
-
-    if threads <= 1:
-        return scan(0, V)
-    chunk = -(-V // threads)
-    bounds = [(i, min(i + chunk, V)) for i in range(0, V, chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(lambda b: scan(*b), bounds))
-    for res in results:  # in chunk order, so the lowest u wins deterministically
-        if res is not None:
-            return res
+    members = np.argsort(colors, kind="stable")
+    _, cls, sizes = np.unique(colors, return_inverse=True, return_counts=True)
+    starts = np.cumsum(sizes) - sizes
+    slots = np.arange(sizes.max())
+    step = max(1, RANK_BLOCK // slots.size)
+    for lo in range(0, V, step):
+        u = np.arange(lo, min(lo + step, V))
+        c = cls[u]
+        real = slots < sizes[c][:, None]
+        v = members[np.where(real, starts[c][:, None] + slots, 0)]
+        diff = add_digits(v, u[:, None], tower.p, width, sign=-1)
+        bad = real & _rank_in_violation(kind, rank_of[diff], d)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            return (int(u[i]), int(v[i, j]))
     return None
 
 
@@ -404,7 +401,8 @@ def find_violation(
 
     Kernel mode (default) scans the kernel code of the syndrome map, which
     by linearity witnesses a violation iff one exists; pairwise mode checks
-    every vertex pair directly.
+    every vertex against its color class directly and returns the smallest
+    (u, v).  ``threads`` is accepted and has no effect.
     """
     if d is None:
         d = coloring.d
@@ -413,7 +411,7 @@ def find_violation(
     if kind not in ("le", "eq"):
         raise ValueError("kind must be 'le' or 'eq'")
     if pairwise:
-        return _pairwise_violation(coloring, d, kind, budget, threads)
+        return _pairwise_violation(coloring, d, kind, budget)
     return _kernel_violation(coloring, d, kind, budget)
 
 

@@ -146,7 +146,7 @@ class ExtField:
         # shifts and xors instead of digit-level arithmetic.
         self._bits = isinstance(subfield, PrimeField) and subfield.p == 2
         if self._bits:
-            self._modint = sum(c << i for i, c in enumerate(modulus))
+            self._modint = from_digits(modulus, 2)
             self._top = 1 << self.degree
 
     def _check(self, a: int) -> int:

@@ -249,14 +249,7 @@ def _rank_bits(masks: Sequence[int]) -> int:
 def rank(M: MatFq) -> int:
     """Algebraic rank of M over F_q, by Gaussian elimination."""
     if M.tower.q == 2:
-        masks = []
-        for i in range(M.rows):
-            mask = 0
-            for j, e in enumerate(M.row(i)):
-                if e:
-                    mask |= 1 << j
-            masks.append(mask)
-        return _rank_bits(masks)
+        return _rank_bits([from_digits(M.row(i), 2) for i in range(M.rows)])
     return matrix_rank_over(M.row_lists(), M.tower.base)
 
 

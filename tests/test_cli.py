@@ -165,10 +165,19 @@ def test_color_verify_file_roundtrip(tmp_path):
     assert res.returncode == 0
 
 
-def test_color_verify_detects_violation(tmp_path):
+# The stderr line of the kernel scan, then of the pairwise scan.  Digit
+# labels stop at q = 10, so beyond that the entries are comma-separated.
+VIOLATION_LINES = {
+    "2": ("violating pair: 0000 1100\n",) * 2,
+    "11": ("violating pair: 0,0,0,0 10,1,0,0\n", "violating pair: 0,0,0,0 1,10,0,0\n"),
+}
+
+
+@pytest.mark.parametrize("q", ["2", "11"])
+def test_color_verify_detects_violation(tmp_path, q):
     out = tmp_path / "coloring.json"
     run_cli(
-        "color", "dist", "--q", "2", "--m", "1", "--N", "2", "--n", "2",
+        "color", "dist", "--q", q, "--m", "1", "--N", "2", "--n", "2",
         "--d", "1", "--out", str(out),
     )
     data = json.loads(out.read_text())
@@ -178,9 +187,10 @@ def test_color_verify_detects_violation(tmp_path):
     out.write_text(json.dumps(data))
     res = run_cli("color", "verify", str(out))
     assert res.returncode == 2
-    assert "violating pair" in res.stderr
+    assert res.stderr == VIOLATION_LINES[q][0]
     res = run_cli("color", "verify", str(out), "--pairwise")
     assert res.returncode == 2
+    assert res.stderr == VIOLATION_LINES[q][1]
 
 
 def test_color_assign(tmp_path):

@@ -3,8 +3,10 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
+from matgraph import coloring as coloring_mod
 from matgraph.gftower import build_tower
 from matgraph.graph import GraphParams
 from matgraph.coloring import (
@@ -24,11 +26,13 @@ from matgraph.coloring import (
     verify_at_most_d,
     verify_exactly_d,
 )
-from matgraph.linalg import rank_distance, vec_from_index, vector_to_matrix
+from matgraph.linalg import rank_distance, vec_from_index, vec_rank_distance, vector_to_matrix
 
 P222 = GraphParams(build_tower(2, 1, 2), 2)
 P322 = GraphParams(build_tower(2, 1, 3), 2)
 P223 = GraphParams(build_tower(3, 1, 2), 2)
+P513 = GraphParams(build_tower(5, 1, 3), 1)
+P2222 = GraphParams(build_tower(2, 2, 2), 2)
 
 
 def test_d1_coloring_is_proper_with_q_nd_colors():
@@ -84,6 +88,61 @@ def test_improper_syndrome_coloring_detected():
 def test_kernel_and_pairwise_agree_on_violations():
     bad = Coloring(P222, "at-most-d", 2, ((1, 2),), 4, tag="bad")
     assert (find_violation(bad) is None) == (find_violation(bad, pairwise=True) is None)
+
+
+def _first_violation_reference(params, colors, d, kind):
+    """The lexicographically first (u, v), u != v, of equal colors whose
+    rank distance breaks the rule, vertex pair by vertex pair."""
+    vecs = [vec_from_index(params.tower, params.n, v) for v in range(len(colors))]
+    for u, a in enumerate(vecs):
+        for v, b in enumerate(vecs):
+            if v != u and colors[u] == colors[v]:
+                w = vec_rank_distance(a, b)
+                if (w <= d) if kind == "le" else (w == d):
+                    return (u, v)
+    return None
+
+
+@pytest.mark.parametrize("kind", ["le", "eq"])
+@pytest.mark.parametrize(
+    "col",
+    [
+        Coloring(P222, "at-most-d", 1, (), 1, tag="x"),  # no rows: one class
+        Coloring(P222, "exactly-d", 2, (), 1, tag="x"),
+        d_distance_coloring(P223, 2),  # d = n: one-vertex classes
+        Coloring(P223, "exactly-d", 2, ((1, 2),), 9, tag="x"),  # kernel words (c, c)
+        Coloring(P513, "at-most-d", 1, (), 1, tag="x"),
+        Coloring(P2222, "exactly-d", 2, ((1, 5),), 16, tag="x"),
+        d_distance_coloring(P2222, 1),
+    ],
+    ids=["no-rows-d1", "no-rows-d2", "p3-mrd-d=n", "p3-row", "p5-no-rows", "m2-row", "m2-mrd"],
+)
+def test_pairwise_returns_first_violating_pair(col, kind):
+    params = col.params
+    V = params.tower.order ** params.n
+    colors = [col.color_index(vec_from_index(params.tower, params.n, v)) for v in range(V)]
+    expected = _first_violation_reference(params, colors, col.d, kind)
+    assert find_violation(col, kind=kind, pairwise=True) == expected
+    assert (find_violation(col, kind=kind) is None) == (expected is None)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pairwise_allows_color_classes_of_unequal_size(monkeypatch, seed):
+    # Syndrome colorings have classes of one size (kernel cosets); the scan
+    # must not depend on it.  Here most classes are singletons and three are
+    # merged among the later vertices, so the first violation has u > 0.
+    rng = random.Random(seed)
+    colors = list(range(81))
+    for size in (2, 3, 4):
+        group = rng.sample(range(40, 81), size)
+        for v in group:
+            colors[v] = colors[group[0]]
+    monkeypatch.setattr(coloring_mod, "color_table", lambda col, budget: np.array(colors))
+    col = Coloring(P223, "exactly-d", 2, (), 1, tag="x")
+    for kind in ("le", "eq"):
+        assert find_violation(col, kind=kind, pairwise=True) == _first_violation_reference(
+            P223, colors, 2, kind
+        )
 
 
 def test_at_most_coloring_is_also_exactly_proper():
