@@ -103,15 +103,14 @@ def _cmd_code_gabidulin(args: argparse.Namespace) -> int:
     tower = _tower_from_flags(args)
     code = codes.gabidulin(tower, args.n, args.k, s=args.s, h=args.h)
     if args.out:
-        Path(args.out).write_text(json.dumps(codes.code_to_json(code), indent=2, sort_keys=True) + "\n")
-    summary = {
+        _dump_json(codes.code_to_json(code), args.out)
+    _dump_json({
         "n": code.n,
         "k": code.k,
         "design_distance": code.n - code.k + 1,
         "size": str(code.size),
         "tag": code.tag,
-    }
-    sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    }, None)
     return 0
 
 
@@ -134,25 +133,18 @@ def _cmd_code_builtin(args: argparse.Namespace) -> int:
         measured = codes.is_equidistant(code.words)
         lines.append(f"equidistant={measured is not None}")
         lines.append(f"measured_distance={measured}")
-        _emit("\n".join(lines) + "\n", args.out)
-        if measured != code.distance:
-            sys.stderr.write("verification failed: pairwise distances do not match\n")
-            return 2
-        return 0
     _emit("\n".join(lines) + "\n", args.out)
+    if args.verify and measured != code.distance:
+        sys.stderr.write("verification failed: pairwise distances do not match\n")
+        return 2
     return 0
 
 
 # -- color ------------------------------------------------------------------
 
 def _print_violation(col: coloring.Coloring, pair: tuple[int, int]) -> None:
-    tower = col.params.tower
-    n = col.params.n
-    labels = []
-    for idx in pair:
-        M = linalg.vector_to_matrix(linalg.vec_from_index(tower, n, idx))
-        # digit labels need q <= 10; beyond that the entries are comma-separated
-        labels.append(linalg.mat_label(M) if tower.q <= 10 else ",".join(map(str, M.entries)))
+    tower, n = col.params.tower, col.params.n
+    labels = [linalg.mat_label(linalg.vector_to_matrix(linalg.vec_from_index(tower, n, i))) for i in pair]
     sys.stderr.write(f"violating pair: {labels[0]} {labels[1]}\n")
 
 
@@ -171,7 +163,7 @@ def _cmd_color_dist(args: argparse.Namespace) -> int:
     params = graph.GraphParams(_tower_from_flags(args), args.n)
     col = coloring.d_distance_coloring(params, args.d)
     if args.out:
-        Path(args.out).write_text(json.dumps(coloring.coloring_to_json(col), indent=2, sort_keys=True) + "\n")
+        _dump_json(coloring.coloring_to_json(col), args.out)
     sys.stdout.write(f"mode={col.mode} d={col.d} colors={col.num_colors}\n")
     if args.verify:
         return _verify_and_report(col, args)
@@ -184,7 +176,7 @@ def _cmd_color_exact(args: argparse.Namespace) -> int:
         params, args.d, seed=args.seed, m=args.rows, restarts=args.restarts, budget=args.budget
     )
     if args.out:
-        Path(args.out).write_text(json.dumps(coloring.coloring_to_json(col), indent=2, sort_keys=True) + "\n")
+        _dump_json(coloring.coloring_to_json(col), args.out)
     counting_bound = bounds_mod.chi_exact_upper(params.N, params.n, params.q, args.d) if args.d <= params.n else 1
     sys.stdout.write(
         f"mode={col.mode} d={col.d} colors={col.num_colors} "
@@ -314,7 +306,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_color_verify)
     p = color_sub.add_parser("assign", parents=[common])
     p.add_argument("file")
-    p.add_argument("--vertex", required=True, help="row-major base-q digit label")
+    p.add_argument("--vertex", required=True, help="row-major matrix label, as color verify prints it")
     p.set_defaults(func=_cmd_color_assign)
 
     bounds_sub = sub.add_parser("bounds").add_subparsers(dest="cmd", required=True, parser_class=_Parser)

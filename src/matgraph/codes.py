@@ -391,26 +391,31 @@ def builtin_code(name: str, tower: FieldTower | None = None) -> EquidistantCode:
 # serialization
 # ---------------------------------------------------------------------------
 
+def rows_to_json(tower: FieldTower, rows: Rows) -> list[list[list[int]]]:
+    """Rows of F_{q^N} encodings as nested lists of F_p coordinates."""
+    return [[tower.ext_coeffs(x) for x in row] for row in rows]
+
+
+def rows_from_json(tower: FieldTower, data: list[list[list[int]]]) -> Rows:
+    return tuple(tuple(tower.ext_from_coeffs(x) for x in row) for row in data)
+
+
 def code_to_json(code: LinearRankCode) -> dict:
     tower = code.tower
     return {
         "tower": tower.to_json(),
         "n": code.n,
         "k": code.k,
-        "generator": [[tower.ext_coeffs(x) for x in row] for row in code.generator],
-        "parity": [[tower.ext_coeffs(x) for x in row] for row in code.parity],
+        "generator": rows_to_json(tower, code.generator),
+        "parity": rows_to_json(tower, code.parity),
         "tag": code.tag,
     }
 
 
 def code_from_json(data: dict) -> LinearRankCode:
     tower = FieldTower.from_json(data["tower"])
-    generator = tuple(
-        tuple(tower.ext_from_coeffs(x) for x in row) for row in data["generator"]
-    )
-    parity = tuple(
-        tuple(tower.ext_from_coeffs(x) for x in row) for row in data["parity"]
-    )
+    generator = rows_from_json(tower, data["generator"])
+    parity = rows_from_json(tower, data["parity"])
     return LinearRankCode(
         tower, int(data["n"]), int(data["k"]), generator, parity, tag=data.get("tag", "explicit")
     )

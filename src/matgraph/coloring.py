@@ -33,7 +33,15 @@ import numpy as np
 from .bounds import chi_exact_upper_exponent
 from .gftower import FieldTower, from_digits
 from .graph import GraphParams
-from .codes import Rows, gabidulin_parity, parity_syndrome, span_blocks, word_rank_histogram
+from .codes import (
+    Rows,
+    gabidulin_parity,
+    parity_syndrome,
+    rows_from_json,
+    rows_to_json,
+    span_blocks,
+    word_rank_histogram,
+)
 from .linalg import (
     DEFAULT_BUDGET,
     RANK_BLOCK,
@@ -51,6 +59,8 @@ from .linalg import (
 # Not called here; kept bound because benchmarks/tracing.py wraps them by name.
 from .codes import enumerate_span  # noqa: F401
 from .linalg import _rank_bits, column_rank  # noqa: F401
+
+COLUMN_TRIES = 32  # draws of one parity column before search_forbidden_H keeps the last
 
 
 @dataclass(frozen=True)
@@ -200,13 +210,12 @@ def search_forbidden_H(
     seed: int = 0,
     restarts: int = 64,
     budget: int = DEFAULT_BUDGET,
-    column_tries: int = 32,
 ) -> ForbiddenDistanceCode:
     """Randomized greedy search for an m x n parity matrix whose kernel
     avoids rank exactly d.
 
     Columns are drawn uniformly at random; a candidate lying in the span of
-    d - 1 already-chosen columns is redrawn (up to ``column_tries`` times,
+    d - 1 already-chosen columns is redrawn (up to ``COLUMN_TRIES`` times,
     after which the last draw is kept, since the greedy rule is only a
     heuristic).  Each completed matrix is verified by enumerating the kernel
     code and checking its rank spectrum; the first verified matrix wins.
@@ -231,7 +240,7 @@ def search_forbidden_H(
                 rows = [list(c) for c in S]
                 bases.append((rows, matrix_rank_over(rows, ext)))
             cand = None
-            for _ in range(column_tries):
+            for _ in range(COLUMN_TRIES):
                 cand = tuple(rng.randrange(order) for _ in range(m))
                 ok = True
                 for rows, base_rank in bases:
@@ -448,7 +457,7 @@ def coloring_to_json(coloring: Coloring) -> dict:
         "n": coloring.params.n,
         "mode": coloring.mode,
         "d": coloring.d,
-        "H_col": [[tower.ext_coeffs(x) for x in row] for row in coloring.h_rows],
+        "H_col": rows_to_json(tower, coloring.h_rows),
         "num_colors": str(coloring.num_colors),
         "seed": coloring.seed,
         "tag": coloring.tag,
@@ -458,14 +467,11 @@ def coloring_to_json(coloring: Coloring) -> dict:
 def coloring_from_json(data: dict) -> Coloring:
     tower = FieldTower.from_json(data["tower"])
     params = GraphParams(tower, int(data["n"]))
-    h_rows = tuple(
-        tuple(tower.ext_from_coeffs(x) for x in row) for row in data["H_col"]
-    )
     return Coloring(
         params,
         data["mode"],
         int(data["d"]),
-        h_rows,
+        rows_from_json(tower, data["H_col"]),
         int(data["num_colors"]),
         tag=data.get("tag", "loaded"),
         seed=data.get("seed"),

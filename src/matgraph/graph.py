@@ -9,7 +9,7 @@ neighbor index table translates every index by each rank-one step with
 one source (``bfs_distances``) answers single queries, and a bit-parallel
 BFS carrying 64 sources per machine word (``all_sources_distances``) is
 the oracle for the claim that graph distance equals rank distance on every
-pair.
+pair.  The DOT and CSV exports name each vertex by ``linalg.mat_label``.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .linalg import (
     MatFq,
     add_digits,
     check_budget,
+    entries_label,
     enumerate_rank_one,
     from_digits_array,
     mat_index,
@@ -308,21 +309,19 @@ def check_vertex_transitivity(
 
 def _edges_and_labels(params: GraphParams, budget: int) -> tuple[np.ndarray, list[str]]:
     """Each undirected edge once as a (u, w) row with u < w, in table-row
-    order, and the base-q digit label of every vertex.
+    order, and the ``linalg.mat_label`` of every vertex.
 
     ``budget`` bounds the edges; the neighbor table holds each edge twice.
     """
-    if params.q > 10:
-        raise ValueError("digit labels support q <= 10 only")
     nbr = neighbor_index_table(params, budget=2 * budget)
     u, j = np.nonzero(nbr > np.arange(params.order)[:, None])
     digits = to_digits_array(np.arange(params.order), params.q, params.N * params.n)
-    labels = ["".join(map(str, row)) for row in digits[:, ::-1].tolist()]
+    labels = [entries_label(row, params.q) for row in digits[:, ::-1].tolist()]
     return np.column_stack([u, nbr[u, j]]), labels
 
 
 def export_dot(params: GraphParams, budget: int = EXPORT_BUDGET) -> str:
-    """DOT text for the whole graph; vertex labels are base-q digit strings.
+    """DOT text for the whole graph; vertices are named by ``linalg.mat_label``.
 
     ``budget`` bounds the vertex and edge lines together."""
     check_budget(params.order + params.order * params.degree // 2, budget)
@@ -335,10 +334,13 @@ def export_dot(params: GraphParams, budget: int = EXPORT_BUDGET) -> str:
 
 
 def export_edgelist_csv(params: GraphParams, budget: int = EXPORT_BUDGET) -> str:
-    """CSV edge list, one undirected edge per line as u_label,v_label.
+    """CSV edge list under a ``u,v`` header, one undirected edge per line as
+    the two ``linalg.mat_label``s; a label holding a comma is quoted.
 
     ``budget`` bounds the edge lines."""
     check_budget(params.order * params.degree // 2, budget)
     edges, labels = _edges_and_labels(params, budget)
+    # A label holds no quote or newline, so quoting is the whole CSV escape.
+    labels = [f'"{label}"' if "," in label else label for label in labels]
     lines = ["u,v"] + [f"{labels[u]},{labels[w]}" for u, w in edges.tolist()]
     return "\n".join(lines) + "\n"

@@ -10,7 +10,7 @@ metric.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -48,21 +48,17 @@ def check_budget(needed: int, budget: int) -> None:
 
 @dataclass(frozen=True)
 class MatFq:
-    """An N x n matrix over F_q, entries row-major as F_q encodings.
-
-    The convention cols <= rows is enforced: a wider-than-tall matrix is
-    transposed on construction and the flip recorded in ``transposed``.
-    """
+    """An N x n matrix over F_q with n <= N, entries row-major as F_q encodings;
+    a matrix with more columns than rows is a ValueError, not transposed."""
 
     tower: FieldTower
     rows: int
     cols: int
     entries: tuple[int, ...]
-    transposed: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("matrix dimensions must be positive")
+        if not 1 <= self.cols <= self.rows:
+            raise ValueError(f"need 1 <= cols <= rows, got a {self.rows}x{self.cols} matrix")
         entries = tuple(self.entries)
         if len(entries) != self.rows * self.cols:
             raise ValueError(
@@ -72,19 +68,7 @@ class MatFq:
         for e in entries:
             if not 0 <= e < q:
                 raise ValueError(f"entry {e} is not an element of F_{q}")
-        if self.cols > self.rows:
-            flipped = tuple(
-                entries[i * self.cols + j]
-                for j in range(self.cols)
-                for i in range(self.rows)
-            )
-            object.__setattr__(self, "entries", flipped)
-            rows, cols = self.cols, self.rows
-            object.__setattr__(self, "rows", rows)
-            object.__setattr__(self, "cols", cols)
-            object.__setattr__(self, "transposed", True)
-        else:
-            object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", entries)
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -446,17 +430,27 @@ def mat_from_index(tower: FieldTower, rows: int, cols: int, index: int) -> MatFq
     return MatFq(tower, rows, cols, to_digits(index, tower.q, rows * cols)[::-1])
 
 
+def entries_label(entries: Sequence[int], q: int) -> str:
+    """The text form of F_q entries, most significant first: base-q digits
+    run together for q <= 10, decimal entries joined by commas beyond."""
+    return ("" if q <= 10 else ",").join(map(str, entries))
+
+
 def mat_label(M: MatFq) -> str:
-    """Compact text form: base-q digits in row-major order, most significant first."""
-    if M.tower.q > 10:
-        raise ValueError("digit labels support q <= 10 only")
-    return "".join(str(e) for e in M.entries)
+    """Compact text form of M: its row-major entries as ``entries_label``."""
+    return entries_label(M.entries, M.tower.q)
 
 
 def mat_from_label(tower: FieldTower, rows: int, cols: int, label: str) -> MatFq:
-    if len(label) != rows * cols:
-        raise ValueError(f"label must have {rows * cols} digits")
-    return MatFq(tower, rows, cols, tuple(int(ch) for ch in label))
+    """The matrix whose ``mat_label`` is ``label``; any other text is a ValueError."""
+    digits = tower.q <= 10
+    parts = list(label) if digits else label.split(",")
+    if len(parts) != rows * cols:
+        raise ValueError(f"label must have {rows * cols} {'digits' if digits else 'entries'}")
+    M = MatFq(tower, rows, cols, tuple(map(int, parts)))
+    if mat_label(M) != label:
+        raise ValueError(f"label {label!r} is not in canonical form {mat_label(M)!r}")
+    return M
 
 
 def vec_index(v: VecExt) -> int:

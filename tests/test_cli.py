@@ -1,25 +1,39 @@
 """End-to-end CLI checks: output shapes, exit codes, determinism."""
 
+import csv
 import json
+import os
 import random
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import matgraph
 from matgraph.cli import build_parser
 from matgraph.coloring import Coloring, coloring_to_json
 from matgraph.gftower import build_tower
 from matgraph.graph import GraphParams
+from matgraph.linalg import mat_from_label
+
+# The directory holding the package under test, so that runs from any
+# working directory import the same code.
+PACKAGE_ROOT = str(Path(matgraph.__file__).resolve().parents[1])
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def run_cli(*args: str):
+def run_cli(*args: str, cwd=None):
+    path = os.environ.get("PYTHONPATH")
     return subprocess.run(
         [sys.executable, "-m", "matgraph", *args],
         capture_output=True,
         text=True,
         timeout=300,
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([PACKAGE_ROOT] + ([path] if path else []))),
     )
 
 
@@ -79,16 +93,21 @@ def test_graph_stats_text():
     assert "diameter=2" in res.stdout
 
 
-def test_graph_export_csv(tmp_path):
+@pytest.mark.parametrize("q, N, n, edges", [(2, 2, 2, 72), (11, 2, 1, 7260)])
+def test_graph_export_csv(tmp_path, q, N, n, edges):
     out = tmp_path / "edges.csv"
     res = run_cli(
-        "graph", "export", "--q", "2", "--m", "1", "--N", "2", "--n", "2",
+        "graph", "export", "--q", str(q), "--m", "1", "--N", str(N), "--n", str(n),
         "--format", "csv", "--out", str(out),
     )
     assert res.returncode == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "u,v"
-    assert len(lines) - 1 == 72
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert rows[0] == ["u", "v"]
+    assert all(len(row) == 2 for row in rows)
+    params = GraphParams(build_tower(q, 1, N), n)
+    assert len(rows) - 1 == edges == params.order * params.degree // 2
+    for label in {label for row in rows[1:] for label in row}:
+        mat_from_label(params.tower, N, n, label)
 
 
 def test_graph_export_budget_exceeded():
@@ -165,26 +184,31 @@ def test_color_verify_file_roundtrip(tmp_path):
     assert res.returncode == 0
 
 
-# The stderr line of the kernel scan, then of the pairwise scan.  Digit
-# labels stop at q = 10, so beyond that the entries are comma-separated.
+# The stderr line of the kernel scan, then of the pairwise scan.  Labels
+# are base-q digits up to q = 10 and comma-separated entries beyond.
 VIOLATION_LINES = {
     "2": ("violating pair: 0000 1100\n",) * 2,
     "11": ("violating pair: 0,0,0,0 10,1,0,0\n", "violating pair: 0,0,0,0 1,10,0,0\n"),
 }
 
 
-@pytest.mark.parametrize("q", ["2", "11"])
-def test_color_verify_detects_violation(tmp_path, q):
-    out = tmp_path / "coloring.json"
+def write_violating_coloring(out, q):
+    """A one-row coloring of the 2 x 2 matrices over F_q whose parity row
+    (1, 1) has rank-1 kernel words."""
     run_cli(
         "color", "dist", "--q", q, "--m", "1", "--N", "2", "--n", "2",
         "--d", "1", "--out", str(out),
     )
     data = json.loads(out.read_text())
-    # kernel of the (1, 1) parity row contains rank-1 words
     one = [[1], [0]]
     data["H_col"] = [[one, one]]
     out.write_text(json.dumps(data))
+
+
+@pytest.mark.parametrize("q", ["2", "11"])
+def test_color_verify_detects_violation(tmp_path, q):
+    out = tmp_path / "coloring.json"
+    write_violating_coloring(out, q)
     res = run_cli("color", "verify", str(out))
     assert res.returncode == 2
     assert res.stderr == VIOLATION_LINES[q][0]
@@ -193,18 +217,34 @@ def test_color_verify_detects_violation(tmp_path, q):
     assert res.stderr == VIOLATION_LINES[q][1]
 
 
-def test_color_assign(tmp_path):
+def assign(path, label):
+    res = run_cli("color", "assign", str(path), "--vertex", label)
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+SEPARATED_LABELS = {
+    "2": ("0000", "0001", "1011", "1111"),
+    "11": ("0,0,0,0", "0,0,0,1", "1,0,10,1", "10,10,10,10"),
+}
+
+
+@pytest.mark.parametrize("q", ["2", "11"])
+def test_color_assign(tmp_path, q):
     out = tmp_path / "coloring.json"
     run_cli(
-        "color", "dist", "--q", "2", "--m", "1", "--N", "2", "--n", "2",
+        "color", "dist", "--q", q, "--m", "1", "--N", "2", "--n", "2",
         "--d", "2", "--out", str(out),
     )
-    seen = set()
-    for label in ("0000", "0001", "1011", "1111"):
-        res = run_cli("color", "assign", str(out), "--vertex", label)
-        assert res.returncode == 0
-        seen.add(res.stdout.strip())
-    assert len(seen) == 4  # the d = n coloring separates everything
+    # the d = n coloring separates everything
+    assert len({assign(out, label) for label in SEPARATED_LABELS[q]}) == 4
+    # Every label that color verify prints (pinned in VIOLATION_LINES by
+    # test_color_verify_detects_violation) names a vertex, and the pair
+    # shares a color.
+    bad = tmp_path / "bad.json"
+    write_violating_coloring(bad, q)
+    labels = {label for line in VIOLATION_LINES[q] for label in line.split()[2:]}
+    assert len({assign(bad, label) for label in labels}) == 1
 
 
 def test_bounds_row_json():
@@ -314,3 +354,16 @@ def test_color_verify_pairwise_rejects_colors_beyond_int64(tmp_path):
     res = run_cli("color", "verify", str(col), "--pairwise")
     assert res.returncode == 1
     assert "int64" in res.stderr
+
+
+def test_readme_cli_block_runs_in_order(tmp_path):
+    # Each line of the README's CLI block, run in one directory so that the
+    # files written by one command are read by the next.
+    block = README.read_text().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    assert lines
+    for line in lines:
+        program, *args = shlex.split(line)
+        assert program == "matgraph"
+        res = run_cli(*args, cwd=tmp_path)
+        assert res.returncode == 0, (line, res.stderr)

@@ -78,11 +78,11 @@ def test_rank_invariant_under_transpose_elimination():
         assert rank(M) == matrix_rank_over(transposed, T33.base)
 
 
-def test_constructor_transposes_wide_matrices():
-    M = MatFq(T33, 2, 3, (1, 2, 0, 0, 1, 2))
-    assert (M.rows, M.cols) == (3, 2)
-    assert M.transposed
-    assert M.column(0) == (1, 2, 0)
+def test_constructor_rejects_wide_matrices():
+    # No silent transpose: a wide matrix is refused, a tall one kept as given.
+    with pytest.raises(ValueError, match="cols <= rows"):
+        MatFq(T33, 2, 3, (1, 2, 0, 0, 1, 2))
+    assert MatFq(T33, 3, 2, (1, 0, 2, 1, 0, 2)).column(0) == (1, 2, 0)
 
 
 def test_matrix_addition_subtraction():
@@ -210,12 +210,28 @@ def test_enumeration_budget():
         list(enumerate_rank_one(tower, 5, 5, budget=10))
 
 
-def test_mat_index_label_roundtrip():
-    tower = T33
-    for idx in range(3 ** 4):
+# Per base field: a 2 x 2 matrix, its label, and texts that are no label:
+# a wrong entry count, commas below q = 11, "01"-style entries, a non-ASCII digit.
+LABEL_CASES = {
+    3: ((1, 0, 2, 1), "1021", ["102", "10211", "1,0,2,1", "10\u06621"]),
+    11: ((1, 0, 10, 1), "1,0,10,1", ["1,0,10", "1,0,10,1,0", "10101", "01,0,10,1", "1,0,1\u0660,1"]),
+}
+
+
+@pytest.mark.parametrize("p", sorted(LABEL_CASES))
+def test_mat_index_label_roundtrip(p):
+    tower = build_tower(p, 1, 2)
+    for idx in range(p ** 4):
         M = mat_from_index(tower, 2, 2, idx)
         assert mat_index(M) == idx
         assert mat_from_label(tower, 2, 2, mat_label(M)) == M
+    entries, label, non_labels = LABEL_CASES[p]
+    M = MatFq(tower, 2, 2, entries)
+    assert mat_label(M) == label
+    assert repr(M) == f"MatFq(2x2 over F_{p}, {label})"
+    for text in non_labels:
+        with pytest.raises(ValueError):
+            mat_from_label(tower, 2, 2, text)
 
 
 def test_mat_label_is_row_major_msb_first():
