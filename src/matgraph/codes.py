@@ -14,6 +14,9 @@ that are linearly independent over F_q:
 
 with gcd(s, N) = 1.  The resulting code has minimum rank distance exactly
 n - k + 1, meeting the Singleton bound |C| = q^(N(n-d+1)) with equality.
+
+Building, checking and serializing codes needs no numpy; span enumeration
+and the rank spectrum import it on first use, through ``matgraph._numpy``.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .gftower import FieldTower, build_tower
 from .linalg import (
     DEFAULT_BUDGET,

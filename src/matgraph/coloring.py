@@ -19,6 +19,10 @@ Verification runs in two modes that must agree: a kernel scan (enumerate
 kernel words, check their ranks) justified by linearity, and an
 assumption-free pairwise scan that compares all q^(Nn) vertices with
 their color classes, grouped by one sort.
+
+Building a coloring and coloring one vertex need no numpy; the searches,
+color tables and both verification modes import it on first use, through
+``matgraph._numpy``.
 """
 
 from __future__ import annotations
@@ -28,8 +32,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .bounds import chi_exact_upper_exponent
 from .gftower import FieldTower, from_digits
 from .graph import GraphParams

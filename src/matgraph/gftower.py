@@ -191,17 +191,18 @@ class ExtField:
         return self.pow(a, self.order - 2)
 
     def pow(self, a: int, e: int) -> int:
-        """Square-and-multiply exponentiation; pow(a, 0) = 1."""
+        """Square-and-multiply exponentiation, from the leading bit of e down,
+        so that no product is spent on a factor 1; pow(a, 0) = 1."""
         if e < 0:
             raise ValueError("exponent must be nonnegative")
         self._check(a)
-        result = 1
-        while e:
-            if e & 1:
+        if e == 0:
+            return 1
+        result = a
+        for bit in bin(e)[3:]:
+            result = self.mul(result, result)
+            if bit == "1":
                 result = self.mul(result, a)
-            e >>= 1
-            if e:
-                a = self.mul(a, a)
         return result
 
     def __repr__(self) -> str:

@@ -10,6 +10,10 @@ one source (``bfs_distances``) answers single queries, and a bit-parallel
 BFS carrying 64 sources per machine word (``all_sources_distances``) is
 the oracle for the claim that graph distance equals rank distance on every
 pair.  The DOT and CSV exports name each vertex by ``linalg.mat_label``.
+
+``GraphParams``, ``degree`` and ``neighbors`` need no numpy; the index
+tables, both BFS bodies and the exports import it on first use, through
+``matgraph._numpy``.
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .gftower import FieldTower
 from .linalg import (
     DEFAULT_BUDGET,

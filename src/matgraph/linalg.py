@@ -5,6 +5,10 @@ data: column j of the matrix holds the F_q coordinates of vector entry j.
 The rank of the matrix equals the column rank of the vector (the number of
 vector entries linearly independent over F_q), so both views share one
 metric.
+
+The scalar types, ranks and labels need no numpy.  The bulk kernels
+(``ranks``, the digit-array codec, ``add_digits``, ``fq_tables``) use
+numpy, which ``matgraph._numpy`` imports the first time one of them runs.
 """
 
 from __future__ import annotations
@@ -13,8 +17,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .gftower import FieldTower, from_digits, to_digits
 
 DEFAULT_BUDGET = 1 << 20
@@ -443,11 +446,17 @@ def mat_label(M: MatFq) -> str:
 
 def mat_from_label(tower: FieldTower, rows: int, cols: int, label: str) -> MatFq:
     """The matrix whose ``mat_label`` is ``label``; any other text is a ValueError."""
-    digits = tower.q <= 10
+    q, size = tower.q, rows * cols
+    digits = q <= 10
     parts = list(label) if digits else label.split(",")
-    if len(parts) != rows * cols:
-        raise ValueError(f"label must have {rows * cols} {'digits' if digits else 'entries'}")
-    M = MatFq(tower, rows, cols, tuple(map(int, parts)))
+    if len(parts) != size:
+        raise ValueError(f"label must have {size} {'digits' if digits else 'entries'}")
+    try:
+        entries = tuple(map(int, parts))
+    except ValueError:
+        form = f"base-{q} digits" if digits else f"comma-separated decimal entries below {q}"
+        raise ValueError(f"label {label!r} is not {size} {form}") from None
+    M = MatFq(tower, rows, cols, entries)
     if mat_label(M) != label:
         raise ValueError(f"label {label!r} is not in canonical form {mat_label(M)!r}")
     return M

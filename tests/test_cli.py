@@ -25,16 +25,21 @@ PACKAGE_ROOT = str(Path(matgraph.__file__).resolve().parents[1])
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def run_cli(*args: str, cwd=None):
+def run_python(*args: str, cwd=None):
+    """A child interpreter that imports the package under test."""
     path = os.environ.get("PYTHONPATH")
     return subprocess.run(
-        [sys.executable, "-m", "matgraph", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=300,
         cwd=cwd,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join([PACKAGE_ROOT] + ([path] if path else []))),
     )
+
+
+def run_cli(*args: str, cwd=None):
+    return run_python("-m", "matgraph", *args, cwd=cwd)
 
 
 def test_no_arguments_is_usage_error():
@@ -245,6 +250,53 @@ def test_color_assign(tmp_path, q):
     write_violating_coloring(bad, q)
     labels = {label for line in VIOLATION_LINES[q] for label in line.split()[2:]}
     assert len({assign(bad, label) for label in labels}) == 1
+
+
+def test_color_assign_names_bad_label_character(tmp_path):
+    out = tmp_path / "coloring.json"
+    run_cli(
+        "color", "dist", "--q", "3", "--m", "1", "--N", "2", "--n", "2",
+        "--d", "1", "--out", str(out),
+    )
+    res = run_cli("color", "assign", str(out), "--vertex", "12a1")
+    assert res.returncode == 1
+    assert res.stderr == "error: label '12a1' is not 4 base-3 digits\n"
+
+
+# Runs cli.main on each argv in one interpreter and prints, per call, the
+# exit code, the stdout and whether numpy is loaded by then.
+MAIN_IN_ONE_INTERPRETER = """
+import contextlib, io, json, sys
+from matgraph.cli import main
+calls = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    calls.append((code, out.getvalue(), "numpy" in sys.modules))
+print(json.dumps(calls))
+"""
+
+
+def test_numpy_loads_only_when_a_kernel_runs(tmp_path):
+    col, code = str(tmp_path / "col.json"), str(tmp_path / "code.json")
+    run_cli("color", "dist", "--q", "3", "--m", "1", "--N", "2", "--n", "2", "--d", "1", "--out", col)
+    numpy_free = [
+        ["bounds", "table1"],
+        ["bounds", "row", "--N", "6", "--n", "4", "--d", "2", "--q", "2"],
+        ["field", "describe", "--q", "9", "--m", "2", "--N", "2"],
+        ["graph", "stats", "--q", "3", "--m", "1", "--N", "3", "--n", "2"],
+        ["code", "gabidulin", "--q", "2", "--m", "1", "--N", "3", "--n", "3", "--k", "1", "--out", code],
+        ["code", "builtin", "C3", "--verify"],
+        ["color", "assign", col, "--vertex", "1201"],
+    ]
+    res = run_python("-c", MAIN_IN_ONE_INTERPRETER, json.dumps(numpy_free + [["code", "spectrum", code]]))
+    assert res.returncode == 0, res.stderr
+    *calls, (spectrum_code, _, spectrum_loaded_numpy) = json.loads(res.stdout)
+    for argv, (exit_code, stdout, loaded_numpy) in zip(numpy_free, calls):
+        assert (exit_code, loaded_numpy) == (0, False), argv
+        assert stdout == run_cli(*argv).stdout, argv
+    assert (spectrum_code, spectrum_loaded_numpy) == (0, True)
 
 
 def test_bounds_row_json():

@@ -127,6 +127,48 @@ def test_pow_matches_repeated_multiplication():
             acc = f.mul(acc, a)
 
 
+def _pow_from_one(f, a, e):
+    """The earlier ExtField.pow, right to left from a starting 1, as the
+    oracle: (a^e, products spent)."""
+    result, products = 1, 0
+    while e:
+        if e & 1:
+            result, products = f.mul(result, a), products + 1
+        e >>= 1
+        if e:
+            a, products = f.mul(a, a), products + 1
+    return result, products
+
+
+@pytest.mark.parametrize(
+    "subfield, modulus",
+    [
+        (PrimeField(2), (1, 1, 1)),  # F_4
+        (PrimeField(3), (1, 0, 1)),  # F_9
+        (ExtField(PrimeField(2), (1, 1, 1)), (1, 0, 1)),  # F_4[x]/((x + 1)^2), a ring as in Ben-Or
+    ],
+    ids=["F4", "F9", "F4[x]/(x^2+1)"],
+)
+def test_pow_spends_one_product_less_than_from_one(subfield, modulus, monkeypatch):
+    f = ExtField(subfield, modulus)
+    products = 0
+
+    def counted_mul(a, b):
+        nonlocal products
+        products += 1
+        return ExtField.mul(f, a, b)
+
+    monkeypatch.setattr(f, "mul", counted_mul)
+    for a in range(f.order):
+        for e in range(64):
+            want, old_products = _pow_from_one(f, a, e)
+            products = 0
+            assert f.pow(a, e) == want
+            assert products == old_products - (e > 0)
+    with pytest.raises(ValueError):
+        f.pow(f.order, 0)
+
+
 def test_frobenius_identity_power():
     tower = build_tower(2, 1, 3)
     for x in range(8):

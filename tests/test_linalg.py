@@ -211,10 +211,11 @@ def test_enumeration_budget():
 
 
 # Per base field: a 2 x 2 matrix, its label, and texts that are no label:
-# a wrong entry count, commas below q = 11, "01"-style entries, a non-ASCII digit.
+# a wrong entry count, commas below q = 11, "01"-style entries, a non-ASCII
+# digit, a character that is no digit.
 LABEL_CASES = {
-    3: ((1, 0, 2, 1), "1021", ["102", "10211", "1,0,2,1", "10\u06621"]),
-    11: ((1, 0, 10, 1), "1,0,10,1", ["1,0,10", "1,0,10,1,0", "10101", "01,0,10,1", "1,0,1\u0660,1"]),
+    3: ((1, 0, 2, 1), "1021", ["102", "10211", "1,0,2,1", "10\u06621", "10a1"]),
+    11: ((1, 0, 10, 1), "1,0,10,1", ["1,0,10", "1,0,10,1,0", "10101", "01,0,10,1", "1,0,1\u0660,1", "1,0,a,1"]),
 }
 
 
@@ -310,6 +311,15 @@ def test_ranks_above_table_order_match_word_rank():
     expected = [word_rank(tower, w) for w in words]
     assert ranks(tower, np.array(words, dtype=np.int64)).tolist() == expected
     assert {0, 1, 2} <= set(expected)
+
+
+def test_kernels_use_numpy_itself_once_one_has_run():
+    from matgraph import _numpy, codes, coloring, graph, linalg
+
+    assert ranks(build_tower(3, 1, 2), [[1, 3]]).tolist() == [2]
+    # The modules' np is the numpy module, not the placeholder in front of it.
+    for module in (_numpy, linalg, graph, codes, coloring):
+        assert module.np is np, module.__name__
 
 
 def test_ranks_rejects_encodings_beyond_int64():
