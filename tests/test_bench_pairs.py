@@ -62,16 +62,6 @@ def test_summary_of_one_pair_has_no_quartiles():
     assert (wall["ratio"], wall["change_better_pairs"], wall["pairs"]) == (0.5, 1, 1)
 
 
-def test_summary_rounds_like_the_committed_files():
-    runs = [
-        {"seed": s, "first": "parent", "parent": line(1 / 3, 1.0), "change": line(2 / 7, 1.0)}
-        for s in range(3)
-    ]
-    wall = bench_pairs.summarize(runs, END_TO_END)["wall_s"]
-    assert wall["parent_median"] == 0.333333
-    assert wall["ratio"] == 0.8571
-
-
 def test_summary_reproduces_a_committed_file():
     root = TOOL.parents[1]
     data = json.loads((root / "BENCH_9.json").read_text())
