@@ -17,7 +17,7 @@ the end-to-end metrics) is kept under ``runs``.  Per metric, ``summary``
 gives each side's median and quartiles, the change/parent ratio of the
 medians, and in how many pairs the change was better, in the direction
 BENCHMARK.json gives, ties counting for neither side.  The file is
-rewritten after every pair, so an interrupted session keeps what it ran.
+rewritten after every pair, so an interrupted run keeps the pairs it finished.
 """
 
 from __future__ import annotations
