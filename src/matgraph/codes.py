@@ -204,17 +204,47 @@ def span_blocks(
 
     Scalars run in encoding order with the first row most significant, so
     the iteration order is deterministic.  Yields q^(N*len(rows)) words in
-    all; the rows are assumed independent.  The combinations of the last
-    rows whose count fits in a block are tabulated once; each block adds
-    that table to a run of consecutive combinations of the other rows.
-    Words may have length n = 0.
+    all; the rows are assumed independent.  Words may have length n = 0.
     """
-    order = tower.order
-    k = len(rows)
-    check_budget(order ** k, budget)
+    check_budget(tower.order ** len(rows), budget)
+    require_int64(tower)
+    yield from _span_of_multiples(tower, [_multiples(tower, row) for row in rows], n)
+
+
+def line_blocks(
+    tower: FieldTower, rows: Rows, n: int, budget: int = DEFAULT_BUDGET
+) -> Iterator[np.ndarray]:
+    """One word per F_{q^N}^* line of the span of the given rows, in blocks
+    like ``span_blocks``.
+
+    Each line's word is its smallest member in ``span_blocks`` order, the
+    one whose leading nonzero scalar is 1, and lines come in the order of
+    those members: for i = k-1 down to 0, rows[i] plus the span of
+    rows[i+1:].  That is (Q^k - 1)/(Q - 1) words for Q = q^N, none for
+    k = 0.  Since rank(c x) = rank(x) for c != 0, these words carry a
+    span's rank spectrum and its first word of any given rank.
+    """
+    order, k = tower.order, len(rows)
+    check_budget((order**k - 1) // (order - 1), budget)
     require_int64(tower)
     p, width = tower.p, tower.m * tower.N
     scaled = [_multiples(tower, row) for row in rows]
+    for i in reversed(range(k)):
+        lead = np.asarray(rows[i], dtype=np.int64)
+        for block in _span_of_multiples(tower, scaled[i + 1 :], n):
+            yield add_digits(block, lead, p, width)
+
+
+def _span_of_multiples(
+    tower: FieldTower, scaled: Sequence[np.ndarray], n: int
+) -> Iterator[np.ndarray]:
+    """The blocks of ``span_blocks`` for the rows whose ``_multiples`` tables
+    are given.  The combinations of the last rows whose count fits in a
+    block are tabulated once; each block adds that table to a run of
+    consecutive combinations of the other rows."""
+    order = tower.order
+    k = len(scaled)
+    p, width = tower.p, tower.m * tower.N
     inner_rows = 0
     while inner_rows < k and order ** (inner_rows + 1) <= RANK_BLOCK:
         inner_rows += 1
@@ -260,10 +290,20 @@ def word_rank_histogram(tower: FieldTower, blocks: Iterable[np.ndarray]) -> dict
     return dict(sorted(spectrum.items()))
 
 
+def span_rank_spectrum(
+    tower: FieldTower, rows: Rows, n: int, budget: int = DEFAULT_BUDGET
+) -> dict[int, int]:
+    """Histogram of the column ranks of every word in the span of the given
+    independent rows, ranks in increasing order.  Only ``line_blocks`` are
+    ranked: each of their counts stands for q^N - 1 words, and the zero word
+    is the one word of rank 0."""
+    per_line = word_rank_histogram(tower, line_blocks(tower, rows, n, budget=budget))
+    return {0: 1, **{w: c * (tower.order - 1) for w, c in per_line.items()}}
+
+
 def rank_spectrum(code: LinearRankCode, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
     """Histogram of codeword column ranks; counts sum to the code size."""
-    blocks = span_blocks(code.tower, code.generator, code.n, budget=budget)
-    return word_rank_histogram(code.tower, blocks)
+    return span_rank_spectrum(code.tower, code.generator, code.n, budget=budget)
 
 
 def min_nonzero_rank(spectrum: dict[int, int]) -> int:

@@ -15,10 +15,10 @@ share a color exactly when their difference lies in the kernel code of H.
   heuristic and every candidate H is verified by enumerating the kernel's
   rank spectrum before it is accepted.
 
-Verification runs in two modes that must agree: a kernel scan (enumerate
-kernel words, check their ranks) justified by linearity, and an
-assumption-free pairwise scan that compares all q^(Nn) vertices with
-their color classes, grouped by one sort.
+Verification runs in two modes that must agree: a kernel scan (rank one
+kernel word per F_{q^N}^* line, since scaling keeps the rank) justified
+by linearity, and an assumption-free pairwise scan that compares all
+q^(Nn) vertices with their color classes, grouped by one sort.
 
 Building a coloring and coloring one vertex need no numpy; the searches,
 color tables and both verification modes import it on first use, through
@@ -39,11 +39,12 @@ from .graph import GraphParams
 from .codes import (
     Rows,
     gabidulin_parity,
+    line_blocks,
     parity_syndrome,
     rows_from_json,
     rows_to_json,
     span_blocks,
-    word_rank_histogram,
+    span_rank_spectrum,
 )
 from .linalg import (
     DEFAULT_BUDGET,
@@ -267,17 +268,16 @@ def search_forbidden_H(
     raise SearchExhaustedError(restarts, best_count or 0, best_spectrum)
 
 
-def _kernel_blocks(tower: FieldTower, h_rows: Rows, n: int, budget: int):
-    """Every word of the kernel code {v : v H^T = 0} in blocks, zero word first."""
-    basis = tuple(null_space([list(r) for r in h_rows], n, tower.ext))
-    return span_blocks(tower, basis, n, budget=budget)
+def _kernel_basis(tower: FieldTower, h_rows: Rows, n: int) -> Rows:
+    """Independent rows spanning the kernel code {v : v H^T = 0}."""
+    return tuple(null_space([list(r) for r in h_rows], n, tower.ext))
 
 
 def kernel_rank_spectrum(
     tower: FieldTower, h_rows: Rows, n: int, budget: int = DEFAULT_BUDGET
 ) -> dict[int, int]:
     """Rank histogram of the kernel code {v : v H^T = 0}."""
-    return word_rank_histogram(tower, _kernel_blocks(tower, h_rows, n, budget))
+    return span_rank_spectrum(tower, _kernel_basis(tower, h_rows, n), n, budget=budget)
 
 
 def exact_d_coloring(
@@ -328,8 +328,12 @@ def _rank_in_violation(kind: str, w: np.ndarray, d: int) -> np.ndarray:
 def _kernel_violation(
     coloring: Coloring, d: int, kind: str, budget: int
 ) -> tuple[int, int] | None:
-    tower = coloring.params.tower
-    for block in _kernel_blocks(tower, coloring.h_rows, coloring.params.n, budget):
+    """Kernel mode of ``find_violation``.  A line's smallest member breaks
+    the rule iff its other members do, and ``line_blocks`` visits lines in
+    the order of those members, so the first bad word is that of the full
+    ``span_blocks`` scan."""
+    tower, n = coloring.params.tower, coloring.params.n
+    for block in line_blocks(tower, _kernel_basis(tower, coloring.h_rows, n), n, budget=budget):
         bad = np.flatnonzero(_rank_in_violation(kind, ranks(tower, block), d))
         if bad.size:
             return (0, from_digits(reversed(block[bad[0]].tolist()), tower.order))

@@ -451,11 +451,14 @@ def mat_from_label(tower: FieldTower, rows: int, cols: int, label: str) -> MatFq
     parts = list(label) if digits else label.split(",")
     if len(parts) != size:
         raise ValueError(f"label must have {size} {'digits' if digits else 'entries'}")
+    form = f"base-{q} digits" if digits else f"comma-separated decimal entries below {q}"
+    malformed = ValueError(f"label {label!r} is not {size} {form}")
     try:
         entries = tuple(map(int, parts))
     except ValueError:
-        form = f"base-{q} digits" if digits else f"comma-separated decimal entries below {q}"
-        raise ValueError(f"label {label!r} is not {size} {form}") from None
+        raise malformed from None
+    if not all(0 <= e < q for e in entries):
+        raise malformed
     M = MatFq(tower, rows, cols, entries)
     if mat_label(M) != label:
         raise ValueError(f"label {label!r} is not in canonical form {mat_label(M)!r}")

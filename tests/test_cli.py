@@ -1,6 +1,7 @@
 """End-to-end CLI checks: output shapes, exit codes, determinism."""
 
 import csv
+import importlib.util
 import json
 import os
 import random
@@ -23,6 +24,15 @@ from matgraph.linalg import mat_from_label
 # working directory import the same code.
 PACKAGE_ROOT = str(Path(matgraph.__file__).resolve().parents[1])
 README = Path(__file__).resolve().parents[1] / "README.md"
+ORACLES = Path(__file__).resolve().parents[1] / "benchmarks" / "oracles.py"
+
+
+def bench_oracles():
+    """The benchmark's closed-form oracles, loaded from their file."""
+    spec = importlib.util.spec_from_file_location("matgraph_bench_oracles", ORACLES)
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    return oracles
 
 
 def run_python(*args: str, cwd=None):
@@ -133,6 +143,23 @@ def test_graph_export_edge_lines_exceed_default_budget():
     assert res.returncode == 3
     assert "7372800" in res.stderr
     assert time.perf_counter() - start < 10.0
+
+
+def test_code_spectrum_ranks_one_word_per_line(tmp_path):
+    # 2^24 codewords, over the default budget of 2^20, but 65,793 lines of
+    # F_256^*, which is what the spectrum ranks.
+    out = tmp_path / "code.json"
+    res = run_cli(
+        "code", "gabidulin", "--q", "2", "--m", "1", "--N", "8", "--n", "4",
+        "--k", "3", "--out", str(out),
+    )
+    assert res.returncode == 0, res.stderr
+    res = run_cli("code", "spectrum", str(out))
+    assert res.returncode == 0, res.stderr
+    data = json.loads(res.stdout)
+    expected = bench_oracles().mrd_rank_spectrum(2, 8, 4, 3)
+    assert data["spectrum"] == {str(r): c for r, c in expected.items()}
+    assert data["min_rank_distance"] == 2
 
 
 def test_code_gabidulin_and_spectrum(tmp_path):
@@ -261,6 +288,10 @@ def test_color_assign_names_bad_label_character(tmp_path):
     res = run_cli("color", "assign", str(out), "--vertex", "12a1")
     assert res.returncode == 1
     assert res.stderr == "error: label '12a1' is not 4 base-3 digits\n"
+    # a digit out of range for q = 3 gets the same message
+    res = run_cli("color", "assign", str(out), "--vertex", "1251")
+    assert res.returncode == 1
+    assert res.stderr == "error: label '1251' is not 4 base-3 digits\n"
 
 
 # Runs cli.main on each argv in one interpreter and prints, per call, the

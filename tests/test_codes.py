@@ -22,12 +22,15 @@ from matgraph.codes import (
     gabidulin_parity,
     generator_from_parity,
     is_equidistant,
+    line_blocks,
     min_nonzero_rank,
     min_rank_distance,
     parity_from_generator,
     rank_spectrum,
     same_row_space,
     span_blocks,
+    span_rank_spectrum,
+    word_rank_histogram,
 )
 from matgraph.coloring import kernel_rank_spectrum
 from matgraph.linalg import (
@@ -36,6 +39,7 @@ from matgraph.linalg import (
     VecExt,
     column_rank,
     count_rank_k,
+    matrix_rank_over,
     vec_rank_distance,
 )
 
@@ -152,9 +156,11 @@ def test_spectrum_total_is_code_size():
 
 
 def test_spectrum_budget():
+    # The budget counts the words ranked: one per F_8^* line, 73 of the 512.
     code = gabidulin(T8, 3, 3)
     with pytest.raises(BudgetExceededError):
-        rank_spectrum(code, budget=100)
+        rank_spectrum(code, budget=72)
+    assert rank_spectrum(code, budget=73) == {0: 1, 1: 49, 2: 294, 3: 168}
 
 
 def _span_reference(tower, rows, n):
@@ -170,7 +176,7 @@ def _span_reference(tower, rows, n):
     return out
 
 
-@pytest.mark.parametrize(
+SPAN_CASES = pytest.mark.parametrize(
     "pmN, n, k",
     [
         ((2, 1, 4), 3, 3),  # one full block
@@ -183,6 +189,9 @@ def _span_reference(tower, rows, n):
         ((3, 2, 2), 2, 2),  # odd p, m > 1: a table of 81 words, 50 outer combinations per block
     ],
 )
+
+
+@SPAN_CASES
 def test_span_blocks_match_scalar_reference(pmN, n, k):
     tower = build_tower(*pmN)
     rng = random.Random(repr(pmN) + str(k))
@@ -192,6 +201,81 @@ def test_span_blocks_match_scalar_reference(pmN, n, k):
     expected = _span_reference(tower, rows, n)
     assert [tuple(w) for b in blocks for w in b.tolist()] == expected
     assert list(enumerate_span(tower, rows, n)) == expected
+
+
+@SPAN_CASES
+def test_line_blocks_are_the_smallest_member_of_each_line(pmN, n, k):
+    # The smallest member of a line in span order is the combination whose
+    # leading nonzero scalar is 1 (the encoding of 1), and span order lists
+    # those members in the order line_blocks visits them.
+    tower = build_tower(*pmN)
+    rng = random.Random(repr(pmN) + str(k))
+    rows = tuple(tuple(rng.randrange(tower.order) for _ in range(n)) for _ in range(k))
+    scalars = itertools.product(range(tower.order), repeat=k)
+    expected = [
+        word
+        for c, word in zip(scalars, _span_reference(tower, rows, n))
+        if any(c) and next(x for x in c if x) == 1
+    ]
+    blocks = list(line_blocks(tower, rows, n))
+    assert all(b.dtype == np.int64 and 1 <= len(b) <= RANK_BLOCK for b in blocks)
+    assert [tuple(w) for b in blocks for w in b.tolist()] == expected
+    assert len(expected) == (tower.order**k - 1) // (tower.order - 1)
+
+
+def test_line_blocks_budget_counts_lines():
+    rows = gabidulin(T8, 3, 3).generator
+    with pytest.raises(BudgetExceededError):
+        next(line_blocks(T8, rows, 3, budget=72))
+    assert sum(len(b) for b in line_blocks(T8, rows, 3, budget=73)) == 73
+    assert list(line_blocks(T8, (), 3, budget=0)) == []
+
+
+def _full_scan_spectrum(tower, rows, n):
+    """Rank histogram of every word of the span, from ``span_blocks``."""
+    return word_rank_histogram(tower, span_blocks(tower, rows, n))
+
+
+@pytest.mark.parametrize(
+    "pmN, n, k, extra",
+    [
+        ((2, 1, 3), 3, 1, {}),
+        ((2, 1, 3), 3, 2, {}),
+        ((2, 1, 3), 3, 3, {}),
+        ((2, 1, 2), 2, 1, {}),
+        ((2, 1, 3), 2, 1, {"h": (1, 4)}),
+        ((2, 1, 3), 3, 1, {"s": 2}),
+        ((2, 1, 10), 4, 2, {}),
+    ],
+)
+def test_spectra_of_the_codes_here_match_the_full_scan(pmN, n, k, extra):
+    tower = build_tower(*pmN)
+    code = gabidulin(tower, n, k, **extra)
+    full = _full_scan_spectrum(tower, code.generator, n)
+    assert sum(full.values()) == code.size
+    assert rank_spectrum(code) == full
+    assert kernel_rank_spectrum(tower, code.parity, n) == full
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize(
+    "pmN, draws",
+    [((2, 1, 3), 4), ((3, 1, 3), 4), ((2, 2, 3), 2)],
+    ids=["q2-bitmask", "odd-p", "m2"],
+)
+def test_spectra_of_random_row_sets_match_the_full_scan(pmN, draws, k):
+    tower = build_tower(*pmN)
+    rng = random.Random(f"{pmN} {k}")
+    for _ in range(draws):
+        while True:
+            rows = tuple(tuple(rng.randrange(tower.order) for _ in range(3)) for _ in range(k))
+            if matrix_rank_over([list(r) for r in rows], tower.ext) == k:
+                break
+        full = _full_scan_spectrum(tower, rows, 3)
+        assert span_rank_spectrum(tower, rows, 3) == full
+        parity = parity_from_generator(tower, rows, 3)
+        assert kernel_rank_spectrum(tower, parity, 3) == full
+        assert rank_spectrum(LinearRankCode(tower, 3, k, rows, parity)) == full
 
 
 def test_empty_span_and_trivial_kernel_are_the_zero_word():

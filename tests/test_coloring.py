@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from matgraph import coloring as coloring_mod
-from matgraph.gftower import build_tower
+from matgraph.codes import span_blocks
+from matgraph.gftower import build_tower, from_digits
 from matgraph.graph import GraphParams
 from matgraph.coloring import (
     Coloring,
@@ -26,7 +27,14 @@ from matgraph.coloring import (
     verify_at_most_d,
     verify_exactly_d,
 )
-from matgraph.linalg import rank_distance, vec_from_index, vec_rank_distance, vector_to_matrix
+from matgraph.linalg import (
+    null_space,
+    rank_distance,
+    ranks,
+    vec_from_index,
+    vec_rank_distance,
+    vector_to_matrix,
+)
 
 P222 = GraphParams(build_tower(2, 1, 2), 2)
 P322 = GraphParams(build_tower(2, 1, 3), 2)
@@ -126,6 +134,37 @@ def test_pairwise_returns_first_violating_pair(col, kind):
     assert (find_violation(col, kind=kind) is None) == (expected is None)
 
 
+def _kernel_violation_full_scan(col, d, kind):
+    """(0, w) for the first word w of the kernel code, in full
+    ``span_blocks`` order, whose rank breaks the rule."""
+    tower, n = col.params.tower, col.params.n
+    basis = tuple(null_space([list(r) for r in col.h_rows], n, tower.ext))
+    for block in span_blocks(tower, basis, n):
+        w = ranks(tower, block)
+        bad = np.flatnonzero((w >= 1) & ((w <= d) if kind == "le" else (w == d)))
+        if bad.size:
+            return (0, from_digits(reversed(block[bad[0]].tolist()), tower.order))
+    return None
+
+
+@pytest.mark.parametrize("pmN, n", [((2, 1, 4), 3), ((3, 1, 3), 2), ((2, 2, 3), 3), ((5, 1, 2), 2)])
+def test_kernel_violation_is_the_first_of_the_full_scan(pmN, n):
+    params = GraphParams(build_tower(*pmN), n)
+    order = params.tower.order
+    rng = random.Random(repr(pmN))
+    improper = 0
+    for _ in range(80):
+        rows = rng.randrange(n + 1)
+        h_rows = tuple(tuple(rng.randrange(order) for _ in range(n)) for _ in range(rows))
+        col = Coloring(params, "exactly-d", 1, h_rows, order**rows, tag="random")
+        for kind in ("le", "eq"):
+            d = rng.randint(1, n)
+            expected = _kernel_violation_full_scan(col, d, kind)
+            assert find_violation(col, d, kind) == expected, (h_rows, d, kind)
+            improper += expected is not None
+    assert improper >= 60
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_pairwise_allows_color_classes_of_unequal_size(monkeypatch, seed):
     # Syndrome colorings have classes of one size (kernel cosets); the scan
@@ -219,6 +258,22 @@ def test_search_exhausted_reports_best():
     assert info.value.restarts == 1
     assert info.value.best_rank_d_count >= 1
     assert sum(info.value.best_spectrum.values()) == 4  # the kernel size
+
+
+@pytest.mark.parametrize(
+    "pmN, n, d, m, seed, restarts, best_spectrum",
+    [
+        ((2, 1, 4), 3, 2, 1, 0, 4, {0: 1, 1: 15, 2: 60, 3: 180}),
+        ((3, 1, 3), 3, 3, 1, 1, 5, {0: 1, 2: 338, 3: 390}),
+        ((2, 2, 3), 3, 2, 1, 0, 3, {0: 1, 1: 63, 2: 1008, 3: 3024}),
+        ((2, 1, 4), 3, 2, 2, 1, 2, {0: 1, 2: 15}),
+    ],
+)
+def test_search_exhausted_best_spectrum_pinned(pmN, n, d, m, seed, restarts, best_spectrum):
+    with pytest.raises(SearchExhaustedError) as info:
+        search_forbidden_H(build_tower(*pmN), n, d, m, seed=seed, restarts=restarts)
+    assert info.value.best_spectrum == best_spectrum
+    assert info.value.best_rank_d_count == best_spectrum[d]
 
 
 def test_exact_coloring_m1():

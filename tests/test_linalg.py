@@ -212,10 +212,14 @@ def test_enumeration_budget():
 
 # Per base field: a 2 x 2 matrix, its label, and texts that are no label:
 # a wrong entry count, commas below q = 11, "01"-style entries, a non-ASCII
-# digit, a character that is no digit.
+# digit, a character that is no digit, an entry out of range.
 LABEL_CASES = {
-    3: ((1, 0, 2, 1), "1021", ["102", "10211", "1,0,2,1", "10\u06621", "10a1"]),
-    11: ((1, 0, 10, 1), "1,0,10,1", ["1,0,10", "1,0,10,1,0", "10101", "01,0,10,1", "1,0,1\u0660,1", "1,0,a,1"]),
+    3: ((1, 0, 2, 1), "1021", ["102", "10211", "1,0,2,1", "10\u06621", "10a1", "1051"]),
+    11: (
+        (1, 0, 10, 1),
+        "1,0,10,1",
+        ["1,0,10", "1,0,10,1,0", "10101", "01,0,10,1", "1,0,1\u0660,1", "1,0,a,1", "1,0,11,1", "1,0,-1,1"],
+    ),
 }
 
 
@@ -233,6 +237,21 @@ def test_mat_index_label_roundtrip(p):
     for text in non_labels:
         with pytest.raises(ValueError):
             mat_from_label(tower, 2, 2, text)
+
+
+@pytest.mark.parametrize(
+    "p, text, form",
+    [
+        (3, "1251", "4 base-3 digits"),
+        (3, "12a1", "4 base-3 digits"),
+        (11, "1,0,11,1", "4 comma-separated decimal entries below 11"),
+        (11, "1,0,-1,1", "4 comma-separated decimal entries below 11"),
+    ],
+)
+def test_mat_from_label_names_the_label_and_its_form(p, text, form):
+    with pytest.raises(ValueError) as info:
+        mat_from_label(build_tower(p, 1, 2), 2, 2, text)
+    assert str(info.value) == f"label {text!r} is not {form}"
 
 
 def test_mat_label_is_row_major_msb_first():
