@@ -223,14 +223,6 @@ def test_line_blocks_are_the_smallest_member_of_each_line(pmN, n, k):
     assert len(expected) == (tower.order**k - 1) // (tower.order - 1)
 
 
-def test_line_blocks_budget_counts_lines():
-    rows = gabidulin(T8, 3, 3).generator
-    with pytest.raises(BudgetExceededError):
-        next(line_blocks(T8, rows, 3, budget=72))
-    assert sum(len(b) for b in line_blocks(T8, rows, 3, budget=73)) == 73
-    assert list(line_blocks(T8, (), 3, budget=0)) == []
-
-
 def _full_scan_spectrum(tower, rows, n):
     """Rank histogram of every word of the span, from ``span_blocks``."""
     return word_rank_histogram(tower, span_blocks(tower, rows, n))
