@@ -439,14 +439,75 @@ def test_color_verify_pairwise_rejects_colors_beyond_int64(tmp_path):
     assert "int64" in res.stderr
 
 
-def test_readme_cli_block_runs_in_order(tmp_path):
-    # Each line of the README's CLI block, run in one directory so that the
-    # files written by one command are read by the next.
+# The README's CLI block, then the calls below, run in order in one
+# directory, so that the files written by one command are read by the next.
+# tests/data/cli_golden.json holds the input files they start from and, for
+# each call, its exit code, stdout, stderr and the text of its --out file.
+# After an intended output change, regenerate it with
+#     PYTHONPATH=src python tests/test_cli.py
+# and review the diff.
+GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
+GOLDEN_EXTRA_CALLS = [
+    "matgraph code builtin C1 --verify",
+    "matgraph code builtin C2 --verify",
+    *(
+        f"matgraph bounds row --N {N} --n {n} --d {d} --q {q}{fmt}"
+        for N, n, d, q in ((2, 2, 2, 2), (3, 2, 2, 2), (3, 3, 3, 2), (3, 3, 2, 2))
+        for fmt in ("", " --format csv")
+    ),
+    "matgraph color exact --q 3 --m 1 --N 3 --n 2 --d 2 --seed 3 --verify --pairwise",
+    "matgraph color exact --q 2 --m 1 --N 2 --n 2 --d 3 --verify --pairwise",
+    "matgraph color verify bad.json",
+    "matgraph color verify bad.json --pairwise",
+]
+
+
+def golden_calls() -> list[str]:
     block = README.read_text().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    lines = block.splitlines()
-    assert lines
-    for line in lines:
+    return block.splitlines() + GOLDEN_EXTRA_CALLS
+
+
+def run_golden_calls(cwd: Path, inputs: dict[str, str]) -> list[dict]:
+    """Write ``inputs`` into ``cwd``, then run every golden call there."""
+    for name, text in inputs.items():
+        (cwd / name).write_text(text)
+    results = []
+    for line in golden_calls():
         program, *args = shlex.split(line)
         assert program == "matgraph"
-        res = run_cli(*args, cwd=tmp_path)
-        assert res.returncode == 0, (line, res.stderr)
+        res = run_cli(*args, cwd=cwd)
+        out = args[args.index("--out") + 1] if "--out" in args else None
+        results.append({
+            "call": line,
+            "exit": res.returncode,
+            "stdout": res.stdout,
+            "stderr": res.stderr,
+            "out": (cwd / out).read_text() if out else None,
+        })
+    return results
+
+
+def write_golden(cwd: Path) -> None:
+    """Regenerate GOLDEN from the package under test: the improper coloring
+    of ``write_violating_coloring`` as input, then every call's results."""
+    write_violating_coloring(cwd / "bad.json", "2")
+    inputs = {"bad.json": (cwd / "bad.json").read_text()}
+    golden = {"inputs": inputs, "calls": run_golden_calls(cwd, inputs)}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+
+
+def test_readme_cli_block_runs_in_order(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    assert [call["call"] for call in golden["calls"]] == golden_calls()
+    for got, want in zip(run_golden_calls(tmp_path, golden["inputs"]), golden["calls"]):
+        assert got == want
+    # every line of the README block succeeds
+    assert all(call["exit"] == 0 for call in golden["calls"][: -len(GOLDEN_EXTRA_CALLS)])
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as scratch:
+        write_golden(Path(scratch))
