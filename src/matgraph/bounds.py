@@ -6,10 +6,7 @@ For the graph on N x n matrices over F_q (n <= N):
   1 <= d <= n.  The matching lower bound is the sphere-packing count
   q^(Nn) / A, where A = q^(N(n-d)) is the largest code of minimum rank
   distance d + 1 (the Singleton value, attained by the
-  maximum-rank-distance construction).  For d > n ``chi_prime`` returns 1,
-  the convention of the published table this module cross-checks; note the
-  coloring module instead separates every vertex in that range, since all
-  pairs lie within the diameter n <= d.
+  maximum-rank-distance construction).
 
 * exactly-d colorings: chi_d <= q^(Nd) trivially (column ``bound8``), and
   the forbidden-distance counting argument gives
@@ -46,12 +43,11 @@ def ceil_log(base: int, value: int) -> int:
 
 
 def chi_prime(N: int, n: int, q: int, d: int) -> int:
-    """Exact at-most-d chromatic number: q^(Nd) for d <= n, else 1."""
+    """Exact at-most-d chromatic number q^(N min(d, n)): past the diameter n
+    every two vertices are within distance d, so each needs its own color."""
     if min(N, n, q, d) < 1 or n > N:
         raise ValueError("need 1 <= n <= N, q >= 2 and d >= 1")
-    if d <= n:
-        return q ** (N * d)
-    return 1
+    return q ** (N * min(d, n))
 
 
 def chi_lower_singleton(N: int, n: int, q: int, d: int) -> int:
@@ -98,7 +94,7 @@ def known_chi_exact(N: int, n: int, q: int, d: int) -> KnownChi | None:
             exact=True,
             provenance="distance 1: single-column clique of size q^N meets the q^N-color construction",
         )
-    if q == 2 and d == n and (n == 1 or (N, n) in _EQUIDISTANT_PAIRS):
+    if q == 2 and d == n and (N, n) in _EQUIDISTANT_PAIRS:
         return KnownChi(
             2 ** N,
             exact=True,
@@ -114,12 +110,9 @@ def known_chi_exact(N: int, n: int, q: int, d: int) -> KnownChi | None:
 
 
 def lower_bounds(N: int, n: int, q: int, d: int) -> list[int]:
-    out = []
-    if d == 1:
-        out.append(q ** N)
-    if n >= 3 and N == comb(n, 2) and d == n - 1:
-        out.append(q ** n - 1)
-    return out
+    """Lower bounds on the exactly-d chromatic number: the known value."""
+    known = known_chi_exact(N, n, q, d)
+    return [known.value] if known else []
 
 
 @dataclass(frozen=True)

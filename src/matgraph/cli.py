@@ -149,9 +149,7 @@ def _print_violation(col: coloring.Coloring, pair: tuple[int, int]) -> None:
 
 
 def _verify_and_report(col: coloring.Coloring, args: argparse.Namespace) -> int:
-    pair = coloring.find_violation(
-        col, pairwise=args.pairwise, budget=args.budget, threads=args.threads
-    )
+    pair = coloring.find_violation(col, pairwise=args.pairwise, budget=args.budget)
     sys.stdout.write(f"verified={pair is None}\n")
     if pair is not None:
         _print_violation(col, pair)

@@ -142,11 +142,10 @@ def gabidulin_parity(
 
 def _dual_rows(tower: FieldTower, rows: Rows, n: int, name: str) -> Rows:
     """Basis of {v : v R^T = 0} for the full-rank matrix R given by ``rows``."""
-    ext = tower.ext
-    rows = [list(r) for r in rows]
-    if rows and matrix_rank_over(rows, ext) != len(rows):
+    basis = tuple(null_space([list(r) for r in rows], n, tower.ext))
+    if len(basis) != n - len(rows):
         raise ValueError(f"{name} matrix is rank deficient")
-    return tuple(null_space(rows, n, ext))
+    return basis
 
 
 def generator_from_parity(tower: FieldTower, parity: Rows, n: int) -> Rows:
@@ -398,30 +397,23 @@ _C3_WORDS = (
     (2, 7, 3),
     (7, 5, 7),
 )
-_F8_MODULUS = (1, 1, 0, 1)
 
 
 @functools.lru_cache(maxsize=None)
-def builtin_code(name: str, tower: FieldTower | None = None) -> EquidistantCode:
+def builtin_code(name: str) -> EquidistantCode:
     """One of the built-in equidistant codes C1, C2, C3.
 
     C1 is four 2x2 binary matrices at pairwise rank distance 2.  C2 (length
     2) and C3 (length 3) are eight-word codes over F_8 at pairwise rank
-    distances 2 and 3; their entries are tied to the modulus x^3 + x + 1, so
-    any other F_8 tower is rejected.
+    distances 2 and 3; their entries are tied to the modulus x^3 + x + 1,
+    the one ``build_tower(2, 1, 3)`` picks.
     """
     if name == "C1":
-        t = tower if tower is not None else build_tower(2, 1, 2)
-        if (t.p, t.m) != (2, 1) or t.N != 2:
-            raise ValueError("C1 needs the (p, m, N) = (2, 1, 2) tower")
+        t = build_tower(2, 1, 2)
         words = tuple(MatFq(t, 2, 2, e) for e in _C1_MATRICES)
         return EquidistantCode(t, 2, words, 2, name="C1")
     if name in ("C2", "C3"):
-        t = tower if tower is not None else build_tower(2, 1, 3)
-        if (t.p, t.m, t.N) != (2, 1, 3):
-            raise ValueError(f"{name} needs the (p, m, N) = (2, 1, 3) tower")
-        if t.modulus_qN != _F8_MODULUS:
-            raise ValueError(f"{name} entries are tied to the F_8 modulus x^3 + x + 1")
+        t = build_tower(2, 1, 3)
         raw = _C2_WORDS if name == "C2" else _C3_WORDS
         n = 2 if name == "C2" else 3
         words = tuple(VecExt(t, w) for w in raw)

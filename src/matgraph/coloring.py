@@ -59,6 +59,7 @@ from .linalg import (
     null_space,
     ranks,
     to_digits_array,
+    vector_to_matrix,
 )
 # Not called here; kept bound because benchmarks/tracing.py wraps them by name.
 from .codes import enumerate_span  # noqa: F401
@@ -189,13 +190,8 @@ def clique_d1(params: GraphParams, budget: int = DEFAULT_BUDGET) -> CliqueWitnes
     """
     tower = params.tower
     check_budget(tower.order, budget)
-    members = []
-    for x in range(tower.order):
-        digits = tower.expand(x)
-        entries = [0] * (params.N * params.n)
-        for i in range(params.N):
-            entries[i * params.n] = digits[i]
-        members.append(MatFq(tower, params.N, params.n, tuple(entries)))
+    zeros = (0,) * (params.n - 1)
+    members = (vector_to_matrix(VecExt(tower, (x, *zeros))) for x in range(tower.order))
     return CliqueWitness(tuple(members))
 
 
@@ -342,8 +338,7 @@ def _kernel_violation(
 
 def _vector_rank_table(params: GraphParams) -> np.ndarray:
     """Column rank of every vector, indexed by vector index."""
-    tower = params.tower
-    V = tower.order ** params.n
+    tower, V = params.tower, params.order
     out = np.empty(V, dtype=np.uint8)
     for lo in range(0, V, RANK_BLOCK):
         idx = np.arange(lo, min(lo + RANK_BLOCK, V))
@@ -381,12 +376,10 @@ def _pairwise_violation(
     padded to the largest one, through one ``add_digits``.  u meets itself
     too, but a zero difference has rank 0 and never breaks the rule."""
     params = coloring.params
-    tower = params.tower
-    V = tower.order ** params.n
+    V = params.order
     check_budget(V, budget)
     colors = color_table(coloring, budget=budget)
     rank_of = _vector_rank_table(params)
-    width = params.n * tower.N * tower.m
     members = np.argsort(colors, kind="stable")
     _, cls, sizes = np.unique(colors, return_inverse=True, return_counts=True)
     starts = np.cumsum(sizes) - sizes
@@ -397,7 +390,7 @@ def _pairwise_violation(
         c = cls[u]
         real = slots < sizes[c][:, None]
         v = members[np.where(real, starts[c][:, None] + slots, 0)]
-        diff = add_digits(v, u[:, None], tower.p, width, sign=-1)
+        diff = add_digits(v, u[:, None], params.tower.p, params.width, sign=-1)
         bad = real & _rank_in_violation(kind, rank_of[diff], d)
         if bad.any():
             i, j = np.argwhere(bad)[0]
@@ -436,10 +429,9 @@ def verify_at_most_d(
     d: int | None = None,
     pairwise: bool = False,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> bool:
     """True iff no two distinct vertices within rank distance d share a color."""
-    return find_violation(coloring, d, "le", pairwise, budget, threads) is None
+    return find_violation(coloring, d, "le", pairwise, budget) is None
 
 
 def verify_exactly_d(
@@ -447,10 +439,9 @@ def verify_exactly_d(
     d: int | None = None,
     pairwise: bool = False,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> bool:
     """True iff no two vertices at rank distance exactly d share a color."""
-    return find_violation(coloring, d, "eq", pairwise, budget, threads) is None
+    return find_violation(coloring, d, "eq", pairwise, budget) is None
 
 
 # ---------------------------------------------------------------------------

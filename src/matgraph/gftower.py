@@ -323,14 +323,12 @@ class FieldTower:
     """
 
     def __init__(self, p: int, m: int, N: int) -> None:
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
+        prime = PrimeField(p)
         if m < 1 or N < 1:
             raise ValueError("extension degrees must be positive")
         self.p = p
         self.m = m
         self.N = N
-        prime = PrimeField(p)
         self.modulus_q = find_irreducible(prime, m)
         self.base = prime if m == 1 else ExtField(prime, self.modulus_q)
         self.q = p ** m

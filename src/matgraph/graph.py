@@ -30,11 +30,11 @@ from .linalg import (
     MatFq,
     add_digits,
     check_budget,
+    count_rank_k,
     entries_label,
     enumerate_rank_one,
     from_digits_array,
     mat_index,
-    rank_one_count,
     ranks,
     to_digits_array,
 )
@@ -69,7 +69,12 @@ class GraphParams:
 
     @property
     def degree(self) -> int:
-        return rank_one_count(self.N, self.n, self.q)
+        return count_rank_k(self.N, self.n, self.q, 1)
+
+    @property
+    def width(self) -> int:
+        """Base-p digits of a vertex index: the F_p coordinates of a matrix."""
+        return self.N * self.n * self.tower.m
 
 
 def degree(params: GraphParams) -> int:
@@ -87,11 +92,6 @@ def neighbors(M: MatFq, budget: int = DEFAULT_BUDGET) -> Iterator[MatFq]:
 def _rank_one_indices(params: GraphParams) -> tuple[int, ...]:
     """Vertex index of each rank-one matrix, in rank-one order: the steps."""
     return tuple(mat_index(R) for R in enumerate_rank_one(params.tower, params.N, params.n))
-
-
-def _width(params: GraphParams) -> int:
-    """Base-p digits of a vertex index: the F_p coordinates of a matrix."""
-    return params.N * params.n * params.tower.m
 
 
 def graph_distance_bfs(M1: MatFq, M2: MatFq, budget: int = DEFAULT_BUDGET) -> int:
@@ -123,7 +123,7 @@ def neighbor_index_table(params: GraphParams, budget: int = DEFAULT_BUDGET) -> n
     rows = max(1, RANK_BLOCK // params.degree)
     for lo in range(0, params.order, rows):
         vertices = np.arange(lo, min(lo + rows, params.order), dtype=np.int64)
-        table[lo : lo + rows] = add_digits(vertices[:, None], steps, params.tower.p, _width(params))
+        table[lo : lo + rows] = add_digits(vertices[:, None], steps, params.tower.p, params.width)
     return table
 
 
@@ -243,7 +243,7 @@ def verify_distance_equals_rank(
     """
     nbr = neighbor_index_table(params, budget=budget)
     rank_of = rank_table(params, budget=budget)
-    p, width = params.tower.p, _width(params)
+    p, width = params.tower.p, params.width
     vertices = np.arange(params.order, dtype=np.int64)
     for first, block in all_sources_distances(nbr):
         # 16 sources at a time: for odd p, add_digits holds a
@@ -287,7 +287,7 @@ def check_vertex_transitivity(
     map v -> v + T sends the edge set onto itself, and that translating M1 by
     M2 - M1 lands on M2.
     """
-    p, width = params.tower.p, _width(params)
+    p, width = params.tower.p, params.width
     nbr = neighbor_index_table(params, budget=budget)
     if sample is None:
         translations = range(params.order)

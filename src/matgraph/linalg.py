@@ -414,12 +414,6 @@ def count_rank_k(N: int, n: int, q: int, k: int) -> int:
     return quotient
 
 
-def rank_one_count(N: int, n: int, q: int) -> int:
-    value, rem = divmod((q ** N - 1) * (q ** n - 1), q - 1)
-    assert rem == 0
-    return value
-
-
 # ---------------------------------------------------------------------------
 # enumeration, indexing, labels
 # ---------------------------------------------------------------------------
@@ -493,7 +487,7 @@ def enumerate_rank_one(
     nonzero columns, so every rank-one product appears once.
     """
     q = tower.q
-    check_budget(rank_one_count(rows, cols, q), budget)
+    check_budget(count_rank_k(rows, cols, q, 1), budget)
     mul = tower.base.mul
     normalized = []
     for widx in range(1, q ** cols):

@@ -16,6 +16,9 @@ from matgraph.bounds import (
     lower_bounds,
     table1,
 )
+from matgraph.coloring import d_distance_coloring
+from matgraph.gftower import build_tower
+from matgraph.graph import GraphParams
 
 
 def test_ceil_log_edges():
@@ -48,7 +51,7 @@ def test_chi_prime_values():
     assert chi_prime(2, 2, 2, 1) == 4
     assert chi_prime(6, 4, 2, 2) == 2 ** 12
     assert chi_prime(3, 3, 2, 3) == 2 ** 9
-    assert chi_prime(2, 2, 2, 3) == 1  # beyond the diameter
+    assert chi_prime(2, 2, 2, 3) == 16  # beyond the diameter every vertex is separated
     with pytest.raises(ValueError):
         chi_prime(2, 3, 2, 1)  # n > N
 
@@ -113,6 +116,23 @@ def test_known_chi_exact_lower_bound_shape():
     assert lower_bounds(3, 3, 2, 2) == [7]
     assert lower_bounds(6, 4, 2, 3) == [15]
     assert lower_bounds(2, 2, 2, 1) == [4]
+
+
+def test_lower_bounds_list_the_known_value():
+    for q in (2, 3):
+        for N in range(1, 7):
+            for n in range(1, N + 1):
+                for d in range(1, n + 1):
+                    known = known_chi_exact(N, n, q, d)
+                    assert lower_bounds(N, n, q, d) == ([known.value] if known else [])
+    assert lower_bounds(3, 3, 2, 3) == [8]  # the equidistant code of size 2^N
+
+
+@pytest.mark.parametrize("q, N, n", [(2, 2, 2), (2, 3, 2), (3, 2, 1), (2, 3, 3)])
+def test_chi_prime_counts_the_mrd_coloring(q, N, n):
+    params = GraphParams(build_tower(q, 1, N), n)
+    for d in range(1, n + 3):
+        assert chi_prime(N, n, q, d) == d_distance_coloring(params, d).num_colors
 
 
 def test_bounds_row_fields():

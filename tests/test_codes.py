@@ -359,9 +359,23 @@ def test_builtin_c3():
 
 def test_builtin_rejects_wrong_tower():
     with pytest.raises(ValueError):
-        builtin_code("C2", build_tower(2, 1, 2))
-    with pytest.raises(ValueError):
         builtin_code("C0")
+
+
+def test_gabidulin_row_reduces_each_matrix_once(monkeypatch):
+    # one reduction for the dual basis, one per rank check of the code
+    from matgraph import linalg
+
+    calls = []
+    row_reduce = linalg.row_reduce
+
+    def counted(*args):
+        calls.append(args)
+        return row_reduce(*args)
+
+    monkeypatch.setattr(linalg, "row_reduce", counted)
+    gabidulin(build_tower(2, 1, 3), 3, 1)
+    assert len(calls) == 3
 
 
 def test_is_equidistant_negative():

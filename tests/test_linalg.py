@@ -29,7 +29,6 @@ from matgraph.linalg import (
     null_space,
     rank,
     rank_distance,
-    rank_one_count,
     ranks,
     row_reduce,
     to_digits_array,
@@ -193,7 +192,7 @@ def test_count_rank_k_matches_enumeration_small():
 
 def test_enumerate_rank_one_counts():
     mats = list(enumerate_rank_one(T22, 2, 2))
-    assert len(mats) == 9 == rank_one_count(2, 2, 2)
+    assert len(mats) == 9 == count_rank_k(2, 2, 2, 1)
     assert len(set(m.entries for m in mats)) == 9
     assert all(rank(M) == 1 for M in mats)
 
