@@ -3,16 +3,19 @@
 Vertices are all q^(Nn) matrices; two are adjacent when their difference has
 rank 1, so the graph is the Cayley graph of (F_q^(N x n), +) with the
 rank-one matrices as generators.  ``neighbors`` adds each rank-one matrix
-to a ``MatFq``.  Everything else walks the graph on vertex indices: the
-neighbor index table translates every index by each rank-one step with
-``linalg.add_digits``.  Two BFS bodies walk that table: a level BFS from
-one source (``bfs_distances``) answers single queries, and a bit-parallel
-BFS carrying 64 sources per machine word (``all_sources_distances``) is
-the oracle for the claim that graph distance equals rank distance on every
-pair.  The DOT and CSV exports name each vertex by ``linalg.mat_label``.
+to a ``MatFq``.  Everything else walks the graph on vertex indices, and
+translates an index by a rank-one step with ``linalg.add_digits``.  Pair
+queries (``graph_distance_bfs``) walk the steps from the source, level by
+level, and stop at the target; they build no table.  The neighbor index
+table translates every index by each step, and two BFS bodies walk it: a
+level BFS from one source (``bfs_distances``) for the eccentricity and
+bipartiteness checks, and a bit-parallel BFS carrying 64 sources per
+machine word (``all_sources_distances``), the oracle for the claim that
+graph distance equals rank distance on every pair.  The DOT and CSV
+exports name each vertex by ``linalg.mat_label``.
 
 ``GraphParams``, ``degree`` and ``neighbors`` need no numpy; the index
-tables, both BFS bodies and the exports import it on first use, through
+tables, the BFS bodies and the exports import it on first use, through
 ``matgraph._numpy``.
 """
 
@@ -97,14 +100,36 @@ def _rank_one_indices(params: GraphParams) -> tuple[int, ...]:
 def graph_distance_bfs(M1: MatFq, M2: MatFq, budget: int = DEFAULT_BUDGET) -> int:
     """Shortest-path length between M1 and M2 by breadth-first search.
 
-    Builds the whole neighbor index table, so it must be within budget.
+    A level BFS from M1 that needs no neighbor index table: each level adds
+    every rank-one step to its frontier only, in blocks of about RANK_BLOCK
+    entries as ``neighbor_index_table`` builds its rows, and the walk stops
+    at the first level that reaches M2.  The budget still counts the
+    order x degree entries of that table: a query far enough away touches
+    them all, so the same queries fit the same budgets.
     """
     if (M1.rows, M1.cols) != (M2.rows, M2.cols) or M1.tower != M2.tower:
         raise ValueError("vertices belong to different graphs")
     if M1.rows != M1.tower.N:
         raise ValueError(f"vertices must have N = {M1.tower.N} rows, have {M1.rows}")
-    nbr = neighbor_index_table(GraphParams(M1.tower, M1.cols), budget=budget)
-    return int(bfs_distances(nbr, mat_index(M1))[mat_index(M2)])
+    params = GraphParams(M1.tower, M1.cols)
+    check_budget(params.order * params.degree, budget)
+    steps = np.array(_rank_one_indices(params), dtype=np.int64)
+    rows = max(1, RANK_BLOCK // params.degree)
+    p, width = params.tower.p, params.width
+    source, target = mat_index(M1), mat_index(M2)
+    dist = np.full(params.order, -1, dtype=np.int16)
+    dist[source] = 0
+    frontier = np.array([source], dtype=np.int64)
+    level = 0
+    while dist[target] < 0 and frontier.size:
+        level += 1
+        for lo in range(0, frontier.size, rows):
+            cand = add_digits(frontier[lo : lo + rows, None], steps, p, width).ravel()
+            dist[cand[dist[cand] < 0]] = level
+            if dist[target] >= 0:
+                break
+        frontier = np.flatnonzero(dist == level)
+    return int(dist[target])
 
 
 # ---------------------------------------------------------------------------

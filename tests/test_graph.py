@@ -24,6 +24,7 @@ from matgraph.graph import (
     verify_distance_equals_rank,
 )
 from matgraph.linalg import (
+    RANK_BLOCK,
     BudgetExceededError,
     enumerate_matrices,
     enumerate_rank_one,
@@ -309,3 +310,57 @@ def test_bfs_budget():
     other = mat_from_index(big.tower, 5, 5, 1)
     with pytest.raises(BudgetExceededError):
         graph_distance_bfs(z, other, budget=1000)
+
+
+# (p, m, N, n): q = 2, 3, 4 = 2^2 and 9 = 3^2
+PAIR_WALK_PARAMS = [(2, 1, 4, 3), (3, 1, 3, 2), (2, 2, 2, 2), (3, 2, 2, 1)]
+
+
+def _pairs_of_each_rank(params, per_rank, seed):
+    """Seeded (M1, M2, r) with rank(M2 - M1) = r, ``per_rank`` for each r = 0..n."""
+    rng = np.random.default_rng(seed)
+    rank_of = rank_table(params)
+    N, n = params.N, params.n
+    for r in range(n + 1):
+        for diff in rng.choice(np.flatnonzero(rank_of == r), size=per_rank):
+            M1 = mat_from_index(params.tower, N, n, int(rng.integers(params.order)))
+            yield M1, M1 + mat_from_index(params.tower, N, n, int(diff)), r
+
+
+def _no_table(*args, **kwargs):
+    raise AssertionError("a pair query built or walked a neighbor table")
+
+
+@pytest.mark.parametrize("pmNn", PAIR_WALK_PARAMS)
+def test_pair_walk_builds_no_table(monkeypatch, pmNn):
+    p, m, N, n = pmNn
+    params = GraphParams(build_tower(p, m, N), n)
+    pairs = list(_pairs_of_each_rank(params, per_rank=4, seed=sum(pmNn)))
+    monkeypatch.setattr(graph_module, "neighbor_index_table", _no_table)
+    monkeypatch.setattr(graph_module, "bfs_distances", _no_table)
+    for M1, M2, r in pairs:
+        assert graph_distance_bfs(M1, M2) == rank_distance(M1, M2) == r
+
+
+@pytest.mark.parametrize("pmNn", [(2, 1, 4, 3), (3, 1, 3, 2)])
+def test_pair_walk_blocks_stay_within_rank_block(monkeypatch, pmNn):
+    p, m, N, n = pmNn
+    params = GraphParams(build_tower(p, m, N), n)
+    add_digits = graph_module.add_digits
+    sizes = []
+
+    def recorded(*args, **kwargs):
+        out = add_digits(*args, **kwargs)
+        sizes.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(graph_module, "add_digits", recorded)
+    for M1, M2, r in _pairs_of_each_rank(params, per_rank=1, seed=7):
+        sizes.clear()
+        assert graph_distance_bfs(M1, M2) == r
+        assert max(sizes, default=0) <= max(RANK_BLOCK, params.degree)
+        if r == 1:
+            # one block, the source's own steps, reaches a neighbour
+            assert sizes == [params.degree]
+        if r == n:
+            assert len(sizes) > 1
