@@ -54,7 +54,6 @@ from .linalg import (
     add_digits,
     check_budget,
     from_digits_array,
-    matrix_rank_over,
     matrix_to_vector,
     null_space,
     ranks,
@@ -217,8 +216,12 @@ def search_forbidden_H(
     Columns are drawn uniformly at random; a candidate lying in the span of
     d - 1 already-chosen columns is redrawn (up to ``COLUMN_TRIES`` times,
     after which the last draw is kept, since the greedy rule is only a
-    heuristic).  Each completed matrix is verified by enumerating the kernel
-    code and checking its rank spectrum; the first verified matrix wins.
+    heuristic).  Before the draws for a column, each such subset S gets its
+    check set, a basis of the vectors orthogonal to S; a draw lies in span S
+    iff its syndrome against that check set is zero.  A subset spanning all
+    of F_{q^N}^m has an empty check set and rejects every draw.  Each
+    completed matrix is verified by enumerating the kernel code and
+    checking its rank spectrum; the first verified matrix wins.
     Deterministic for a fixed seed: restart r uses the derived seed
     (seed << 32) + r, so results do not depend on scheduling.
     """
@@ -234,22 +237,14 @@ def search_forbidden_H(
         rng = random.Random((seed << 32) + r)
         cols: list[tuple[int, ...]] = []
         for _ in range(n):
-            take = min(d - 1, len(cols))
-            bases = []
-            for S in itertools.combinations(cols, take):
-                rows = [list(c) for c in S]
-                bases.append((rows, matrix_rank_over(rows, ext)))
-            cand = None
+            checks = [
+                null_space([list(c) for c in S], m, ext)
+                for S in itertools.combinations(cols, min(d - 1, len(cols)))
+            ]
             for _ in range(COLUMN_TRIES):
                 cand = tuple(rng.randrange(order) for _ in range(m))
-                ok = True
-                for rows, base_rank in bases:
-                    if matrix_rank_over(rows + [list(cand)], ext) == base_rank:
-                        ok = False
-                        break
-                if ok:
+                if all(any(parity_syndrome(tower, Y, cand)) for Y in checks):
                     break
-            assert cand is not None
             cols.append(cand)
         h_rows = tuple(tuple(cols[j][i] for j in range(n)) for i in range(m))
         spectrum = kernel_rank_spectrum(tower, h_rows, n, budget=budget)

@@ -78,6 +78,8 @@ def test_d_coloring_examples_all_proper():
 def test_d_coloring_rejects_nonpositive_d():
     with pytest.raises(ValueError):
         d_distance_coloring(P222, 0)
+    with pytest.raises(ValueError, match="d must be positive"):
+        exact_d_coloring(P222, 0)
 
 
 def test_improper_syndrome_coloring_detected():
@@ -228,14 +230,27 @@ def test_search_forbidden_h_deterministic():
         ((2, 1, 4), 3, 2, 2, 3, ((15, 13, 5), (13, 5, 13)), 2),
         ((3, 1, 3), 3, 3, 1, 1, ((26, 13, 13),), 16),
         ((3, 1, 3), 3, 3, 1, 7, ((1, 0, 0),), 10),
+        ((2, 2, 2), 2, 2, 1, 0, ((12, 12),), 1),
+        ((2, 2, 3), 3, 2, 2, 1, ((14, 53, 2), (44, 2, 42)), 1),
+        ((5, 1, 2), 2, 2, 1, 3, ((16, 14),), 3),
+        ((3, 2, 2), 2, 2, 1, 4, ((39, 22),), 4),
     ],
 )
 def test_search_forbidden_h_pinned_results(pmN, n, d, m, seed, h_rows, restarts_used):
-    # Each column subset is ranked once per column, not once per draw; the
-    # random draws, and so these results, must stay as pinned.
+    # A draw is tested against one check set per column subset, built once
+    # per column; the random draws, and so these results, must stay as pinned.
     found = search_forbidden_H(build_tower(*pmN), n, d, m, seed=seed)
     assert found.h_rows == h_rows
     assert found.restarts_used == restarts_used
+
+
+@pytest.mark.parametrize(
+    "n, d, m, match",
+    [(2, 2, 0, "m >= 1"), (2, 0, 1, "d >= 1"), (0, 1, 1, "1 <= n"), (3, 1, 1, "1 <= n")],
+)
+def test_search_rejects_bad_arguments(n, d, m, match):
+    with pytest.raises(ValueError, match=match):
+        search_forbidden_H(P222.tower, n, d, m)
 
 
 def test_search_d_above_n_trivially_verified():
@@ -267,6 +282,7 @@ def test_search_exhausted_reports_best():
         ((3, 1, 3), 3, 3, 1, 1, 5, {0: 1, 2: 338, 3: 390}),
         ((2, 2, 3), 3, 2, 1, 0, 3, {0: 1, 1: 63, 2: 1008, 3: 3024}),
         ((2, 1, 4), 3, 2, 2, 1, 2, {0: 1, 2: 15}),
+        ((2, 1, 4), 4, 3, 2, 2, 3, {0: 1, 2: 30, 3: 135, 4: 90}),
     ],
 )
 def test_search_exhausted_best_spectrum_pinned(pmN, n, d, m, seed, restarts, best_spectrum):
@@ -386,6 +402,16 @@ def test_coloring_json_roundtrip():
 def test_coloring_rejects_bad_mode():
     with pytest.raises(ValueError):
         Coloring(P222, "sometimes-d", 1, (), 1, tag="x")
+
+
+def test_coloring_rejects_parity_rows_of_wrong_length():
+    with pytest.raises(ValueError, match="length n"):
+        Coloring(P222, "at-most-d", 1, ((1, 1, 1),), 4, tag="x")
+
+
+def test_find_violation_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="kind"):
+        find_violation(d_distance_coloring(P222, 1), kind="lt")
 
 
 def test_coloring_rejects_num_colors_not_matching_rows():

@@ -127,6 +127,10 @@ def test_bfs_rejects_matrices_that_are_not_vertices():
     small = zero_matrix(P322.tower, 2, 2)  # the tower has N = 3
     with pytest.raises(ValueError, match="rows"):
         graph_distance_bfs(small, small)
+    z2 = zero_matrix(P222.tower, 2, 2)
+    for other in (small, zero_matrix(P222.tower, 2, 1)):
+        with pytest.raises(ValueError, match="different graphs"):
+            graph_distance_bfs(z2, other)
 
 
 def test_dense_all_pairs_check():

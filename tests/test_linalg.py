@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from matgraph.codes import parity_syndrome
 from matgraph.gftower import build_tower, from_digits, to_digits
 from matgraph.linalg import (
     BudgetExceededError,
@@ -300,6 +301,33 @@ def test_row_reduce_and_null_space():
             assert acc == 0
     # no constraints: the whole space
     assert len(null_space([], 3, f)) == 3
+
+
+def _in_span_cases(tower, length, samples):
+    vectors = list(itertools.product(range(tower.order), repeat=length))
+    if samples is None:
+        subsets = [S for k in range(3) for S in itertools.combinations(vectors, k)]
+        return [(S, x) for S in subsets for x in vectors]
+    rng = random.Random(0)
+    return [
+        (tuple(rng.sample(vectors, rng.randrange(3))), rng.choice(vectors)) for _ in range(samples)
+    ]
+
+
+@pytest.mark.parametrize(
+    "pmN, length, samples",
+    [((2, 1, 2), 2, None), ((3, 1, 1), 3, None), ((2, 2, 1), 2, None), ((3, 2, 1), 2, 400)],
+)
+def test_span_membership_is_a_zero_syndrome_against_the_null_space(pmN, length, samples):
+    # x lies in the row space of S iff it is orthogonal to every vector that
+    # is orthogonal to S, which is what the forbidden-distance search tests.
+    tower = build_tower(*pmN)
+    ext = tower.ext
+    for S, x in _in_span_cases(tower, length, samples):
+        rows = [list(v) for v in S]
+        in_span = matrix_rank_over(rows + [list(x)], ext) == matrix_rank_over(rows, ext)
+        checks = null_space(rows, length, ext)
+        assert in_span == (not any(parity_syndrome(tower, checks, x))), (S, x)
 
 
 @pytest.mark.parametrize(

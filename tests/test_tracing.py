@@ -4,6 +4,10 @@ every attribute it names must exist and be restored after uninstall."""
 import importlib.util
 from pathlib import Path
 
+from matgraph.coloring import exact_d_coloring
+from matgraph.gftower import build_tower
+from matgraph.graph import GraphParams
+
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
 
@@ -30,3 +34,16 @@ def test_tracer_install_and_uninstall_restore_every_attribute():
         tracer.uninstall()
     for owner, attr, original in patches:
         assert _current(owner, attr) is original, (owner, attr)
+
+
+def test_traced_exact_search_reports_restarts_and_eliminations():
+    tracer = _load_tracing().Tracer()
+    try:
+        tracer.install()
+        exact_d_coloring(GraphParams(build_tower(2, 1, 2), 2), 2, seed=0, m=1)
+        metrics = tracer.layer_metrics()
+    finally:
+        tracer.uninstall()
+    assert metrics["coloring.restarts"] >= 1
+    assert metrics["linalg.row_reduce_calls"] >= 1
+    assert metrics["coloring.search_s"] > 0
