@@ -54,10 +54,10 @@ from .linalg import (
     add_digits,
     check_budget,
     from_digits_array,
+    index_ranks,
     matrix_to_vector,
     null_space,
     ranks,
-    to_digits_array,
     vector_to_matrix,
 )
 # Not called here; kept bound because benchmarks/tracing.py wraps them by name.
@@ -331,17 +331,6 @@ def _kernel_violation(
     return None
 
 
-def _vector_rank_table(params: GraphParams) -> np.ndarray:
-    """Column rank of every vector, indexed by vector index."""
-    tower, V = params.tower, params.order
-    out = np.empty(V, dtype=np.uint8)
-    for lo in range(0, V, RANK_BLOCK):
-        idx = np.arange(lo, min(lo + RANK_BLOCK, V))
-        words = to_digits_array(idx, tower.order, params.n)[:, ::-1]
-        out[lo : lo + len(idx)] = ranks(tower, words)
-    return out
-
-
 def color_table(coloring: Coloring, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Color index of every vertex, indexed by vector index.
 
@@ -374,7 +363,7 @@ def _pairwise_violation(
     V = params.order
     check_budget(V, budget)
     colors = color_table(coloring, budget=budget)
-    rank_of = _vector_rank_table(params)
+    rank_of = index_ranks(params.tower, params.tower.order, params.n)
     members = np.argsort(colors, kind="stable")
     _, cls, sizes = np.unique(colors, return_inverse=True, return_counts=True)
     starts = np.cumsum(sizes) - sizes

@@ -4,15 +4,15 @@ Vertices are all q^(Nn) matrices; two are adjacent when their difference has
 rank 1, so the graph is the Cayley graph of (F_q^(N x n), +) with the
 rank-one matrices as generators.  ``neighbors`` adds each rank-one matrix
 to a ``MatFq``.  Everything else walks the graph on vertex indices, and
-translates an index by a rank-one step with ``linalg.add_digits``.  Pair
-queries (``graph_distance_bfs``) walk the steps from the source, level by
-level, and stop at the target; they build no table.  The neighbor index
-table translates every index by each step, and two BFS bodies walk it: a
-level BFS from one source (``bfs_distances``) for the eccentricity and
-bipartiteness checks, and a bit-parallel BFS carrying 64 sources per
-machine word (``all_sources_distances``), the oracle for the claim that
-graph distance equals rank distance on every pair.  The DOT and CSV
-exports name each vertex by ``linalg.mat_label``.
+translates an index by every rank-one step in one place, the neighbor
+rows that ``_StepRows`` computes on demand with ``linalg.add_digits``.
+One level BFS (``bfs_distances``) walks either those rows or the neighbor
+index table that stores them: pair queries (``graph_distance_bfs``, which
+stop at the target) and the eccentricity build no table, while the
+bipartiteness check reads every stored edge.  A bit-parallel BFS carrying
+64 sources per machine word (``all_sources_distances``) walks the stored
+table too: the oracle for the claim that graph distance equals rank
+distance on every pair.  The exports name each vertex by ``linalg.mat_label``.
 
 ``GraphParams``, ``degree`` and ``neighbors`` need no numpy; the index
 tables, the BFS bodies and the exports import it on first use, through
@@ -36,9 +36,8 @@ from .linalg import (
     count_rank_k,
     entries_label,
     enumerate_rank_one,
-    from_digits_array,
+    index_ranks,
     mat_index,
-    ranks,
     to_digits_array,
 )
 # Not called here; kept bound because benchmarks/tracing.py wraps it by name.
@@ -97,39 +96,32 @@ def _rank_one_indices(params: GraphParams) -> tuple[int, ...]:
     return tuple(mat_index(R) for R in enumerate_rank_one(params.tower, params.N, params.n))
 
 
-def graph_distance_bfs(M1: MatFq, M2: MatFq, budget: int = DEFAULT_BUDGET) -> int:
-    """Shortest-path length between M1 and M2 by breadth-first search.
+class _StepRows:
+    """Neighbor rows computed on demand: ``rows[v]`` adds every rank-one
+    step to each vertex of the array v.  The budget counts the order x
+    degree table entries, stored or not, so jobs fit the same budgets."""
 
-    A level BFS from M1 that needs no neighbor index table: each level adds
-    every rank-one step to its frontier only, in blocks of about RANK_BLOCK
-    entries as ``neighbor_index_table`` builds its rows, and the walk stops
-    at the first level that reaches M2.  The budget still counts the
-    order x degree entries of that table: a query far enough away touches
-    them all, so the same queries fit the same budgets.
-    """
+    def __init__(self, params: GraphParams, budget: int) -> None:
+        check_budget(params.order * params.degree, budget)
+        self.shape = (params.order, params.degree)
+        self._steps = np.array(_rank_one_indices(params), dtype=np.int64)
+        self._p, self._width = params.tower.p, params.width
+
+    def __getitem__(self, vertices: np.ndarray) -> np.ndarray:
+        return add_digits(vertices[:, None], self._steps, self._p, self._width)
+
+
+def graph_distance_bfs(M1: MatFq, M2: MatFq, budget: int = DEFAULT_BUDGET) -> int:
+    """Shortest-path length between M1 and M2: ``bfs_distances`` from M1
+    over computed rows, stopped at M2.  It builds no neighbor index table,
+    but a query far enough away touches every entry the budget counts."""
     if (M1.rows, M1.cols) != (M2.rows, M2.cols) or M1.tower != M2.tower:
         raise ValueError("vertices belong to different graphs")
     if M1.rows != M1.tower.N:
         raise ValueError(f"vertices must have N = {M1.tower.N} rows, have {M1.rows}")
-    params = GraphParams(M1.tower, M1.cols)
-    check_budget(params.order * params.degree, budget)
-    steps = np.array(_rank_one_indices(params), dtype=np.int64)
-    rows = max(1, RANK_BLOCK // params.degree)
-    p, width = params.tower.p, params.width
-    source, target = mat_index(M1), mat_index(M2)
-    dist = np.full(params.order, -1, dtype=np.int16)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
-    while dist[target] < 0 and frontier.size:
-        level += 1
-        for lo in range(0, frontier.size, rows):
-            cand = add_digits(frontier[lo : lo + rows, None], steps, p, width).ravel()
-            dist[cand[dist[cand] < 0]] = level
-            if dist[target] >= 0:
-                break
-        frontier = np.flatnonzero(dist == level)
-    return int(dist[target])
+    rows = _StepRows(GraphParams(M1.tower, M1.cols), budget)
+    target = mat_index(M2)
+    return int(bfs_distances(rows, mat_index(M1), target)[target])
 
 
 # ---------------------------------------------------------------------------
@@ -140,30 +132,36 @@ def neighbor_index_table(params: GraphParams, budget: int = DEFAULT_BUDGET) -> n
     """(order, degree) array: row v lists the vertex indices adjacent to v,
     column j being v plus rank-one step j.
 
-    Built in blocks of about RANK_BLOCK entries, each one broadcast
-    ``add_digits`` of a run of vertices and all the steps."""
-    check_budget(params.order * params.degree, budget)
-    steps = np.array(_rank_one_indices(params), dtype=np.int64)
-    table = np.empty((params.order, params.degree), dtype=np.int32)
-    rows = max(1, RANK_BLOCK // params.degree)
-    for lo in range(0, params.order, rows):
-        vertices = np.arange(lo, min(lo + rows, params.order), dtype=np.int64)
-        table[lo : lo + rows] = add_digits(vertices[:, None], steps, params.tower.p, params.width)
+    Filled from ``_StepRows`` in blocks of about RANK_BLOCK entries."""
+    rows = _StepRows(params, budget)
+    table = np.empty(rows.shape, dtype=np.int32)
+    block = max(1, RANK_BLOCK // params.degree)
+    for lo in range(0, params.order, block):
+        table[lo : lo + block] = rows[np.arange(lo, min(lo + block, params.order))]
     return table
 
 
-def bfs_distances(nbr: np.ndarray, source: int) -> np.ndarray:
-    """Distance from ``source`` to every vertex, by level BFS; -1 if unreached."""
-    V = nbr.shape[0]
+def bfs_distances(nbr, source: int, target: int | None = None) -> np.ndarray:
+    """Distance from ``source`` to every vertex, by level BFS; -1 if unreached.
+
+    ``nbr`` maps an array of vertices to their neighbor rows: the stored
+    ``neighbor_index_table`` or ``_StepRows``.  Frontiers expand in blocks
+    of about RANK_BLOCK entries; with a ``target`` the walk stops at the
+    first block that reaches it, leaving farther vertices at -1.
+    """
+    V, degree = nbr.shape
+    block = max(1, RANK_BLOCK // degree)
     dist = np.full(V, -1, dtype=np.int16)
     dist[source] = 0
     frontier = np.array([source], dtype=np.int64)
     level = 0
-    while frontier.size:
+    while frontier.size and (target is None or dist[target] < 0):
         level += 1
-        cand = nbr[frontier].ravel()
-        cand = cand[dist[cand] < 0]
-        dist[cand] = level
+        for lo in range(0, frontier.size, block):
+            cand = nbr[frontier[lo : lo + block]].ravel()
+            dist[cand[dist[cand] < 0]] = level
+            if target is not None and dist[target] >= 0:
+                break
         frontier = np.flatnonzero(dist == level)
     return dist
 
@@ -171,15 +169,7 @@ def bfs_distances(nbr: np.ndarray, source: int) -> np.ndarray:
 def rank_table(params: GraphParams, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Rank of every vertex matrix, indexed by vertex index."""
     check_budget(params.order, budget)
-    N, n, q = params.N, params.n, params.q
-    out = np.empty(params.order, dtype=np.uint8)
-    for lo in range(0, params.order, RANK_BLOCK):
-        idx = np.arange(lo, min(lo + RANK_BLOCK, params.order))
-        # Entries in row-major order, (0, 0) first; column j read with row 0
-        # least significant is the F_{q^N} encoding of word entry j.
-        entries = to_digits_array(idx, q, N * n)[:, ::-1].reshape(-1, N, n)
-        out[lo : lo + len(idx)] = ranks(params.tower, from_digits_array(entries.swapaxes(1, 2), q))
-    return out
+    return index_ranks(params.tower, params.q ** params.n, params.N)
 
 
 def _in_neighbor_or(nbr: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -286,9 +276,9 @@ def verify_distance_equals_rank(
 
 
 def eccentricity_of_zero(params: GraphParams, budget: int = DEFAULT_BUDGET) -> int:
-    """Largest BFS distance from the zero matrix; equals the diameter."""
-    nbr = neighbor_index_table(params, budget=budget)
-    dist = bfs_distances(nbr, 0)
+    """Largest BFS distance from the zero matrix, over computed rows; equals
+    the diameter."""
+    dist = bfs_distances(_StepRows(params, budget), 0)
     if (dist < 0).any():
         raise AssertionError("graph is disconnected")
     return int(dist.max())

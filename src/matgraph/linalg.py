@@ -386,6 +386,22 @@ def ranks(tower: FieldTower, words: np.ndarray) -> np.ndarray:
     return out
 
 
+def index_ranks(tower: FieldTower, radix: int, width: int) -> np.ndarray:
+    """``ranks`` of the word of ``width`` base-``radix`` digits of every
+    index below radix**width, as uint8, in blocks of RANK_BLOCK indices.
+
+    With (q^N, n) the indices are vector indices, and with (q^n, N) vertex
+    indices: the N base-q^n digits of one are the rows of its matrix M,
+    whose word has rank(M^T) = rank(M).  Digit order only permutes a
+    word's entries, so it does not change the rank."""
+    order = radix ** width
+    out = np.empty(order, dtype=np.uint8)
+    for lo in range(0, order, RANK_BLOCK):
+        idx = np.arange(lo, min(lo + RANK_BLOCK, order))
+        out[lo : lo + len(idx)] = ranks(tower, to_digits_array(idx, radix, width))
+    return out
+
+
 def column_rank(v: VecExt) -> int:
     """Number of entries of v linearly independent over F_q."""
     return word_rank(v.tower, v.entries)

@@ -26,12 +26,15 @@ from matgraph.graph import (
 from matgraph.linalg import (
     RANK_BLOCK,
     BudgetExceededError,
+    column_rank,
     enumerate_matrices,
     enumerate_rank_one,
+    index_ranks,
     mat_from_index,
     mat_index,
     rank,
     rank_distance,
+    vec_from_index,
     zero_matrix,
 )
 
@@ -113,6 +116,8 @@ def test_neighbor_index_table_matches_matrix_sums(pmNn):
 def test_neighbor_table_budget_counts_entries():
     # P222: 16 vertices of degree 9, so the table has 144 entries
     assert neighbor_index_table(P222, budget=144).shape == (16, 9)
+    assert eccentricity_of_zero(P222, budget=144) == 2
+    assert not is_bipartite(P222, budget=144)
     z = zero_matrix(P222.tower, 2, 2)
     for budget in (16, 143):
         with pytest.raises(BudgetExceededError):
@@ -121,6 +126,10 @@ def test_neighbor_table_budget_counts_entries():
             verify_distance_equals_rank(P222, budget=budget)
         with pytest.raises(BudgetExceededError):
             graph_distance_bfs(z, z, budget=budget)
+        with pytest.raises(BudgetExceededError):
+            eccentricity_of_zero(P222, budget=budget)
+        with pytest.raises(BudgetExceededError):
+            is_bipartite(P222, budget=budget)
 
 
 def test_bfs_rejects_matrices_that_are_not_vertices():
@@ -149,6 +158,28 @@ def test_eccentricity_is_n():
     assert eccentricity_of_zero(P222) == 2
     assert eccentricity_of_zero(P322) == 2
     assert eccentricity_of_zero(GraphParams(build_tower(2, 1, 3), 3)) == 3
+
+
+def test_eccentricity_builds_no_table(monkeypatch):
+    monkeypatch.setattr(graph_module, "neighbor_index_table", _no_table)
+    assert eccentricity_of_zero(P223) == 2
+    assert eccentricity_of_zero(GraphParams(build_tower(2, 1, 3), 3)) == 3
+
+
+@pytest.mark.parametrize("pmNn", [(2, 1, 3, 2), (3, 1, 2, 2), (2, 2, 2, 2), (3, 2, 2, 1)])
+def test_bfs_over_computed_rows_matches_stored_table(pmNn):
+    p, m, N, n = pmNn
+    params = GraphParams(build_tower(p, m, N), n)
+    rows = graph_module._StepRows(params, budget=params.order * params.degree)
+    assert np.array_equal(_stacked_bfs(rows), _stacked_bfs(neighbor_index_table(params)))
+
+
+def test_bfs_stops_at_its_target():
+    nbr = neighbor_index_table(P322)
+    target = int(nbr[0, 0])
+    dist = bfs_distances(nbr, 0, target)
+    assert dist[target] == 1
+    assert (dist[rank_table(P322) >= 2] == -1).all()
 
 
 def test_not_bipartite():
@@ -263,13 +294,17 @@ def test_export_dot_shape():
     assert dot.rstrip().endswith("}")
 
 
-@pytest.mark.parametrize("Nnq", [(3, 2, 2), (2, 2, 3), (2, 2, 4)])
+@pytest.mark.parametrize("Nnq", [(3, 2, 2), (2, 2, 3), (2, 2, 4), (3, 2, 3), (2, 2, 9)])
 def test_rank_table_matches_per_matrix_rank(Nnq):
     N, n, q = Nnq
-    p, m = {2: (2, 1), 3: (3, 1), 4: (2, 2)}[q]
-    params = GraphParams(build_tower(p, m, N), n)
-    expected = [rank(mat_from_index(params.tower, N, n, v)) for v in range(params.order)]
+    p, m = {2: (2, 1), 3: (3, 1), 4: (2, 2), 9: (3, 2)}[q]
+    tower = build_tower(p, m, N)
+    params = GraphParams(tower, n)
+    expected = [rank(mat_from_index(tower, N, n, v)) for v in range(params.order)]
     assert rank_table(params).tolist() == expected
+    # the same helper on vector indices: n base-q^N digits
+    expected = [column_rank(vec_from_index(tower, n, v)) for v in range(params.order)]
+    assert index_ranks(tower, q**N, n).tolist() == expected
 
 
 # Output of export_dot and export_edgelist_csv, recorded before both read
@@ -341,7 +376,6 @@ def test_pair_walk_builds_no_table(monkeypatch, pmNn):
     params = GraphParams(build_tower(p, m, N), n)
     pairs = list(_pairs_of_each_rank(params, per_rank=4, seed=sum(pmNn)))
     monkeypatch.setattr(graph_module, "neighbor_index_table", _no_table)
-    monkeypatch.setattr(graph_module, "bfs_distances", _no_table)
     for M1, M2, r in pairs:
         assert graph_distance_bfs(M1, M2) == rank_distance(M1, M2) == r
 
