@@ -367,7 +367,7 @@ def _pairs_of_each_rank(params, per_rank, seed):
 
 
 def _no_table(*args, **kwargs):
-    raise AssertionError("a pair query built or walked a neighbor table")
+    raise AssertionError("built a neighbor index table")
 
 
 @pytest.mark.parametrize("pmNn", PAIR_WALK_PARAMS)
