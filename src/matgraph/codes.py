@@ -182,15 +182,21 @@ def gabidulin(
 # codeword enumeration and the rank spectrum
 # ---------------------------------------------------------------------------
 
-def _multiples(tower: FieldTower, row: Sequence[int]) -> np.ndarray:
+def _row_multiples(tower: FieldTower, rows: Rows) -> list[np.ndarray]:
+    """The ``_multiples`` table of each row, all from one digit table of
+    the scalars."""
+    coeffs = to_digits_array(np.arange(tower.order), tower.p, tower.m * tower.N)
+    return [_multiples(tower, row, coeffs) for row in rows]
+
+
+def _multiples(tower: FieldTower, row: Sequence[int], coeffs: np.ndarray) -> np.ndarray:
     """(q^N, len(row)) table of c * row for every c in F_{q^N}, c in encoding
-    order.  The base-p digits c_t of c are its coordinates over the F_p-basis
-    elements e_t encoded as p^t, so by F_p-linearity c * x is the digit-wise
-    sum of c_t (e_t x) mod p: only the N*m products e_t x per entry are
-    field products."""
+    order; ``coeffs`` holds the base-p digits of those c.  The digits c_t of
+    c are its coordinates over the F_p-basis elements e_t encoded as p^t, so
+    by F_p-linearity c * x is the digit-wise sum of c_t (e_t x) mod p: only
+    the N*m products e_t x per entry are field products."""
     p, width = tower.p, tower.m * tower.N
     products = [[tower.ext.mul(p**t, x) for x in row] for t in range(width)]
-    coeffs = to_digits_array(np.arange(tower.order), p, width)
     sums = np.tensordot(coeffs, to_digits_array(products, p, width), axes=1)
     return from_digits_array(sums % p, p)
 
@@ -207,7 +213,7 @@ def span_blocks(
     """
     check_budget(tower.order ** len(rows), budget)
     require_int64(tower)
-    yield from _span_of_multiples(tower, [_multiples(tower, row) for row in rows], n)
+    yield from _span_of_multiples(tower, _row_multiples(tower, rows), n)
 
 
 def line_blocks(
@@ -221,16 +227,17 @@ def line_blocks(
     those members: for i = k-1 down to 0, rows[i] plus the span of
     rows[i+1:].  That is (Q^k - 1)/(Q - 1) words for Q = q^N, none for
     k = 0.  Since rank(c x) = rank(x) for c != 0, these words carry a
-    span's rank spectrum and its first word of any given rank.
+    span's rank spectrum and its first word of any given rank.  rows[0]
+    only ever leads, so only rows[1:] get a table of multiples.
     """
     order, k = tower.order, len(rows)
     check_budget((order**k - 1) // (order - 1), budget)
     require_int64(tower)
     p, width = tower.p, tower.m * tower.N
-    scaled = [_multiples(tower, row) for row in rows]
+    scaled = _row_multiples(tower, rows[1:])
     for i in reversed(range(k)):
         lead = np.asarray(rows[i], dtype=np.int64)
-        for block in _span_of_multiples(tower, scaled[i + 1 :], n):
+        for block in _span_of_multiples(tower, scaled[i:], n):
             yield add_digits(block, lead, p, width)
 
 

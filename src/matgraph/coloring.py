@@ -355,30 +355,47 @@ def realized_colors(coloring: Coloring, budget: int = DEFAULT_BUDGET) -> int:
 def _pairwise_violation(
     coloring: Coloring, d: int, kind: str, budget: int
 ) -> tuple[int, int] | None:
-    """Pairwise mode of ``find_violation``.  A stable argsort by color lists
-    each class in index order; blocks of vertices u meet their whole class,
-    padded to the largest one, through one ``add_digits``.  u meets itself
-    too, but a zero difference has rank 0 and never breaks the rule."""
+    """Pairwise mode of ``find_violation``.  Blocks of vertices u meet, through
+    one ``add_digits``, whichever partner set is smaller for the call:
+
+    * u's whole color class, padded to the largest one; a stable argsort by
+      color lists each class in index order, and a partner breaks the rule
+      if its difference from u has a rank that does.  u meets itself too,
+      but a zero difference has rank 0 and never breaks the rule.
+    * u plus every difference whose rank breaks the rule; such a partner
+      breaks it if it has u's color.
+
+    Either way the first block with a violation gives the smallest u, and
+    its smallest partner v."""
     params = coloring.params
-    V = params.order
+    V, p, width = params.order, params.tower.p, params.width
     check_budget(V, budget)
     colors = color_table(coloring, budget=budget)
-    rank_of = index_ranks(params.tower, params.tower.order, params.n)
-    members = np.argsort(colors, kind="stable")
+    rule = _rank_in_violation(kind, index_ranks(params.tower, params.tower.order, params.n), d)
+    steps = np.flatnonzero(rule)
+    if not steps.size:
+        return None
     _, cls, sizes = np.unique(colors, return_inverse=True, return_counts=True)
-    starts = np.cumsum(sizes) - sizes
-    slots = np.arange(sizes.max())
-    step = max(1, RANK_BLOCK // slots.size)
-    for lo in range(0, V, step):
-        u = np.arange(lo, min(lo + step, V))
-        c = cls[u]
-        real = slots < sizes[c][:, None]
-        v = members[np.where(real, starts[c][:, None] + slots, 0)]
-        diff = add_digits(v, u[:, None], params.tower.p, params.width, sign=-1)
-        bad = real & _rank_in_violation(kind, rank_of[diff], d)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            return (int(u[i]), int(v[i, j]))
+    by_class = sizes.max() <= steps.size
+    if by_class:
+        members = np.argsort(colors, kind="stable")
+        starts = np.cumsum(sizes) - sizes
+        slots = np.arange(sizes.max())
+    block = max(1, RANK_BLOCK // min(sizes.max(), steps.size))
+    for lo in range(0, V, block):
+        u = np.arange(lo, min(lo + block, V))
+        if by_class:
+            c = cls[u]
+            real = slots < sizes[c][:, None]
+            v = members[np.where(real, starts[c][:, None] + slots, 0)]
+            bad = real & rule[add_digits(v, u[:, None], p, width, sign=-1)]
+        else:
+            v = add_digits(u[:, None], steps, p, width)
+            bad = colors[v] == colors[u][:, None]
+        hit = np.flatnonzero(bad.any(axis=1))
+        if hit.size:
+            i = hit[0]
+            return (int(u[i]), int(v[i, bad[i]].min()))
     return None
 
 

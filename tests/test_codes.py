@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from matgraph import codes as codes_mod
 from matgraph.gftower import build_tower
 from matgraph.codes import (
     LinearRankCode,
@@ -221,6 +222,27 @@ def test_line_blocks_are_the_smallest_member_of_each_line(pmN, n, k):
     assert all(b.dtype == np.int64 and 1 <= len(b) <= RANK_BLOCK for b in blocks)
     assert [tuple(w) for b in blocks for w in b.tolist()] == expected
     assert len(expected) == (tower.order**k - 1) // (tower.order - 1)
+
+
+@pytest.mark.parametrize(
+    "pmN, n", [((2, 1, 4), 3), ((3, 1, 2), 2), ((2, 2, 2), 2)], ids=["q2", "p3", "m2"]
+)
+def test_line_blocks_tabulate_all_rows_but_the_first(monkeypatch, pmN, n):
+    # rows[0] only ever leads a line, so k rows need k - 1 tables of
+    # multiples; the words are still the smallest member of each line.
+    tower = build_tower(*pmN)
+    rng = random.Random(repr(pmN))
+    calls = []
+    multiples = codes_mod._multiples
+    monkeypatch.setattr(codes_mod, "_multiples", lambda *args: calls.append(1) or multiples(*args))
+    for k in (1, 2, 3):
+        rows = tuple(tuple(rng.randrange(tower.order) for _ in range(n)) for _ in range(k))
+        scalars = itertools.product(range(tower.order), repeat=k)
+        span = [tuple(w) for b in span_blocks(tower, rows, n) for w in b.tolist()]
+        expected = [word for c, word in zip(scalars, span) if any(c) and next(x for x in c if x) == 1]
+        calls.clear()
+        assert [tuple(w) for b in line_blocks(tower, rows, n) for w in b.tolist()] == expected
+        assert len(calls) == k - 1
 
 
 def _full_scan_spectrum(tower, rows, n):

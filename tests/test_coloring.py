@@ -1,5 +1,7 @@
 """Syndrome colorings: construction, verification modes, the greedy search."""
 
+import collections
+import functools
 import json
 import random
 
@@ -100,16 +102,25 @@ def test_kernel_and_pairwise_agree_on_violations():
     assert (find_violation(bad) is None) == (find_violation(bad, pairwise=True) is None)
 
 
+@functools.lru_cache(maxsize=None)
+def _rank_distances(params):
+    """Rank distance of every vertex pair, vertex pair by vertex pair."""
+    vecs = [vec_from_index(params.tower, params.n, v) for v in range(params.order)]
+    return [[vec_rank_distance(a, b) for b in vecs] for a in vecs]
+
+
+def _breaks_rule(w, d, kind):
+    return (w <= d) if kind == "le" else (w == d)
+
+
 def _first_violation_reference(params, colors, d, kind):
     """The lexicographically first (u, v), u != v, of equal colors whose
     rank distance breaks the rule, vertex pair by vertex pair."""
-    vecs = [vec_from_index(params.tower, params.n, v) for v in range(len(colors))]
-    for u, a in enumerate(vecs):
-        for v, b in enumerate(vecs):
-            if v != u and colors[u] == colors[v]:
-                w = vec_rank_distance(a, b)
-                if (w <= d) if kind == "le" else (w == d):
-                    return (u, v)
+    dist = _rank_distances(params)
+    for u in range(len(colors)):
+        for v in range(len(colors)):
+            if v != u and colors[u] == colors[v] and _breaks_rule(dist[u][v], d, kind):
+                return (u, v)
     return None
 
 
@@ -134,6 +145,38 @@ def test_pairwise_returns_first_violating_pair(col, kind):
     expected = _first_violation_reference(params, colors, col.d, kind)
     assert find_violation(col, kind=kind, pairwise=True) == expected
     assert (find_violation(col, kind=kind) is None) == (expected is None)
+
+
+@pytest.mark.parametrize(
+    "params", [P222, P322, P223, P2222], ids=["q2-N2", "q2-N3", "q3-N2", "m2-N2"]
+)
+def test_pairwise_matches_the_reference_on_random_rows(params):
+    # The check walks, per call, the smaller of two partner sets: the
+    # largest color class or the differences whose rank breaks the rule.
+    # Rowless colorings (one class of all V vertices) make the second one
+    # smaller, d = n MRD colorings (one-vertex classes) the first.
+    tower, n = params.tower, params.n
+    order = tower.order
+    rng = random.Random(f"{order} {n}")
+    cols = [Coloring(params, "exactly-d", 1, (), 1, tag="x"), d_distance_coloring(params, n)]
+    for _ in range(6):
+        rows = rng.randrange(n + 1)
+        h_rows = tuple(tuple(rng.randrange(order) for _ in range(n)) for _ in range(rows))
+        cols.append(Coloring(params, "exactly-d", 1, h_rows, order**rows, tag="random"))
+    smaller, improper = set(), 0
+    for col in cols:
+        colors = [col.color_index(vec_from_index(tower, n, v)) for v in range(params.order)]
+        largest_class = max(collections.Counter(colors).values())
+        for d in range(1, n + 2):
+            for kind in ("le", "eq"):
+                rule_steps = sum(_breaks_rule(w, d, kind) for w in _rank_distances(params)[0][1:])
+                if largest_class != rule_steps:
+                    smaller.add("class" if largest_class < rule_steps else "rule")
+                expected = _first_violation_reference(params, colors, d, kind)
+                assert find_violation(col, d, kind, pairwise=True) == expected, (col.h_rows, d, kind)
+                improper += expected is not None
+    assert smaller == {"class", "rule"}
+    assert improper >= 10
 
 
 def _kernel_violation_full_scan(col, d, kind):
@@ -184,6 +227,27 @@ def test_pairwise_allows_color_classes_of_unequal_size(monkeypatch, seed):
         assert find_violation(col, kind=kind, pairwise=True) == _first_violation_reference(
             P223, colors, 2, kind
         )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pairwise_finds_late_pairs_in_either_partner_set(monkeypatch, seed):
+    # One class of 45 vertices among the later ones, the rest singletons:
+    # the first violation has u > 0.  45 exceeds the 32 rank-one
+    # differences of F_9^2 and falls short of its 48 rank-two ones, so d = 1
+    # walks the rule differences and d = 2 the color classes.  Digit-wise
+    # addition mod 3 does not keep order (20 + 1 is 18), so the smallest
+    # partner need not come from the smallest difference.
+    rng = random.Random(seed)
+    colors = list(range(81))
+    for v in rng.sample(range(20, 81), 45):
+        colors[v] = 81
+    monkeypatch.setattr(coloring_mod, "color_table", lambda col, budget: np.array(colors))
+    col = Coloring(P223, "exactly-d", 2, (), 1, tag="x")
+    for d in (1, 2):
+        for kind in ("le", "eq"):
+            expected = _first_violation_reference(P223, colors, d, kind)
+            assert expected is not None and expected[0] >= 20
+            assert find_violation(col, d, kind, pairwise=True) == expected
 
 
 def test_at_most_coloring_is_also_exactly_proper():
