@@ -17,8 +17,10 @@ share a color exactly when their difference lies in the kernel code of H.
 
 Verification runs in two modes that must agree: a kernel scan (rank one
 kernel word per F_{q^N}^* line, since scaling keeps the rank) justified
-by linearity, and an assumption-free pairwise scan that compares all
-q^(Nn) vertices with their color classes, grouped by one sort.
+by linearity, and an assumption-free pairwise scan over all q^(Nn)
+vertices.  The scan meets each vertex with whichever partner set is
+smaller: its color class, grouped by one sort, or the vertices at a
+difference whose rank breaks the rule.
 
 Building a coloring and coloring one vertex need no numpy; the searches,
 color tables and both verification modes import it on first use, through
@@ -411,8 +413,9 @@ def find_violation(
 
     Kernel mode (default) scans the kernel code of the syndrome map, which
     by linearity witnesses a violation iff one exists; pairwise mode checks
-    every vertex against its color class directly and returns the smallest
-    (u, v).  ``threads`` is accepted and has no effect.
+    every vertex directly, against its color class or against the vertices
+    at a rule-breaking difference, and returns the smallest (u, v).
+    ``threads`` is accepted and has no effect.
     """
     if d is None:
         d = coloring.d

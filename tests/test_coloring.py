@@ -232,7 +232,7 @@ def test_pairwise_allows_color_classes_of_unequal_size(monkeypatch, seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_pairwise_finds_late_pairs_in_either_partner_set(monkeypatch, seed):
     # One class of 45 vertices among the later ones, the rest singletons:
-    # the first violation has u > 0.  45 exceeds the 32 rank-one
+    # the first violation has u >= 20.  45 exceeds the 32 rank-one
     # differences of F_9^2 and falls short of its 48 rank-two ones, so d = 1
     # walks the rule differences and d = 2 the color classes.  Digit-wise
     # addition mod 3 does not keep order (20 + 1 is 18), so the smallest
