@@ -24,7 +24,7 @@ than silently reproducing them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from math import comb
 
 
@@ -109,12 +109,6 @@ def known_chi_exact(N: int, n: int, q: int, d: int) -> KnownChi | None:
     return None
 
 
-def lower_bounds(N: int, n: int, q: int, d: int) -> list[int]:
-    """Lower bounds on the exactly-d chromatic number: the known value."""
-    known = known_chi_exact(N, n, q, d)
-    return [known.value] if known else []
-
-
 @dataclass(frozen=True)
 class BoundsRow:
     N: int
@@ -125,29 +119,28 @@ class BoundsRow:
     chi_lower_eq1: int
     chi_exact_upper_thm: int  # bound12
     chi_exact_upper_nat: int  # bound8
-    known_exact: KnownChi | None = None
-    lower_bounds: list[int] = field(default_factory=list)
-    note: str = ""
+    known_exact: KnownChi | None
+    lower_bounds: list[int]  # the known value, exact or not
+    note: str
 
 
 def bounds_row(N: int, n: int, q: int, d: int) -> BoundsRow:
     if not 1 <= d <= n <= N:
         raise ValueError("need 1 <= d <= n <= N")
-    notes = []
-    if d == n:
-        notes.append("d = n; the at-most-d count is the full q^(Nd)")
+    at_most_d = chi_prime(N, n, q, d)
+    known = known_chi_exact(N, n, q, d)
     return BoundsRow(
         N=N,
         n=n,
         d=d,
         q=q,
-        chi_prime_exact=chi_prime(N, n, q, d),
+        chi_prime_exact=at_most_d,
         chi_lower_eq1=chi_lower_singleton(N, n, q, d),
         chi_exact_upper_thm=chi_exact_upper(N, n, q, d),
-        chi_exact_upper_nat=chi_prime(N, n, q, d),
-        known_exact=known_chi_exact(N, n, q, d),
-        lower_bounds=lower_bounds(N, n, q, d),
-        note="; ".join(notes),
+        chi_exact_upper_nat=at_most_d,
+        known_exact=known,
+        lower_bounds=[known.value] if known else [],
+        note="d = n; the at-most-d count is the full q^(Nd)" if d == n else "",
     )
 
 

@@ -12,7 +12,10 @@ stop at the target) and the eccentricity build no table, while the
 bipartiteness check reads every stored edge.  A bit-parallel BFS carrying
 64 sources per machine word (``all_sources_distances``) walks the stored
 table too: the oracle for the claim that graph distance equals rank
-distance on every pair.  The exports name each vertex by ``linalg.mat_label``.
+distance on every pair.  Every translation preserves the edges iff every
+row u of the stored table has the multiset of differences w - u of row 0,
+so ``check_vertex_transitivity`` is one pass over the table.  The exports
+name each vertex by ``linalg.mat_label``.
 
 ``GraphParams``, ``degree`` and ``neighbors`` need no numpy; the index
 tables, the BFS bodies and the exports import it on first use, through
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from ._numpy import np
 from .gftower import FieldTower
@@ -291,32 +294,24 @@ def is_bipartite(params: GraphParams, budget: int = DEFAULT_BUDGET) -> bool:
     return not bool((parity[nbr] == parity[:, None]).any())
 
 
-def check_vertex_transitivity(
-    params: GraphParams,
-    sample: Sequence[MatFq] | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> bool:
-    """Verify that translations are adjacency-preserving and act transitively.
+def check_vertex_transitivity(params: GraphParams, budget: int = DEFAULT_BUDGET) -> bool:
+    """Verify that translations are adjacency-preserving; they act
+    transitively by construction.
 
-    For each translation T (all of them when sample is None), checks that the
-    map v -> v + T sends the edge set onto itself, and that translating M1 by
-    M2 - M1 lands on M2.
+    Translation by t maps the edge set onto itself iff the multiset of
+    differences w - u over row u of the neighbor table equals that of row
+    u + t, for every u.  So every translation does iff every row has the
+    difference multiset of row 0: one pass over the table, in blocks of
+    about RANK_BLOCK entries.
     """
     p, width = params.tower.p, params.width
     nbr = neighbor_index_table(params, budget=budget)
-    if sample is None:
-        translations = range(params.order)
-    else:
-        pairs = [(mat_index(M1), mat_index(M2)) for M1, M2 in zip(sample, sample[1:])]
-        translations = [int(add_digits(v2, v1, p, width, sign=-1)) for v1, v2 in pairs]
-        for (v1, v2), t in zip(pairs, translations):
-            if add_digits(v1, t, p, width) != v2:
-                return False
-    vertices = np.arange(params.order, dtype=np.int64)
-    for t in translations:
-        # The edges of u map onto those of image[u], for every u.
-        image = add_digits(vertices, t, p, width)
-        if not np.array_equal(np.sort(image[nbr], axis=1), np.sort(nbr[image], axis=1)):
+    row0 = np.sort(nbr[0])  # vertex 0 is the zero matrix: its differences are its entries
+    block = max(1, RANK_BLOCK // params.degree)
+    for lo in range(0, params.order, block):
+        u = np.arange(lo, min(lo + block, params.order))
+        diffs = add_digits(nbr[u], u[:, None], p, width, sign=-1)
+        if not (np.sort(diffs, axis=1) == row0).all():
             return False
     return True
 

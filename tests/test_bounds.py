@@ -13,7 +13,6 @@ from matgraph.bounds import (
     chi_lower_singleton,
     chi_prime,
     known_chi_exact,
-    lower_bounds,
     table1,
 )
 from matgraph.coloring import d_distance_coloring
@@ -113,9 +112,9 @@ def test_known_chi_exact_equidistant_pairs():
 def test_known_chi_exact_lower_bound_shape():
     known = known_chi_exact(3, 3, 2, 2)  # N = C(3,2), d = n - 1
     assert known is not None and not known.exact and known.value == 7
-    assert lower_bounds(3, 3, 2, 2) == [7]
-    assert lower_bounds(6, 4, 2, 3) == [15]
-    assert lower_bounds(2, 2, 2, 1) == [4]
+    assert bounds_row(3, 3, 2, 2).lower_bounds == [7]
+    assert bounds_row(6, 4, 2, 3).lower_bounds == [15]
+    assert bounds_row(2, 2, 2, 1).lower_bounds == [4]
 
 
 def test_lower_bounds_list_the_known_value():
@@ -124,8 +123,8 @@ def test_lower_bounds_list_the_known_value():
             for n in range(1, N + 1):
                 for d in range(1, n + 1):
                     known = known_chi_exact(N, n, q, d)
-                    assert lower_bounds(N, n, q, d) == ([known.value] if known else [])
-    assert lower_bounds(3, 3, 2, 3) == [8]  # the equidistant code of size 2^N
+                    assert bounds_row(N, n, q, d).lower_bounds == ([known.value] if known else [])
+    assert bounds_row(3, 3, 2, 3).lower_bounds == [8]  # the equidistant code of size 2^N
 
 
 @pytest.mark.parametrize("q, N, n", [(2, 2, 2), (2, 3, 2), (3, 2, 1), (2, 3, 3)])

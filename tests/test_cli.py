@@ -177,6 +177,42 @@ def test_code_gabidulin_and_spectrum(tmp_path):
     assert data["min_rank_distance"] == 3
 
 
+def _drop_entry(code):
+    code["generator"][0].pop()
+
+
+def _repeat_row(code):
+    code["generator"][1] = code["generator"][0]
+
+
+def _foreign_modulus(code):
+    code["tower"]["modulus_q"] = [1, 1]
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (_drop_entry, "error: generator must be k x n"),
+        (_repeat_row, "error: generator is not full rank"),
+        (_foreign_modulus, "error: stored modulus_q does not match the deterministic choice"),
+    ],
+)
+def test_code_spectrum_rejects_a_damaged_file(tmp_path, damage, message):
+    out = tmp_path / "code.json"
+    res = run_cli(
+        "code", "gabidulin", "--q", "2", "--m", "1", "--N", "3", "--n", "3",
+        "--k", "2", "--out", str(out),
+    )
+    assert res.returncode == 0
+    code = json.loads(out.read_text())
+    damage(code)
+    out.write_text(json.dumps(code))
+    res = run_cli("code", "spectrum", str(out))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.strip() == message
+
+
 def test_code_builtin_verify():
     for name, d in (("C1", 2), ("C2", 2), ("C3", 3)):
         res = run_cli("code", "builtin", name, "--verify")

@@ -426,3 +426,41 @@ def test_linear_code_validation():
         LinearRankCode(T8, 3, 1, ((1, 2, 4),), ((1, 2, 4), (1, 2, 4)))  # parity rank deficient
     with pytest.raises(ValueError):
         LinearRankCode(T8, 3, 1, ((1, 0, 0),), ((1, 0, 0), (0, 1, 0)))  # not orthogonal
+
+
+@pytest.mark.parametrize(
+    "n, k, generator, parity, message",
+    [
+        (4, 1, ((1, 2, 4, 0),), ((1, 0, 0, 0),) * 3, r"need 1 <= n <= N = 3"),
+        (0, 0, (), (), r"need 1 <= n <= N = 3"),
+        (3, 4, (), (), "dimension out of range"),
+        (3, 1, ((1, 2),), ((1, 0, 0), (0, 1, 0)), "generator must be k x n"),
+        (3, 2, ((1, 2, 4),), ((1, 0, 0),), "generator must be k x n"),
+        (3, 1, ((1, 2, 4),), ((1, 0, 0),), r"parity must be \(n-k\) x n"),
+        (3, 2, ((1, 2, 4), (2, 4, 3)), ((1, 0, 0),), "generator is not full rank"),
+    ],
+)
+def test_linear_code_rejects_bad_shapes_and_ranks(n, k, generator, parity, message):
+    with pytest.raises(ValueError, match=message):
+        LinearRankCode(T8, n, k, generator, parity)
+
+
+def test_gabidulin_parity_rejects_bad_n_and_h():
+    with pytest.raises(ValueError, match="need 1 <= n <= N = 3"):
+        gabidulin_parity(T8, 4, 1)
+    with pytest.raises(ValueError, match="need 1 <= n <= N = 3"):
+        gabidulin_parity(T8, 0, 1)
+    with pytest.raises(ValueError, match="h must have 2 elements"):
+        gabidulin_parity(T8, 2, 1, h=(1,))
+
+
+def test_check_parity_columns_rejects_d_out_of_range():
+    with pytest.raises(ValueError, match="d must be positive"):
+        check_parity_columns(T8, ((1, 2),), 0)
+    with pytest.raises(ValueError, match="d exceeds the number of columns"):
+        check_parity_columns(T8, ((1, 2),), 3)
+
+
+def test_is_equidistant_needs_two_words():
+    with pytest.raises(ValueError, match="need at least two codewords"):
+        is_equidistant([VecExt(T8, (1, 2))])

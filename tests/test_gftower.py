@@ -332,6 +332,21 @@ def test_tower_json_rejects_foreign_modulus():
         FieldTower.from_json(data)
 
 
+def test_tower_json_rejects_foreign_base_modulus():
+    data = build_tower(2, 2, 2).to_json()
+    data["modulus_q"] = [1, 0, 1]  # x^2 + 1 = (x + 1)^2, not the canonical x^2 + x + 1
+    with pytest.raises(ValueError, match="stored modulus_q does not match the deterministic choice"):
+        FieldTower.from_json(data)
+
+
+def test_fq_from_coeffs_rejects_wrong_length():
+    tower = build_tower(2, 2, 2)
+    with pytest.raises(ValueError, match="expected 2 coordinates, got 1"):
+        tower.fq_from_coeffs([1])
+    with pytest.raises(ValueError, match="expected 2 coordinates, got 3"):
+        tower.fq_from_coeffs([1, 0, 0])
+
+
 def test_element_serialization():
     tower = build_tower(2, 2, 2)
     for x in range(tower.order):

@@ -1,6 +1,7 @@
 """Implicit matrix graph: degrees, BFS distances, transitivity, export."""
 
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from matgraph.graph import (
 from matgraph.linalg import (
     RANK_BLOCK,
     BudgetExceededError,
+    add_digits,
     column_rank,
     enumerate_matrices,
     enumerate_rank_one,
@@ -189,9 +191,22 @@ def test_not_bipartite():
     assert is_bipartite(GraphParams(build_tower(2, 1, 1), 1))
 
 
+def _translation_invariant(params, nbr):
+    """Reference: every translation t maps the edges of each u onto those of
+    u + t, compared by sorting the whole table once per translation."""
+    p, width = params.tower.p, params.width
+    vertices = np.arange(params.order, dtype=np.int64)
+    for t in range(params.order):
+        image = add_digits(vertices, t, p, width)
+        if not np.array_equal(np.sort(image[nbr], axis=1), np.sort(nbr[image], axis=1)):
+            return False
+    return True
+
+
 def test_vertex_transitivity_exhaustive():
-    assert check_vertex_transitivity(P222)
-    assert check_vertex_transitivity(GraphParams(build_tower(2, 1, 3), 3), sample=None)
+    for params in (P222, GraphParams(build_tower(2, 1, 3), 3), P322):
+        assert _translation_invariant(params, neighbor_index_table(params))
+        assert check_vertex_transitivity(params)
 
 
 def test_vertex_transitivity_detects_a_non_translation_invariant_table(monkeypatch):
@@ -199,6 +214,60 @@ def test_vertex_transitivity_detects_a_non_translation_invariant_table(monkeypat
     table[0, 0] = table[0, 1]  # one edge of vertex 0 rerouted
     monkeypatch.setattr(graph_module, "neighbor_index_table", lambda params, budget: table)
     assert not check_vertex_transitivity(P222)
+
+
+@pytest.mark.parametrize("Nnq", [(4, 3, 2), (3, 2, 3), (2, 2, 4)])
+def test_vertex_transitivity_in_one_pass(monkeypatch, Nnq):
+    N, n, q = Nnq
+    p, m = {2: (2, 1), 3: (3, 1), 4: (2, 2)}[q]
+    params = GraphParams(build_tower(p, m, N), n)
+    sizes = []
+
+    def recorded(*args, **kwargs):
+        out = add_digits(*args, **kwargs)
+        sizes.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(graph_module, "add_digits", recorded)
+    start = time.perf_counter()
+    assert check_vertex_transitivity(params)
+    assert time.perf_counter() - start < 1.0  # the per-translation sorts are O(order^2 x degree)
+    assert max(sizes) <= max(RANK_BLOCK, params.degree)
+
+
+def _corrupted(table, kind, params, rng):
+    """A copy of the neighbor table with one corruption; the shuffled row and
+    the translated column keep it translation invariant."""
+    table = table.copy()
+    V, deg = table.shape
+    r, c = rng.integers(V), rng.integers(deg)
+    if kind == "reroute":
+        table[r, c] = table[r, (c + 1 + rng.integers(deg - 1)) % deg]
+    elif kind == "shuffle row":
+        table[r] = rng.permutation(table[r])
+    elif kind == "translate column":
+        table[:, c] = add_digits(table[:, c], rng.integers(V), params.tower.p, params.width)
+    else:
+        table[r, c] = rng.integers(V)
+    return table
+
+
+@pytest.mark.parametrize(
+    "pmNn", [(2, 1, 2, 2), (3, 1, 2, 2), (2, 1, 3, 2), (2, 2, 2, 1), (2, 2, 2, 2), (3, 1, 1, 1), (5, 1, 2, 1)]
+)
+def test_vertex_transitivity_matches_the_reference_on_corrupted_tables(monkeypatch, pmNn):
+    p, m, N, n = pmNn
+    params = GraphParams(build_tower(p, m, N), n)
+    clean = neighbor_index_table(params)
+    rng = np.random.default_rng(sum(pmNn))
+    verdicts = []
+    for i in range(40):
+        kind = ("reroute", "shuffle row", "translate column", "random entry")[i % 4]
+        table = _corrupted(clean, kind, params, rng)
+        monkeypatch.setattr(graph_module, "neighbor_index_table", lambda params, budget: table)
+        verdicts.append(_translation_invariant(params, table))
+        assert check_vertex_transitivity(params) == verdicts[-1], (kind, i)
+    assert set(verdicts) == {True, False}
 
 
 # First mismatch after one edge of row r is rerouted, t[r, c] = t[r, s];
@@ -257,11 +326,6 @@ def test_all_sources_distances_on_hand_built_tables(rows):
     dist = _all_sources(nbr)
     assert (dist == -1).any()
     assert np.array_equal(dist, _stacked_bfs(nbr))
-
-
-def test_vertex_transitivity_sampled():
-    mats = list(enumerate_matrices(P322.tower, 3, 2))[:6]
-    assert check_vertex_transitivity(P322, sample=mats)
 
 
 def test_translation_moves_m1_to_m2():

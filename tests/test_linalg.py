@@ -156,6 +156,11 @@ def test_vector_matrix_roundtrip_exhaustive():
         assert vector_to_matrix(matrix_to_vector(M)) == M
 
 
+def test_matrix_to_vector_needs_N_rows():
+    with pytest.raises(ValueError, match="matrix must have N = 3 rows, has 2"):
+        matrix_to_vector(zero_matrix(T8, 2, 2))
+
+
 def test_column_rank_examples():
     assert column_rank(VecExt(T8, (1, 2, 4))) == 3  # 1, alpha, alpha^2
     assert column_rank(VecExt(T8, (5,))) == 1
@@ -265,6 +270,14 @@ def test_mat_json_roundtrip():
     M = MatFq(tower, 2, 2, (3, 0, 1, 2))
     data = mat_to_json(M)
     assert mat_from_json(tower, data) == M
+
+
+def test_mat_from_json_rejects_empty_and_ragged():
+    tower = build_tower(2, 2, 2)
+    with pytest.raises(ValueError, match="matrix must have at least one row"):
+        mat_from_json(tower, [])
+    with pytest.raises(ValueError, match="ragged matrix rows"):
+        mat_from_json(tower, [[[1, 0], [0, 1]], [[1, 1]]])
 
 
 def test_vec_index_roundtrip():
