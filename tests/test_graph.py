@@ -191,12 +191,13 @@ def test_not_bipartite():
     assert is_bipartite(GraphParams(build_tower(2, 1, 1), 1))
 
 
-def _translation_invariant(params, nbr):
-    """Reference: every translation t maps the edges of each u onto those of
-    u + t, compared by sorting the whole table once per translation."""
+def _translation_invariant(params, nbr, translations=None):
+    """Reference: every translation t (all of them when translations is None)
+    maps the edges of each u onto those of u + t, compared by sorting the
+    whole table once per translation."""
     p, width = params.tower.p, params.width
     vertices = np.arange(params.order, dtype=np.int64)
-    for t in range(params.order):
+    for t in range(params.order) if translations is None else translations:
         image = add_digits(vertices, t, p, width)
         if not np.array_equal(np.sort(image[nbr], axis=1), np.sort(nbr[image], axis=1)):
             return False
@@ -207,6 +208,19 @@ def test_vertex_transitivity_exhaustive():
     for params in (P222, GraphParams(build_tower(2, 1, 3), 3), P322):
         assert _translation_invariant(params, neighbor_index_table(params))
         assert check_vertex_transitivity(params)
+
+
+def test_vertex_transitivity_sampled():
+    """The translation M2 - M1 between consecutive sampled matrices carries
+    M1 onto M2 and preserves adjacency, as the one-pass check asserts for all."""
+    p, width = P322.tower.p, P322.width
+    mats = list(enumerate_matrices(P322.tower, 3, 2))[:6]
+    pairs = [(mat_index(M1), mat_index(M2)) for M1, M2 in zip(mats, mats[1:])]
+    translations = [int(add_digits(v2, v1, p, width, sign=-1)) for v1, v2 in pairs]
+    for (v1, v2), t in zip(pairs, translations):
+        assert add_digits(v1, t, p, width) == v2
+    assert _translation_invariant(P322, neighbor_index_table(P322), translations)
+    assert check_vertex_transitivity(P322)
 
 
 def test_vertex_transitivity_detects_a_non_translation_invariant_table(monkeypatch):
