@@ -15,6 +15,11 @@ that are linearly independent over F_q:
 with gcd(s, N) = 1.  The resulting code has minimum rank distance exactly
 n - k + 1, meeting the Singleton bound |C| = q^(N(n-d+1)) with equality.
 
+Spans are enumerated over F_p: c x is F_p-linear in the base-p digits of
+c, so the span of k rows is the set of F_p-combinations of the k*m*N
+images e_s * row (e_s encoded p^s), built block by block with no array
+that grows with q^N.
+
 Building, checking and serializing codes needs no numpy; span enumeration
 and the rank spectrum import it on first use, through ``matgraph._numpy``.
 """
@@ -82,9 +87,9 @@ class LinearRankCode:
         if len(parity) != self.n - self.k or any(len(r) != self.n for r in parity):
             raise ValueError("parity must be (n-k) x n")
         ext = tower.ext
-        if matrix_rank_over([list(r) for r in generator], ext) != self.k:
+        if matrix_rank_over(generator, ext) != self.k:
             raise ValueError("generator is not full rank")
-        if matrix_rank_over([list(r) for r in parity], ext) != self.n - self.k:
+        if matrix_rank_over(parity, ext) != self.n - self.k:
             raise ValueError("parity matrix is not full rank")
         if any(any(parity_syndrome(tower, parity, g)) for g in generator):
             raise ValueError("generator and parity matrices are not orthogonal")
@@ -142,7 +147,7 @@ def gabidulin_parity(
 
 def _dual_rows(tower: FieldTower, rows: Rows, n: int, name: str) -> Rows:
     """Basis of {v : v R^T = 0} for the full-rank matrix R given by ``rows``."""
-    basis = tuple(null_space([list(r) for r in rows], n, tower.ext))
+    basis = tuple(null_space(rows, n, tower.ext))
     if len(basis) != n - len(rows):
         raise ValueError(f"{name} matrix is rank deficient")
     return basis
@@ -182,23 +187,45 @@ def gabidulin(
 # codeword enumeration and the rank spectrum
 # ---------------------------------------------------------------------------
 
-def _row_multiples(tower: FieldTower, rows: Rows) -> list[np.ndarray]:
-    """The ``_multiples`` table of each row, all from one digit table of
-    the scalars."""
-    coeffs = to_digits_array(np.arange(tower.order), tower.p, tower.m * tower.N)
-    return [_multiples(tower, row, coeffs) for row in rows]
-
-
-def _multiples(tower: FieldTower, row: Sequence[int], coeffs: np.ndarray) -> np.ndarray:
-    """(q^N, len(row)) table of c * row for every c in F_{q^N}, c in encoding
-    order; ``coeffs`` holds the base-p digits of those c.  The digits c_t of
-    c are its coordinates over the F_p-basis elements e_t encoded as p^t, so
-    by F_p-linearity c * x is the digit-wise sum of c_t (e_t x) mod p: only
-    the N*m products e_t x per entry are field products."""
+def _images(tower: FieldTower, rows: Rows, n: int) -> np.ndarray:
+    """The (len(rows) * m * N, n) images e_s * row, s = 0 .. m*N - 1 within
+    each row and the rows last to first; n * m * N field products per row."""
     p, width = tower.p, tower.m * tower.N
-    products = [[tower.ext.mul(p**t, x) for x in row] for t in range(width)]
-    sums = np.tensordot(coeffs, to_digits_array(products, p, width), axes=1)
-    return from_digits_array(sums % p, p)
+    images = [[tower.ext.mul(p**s, x) for x in row] for row in reversed(rows) for s in range(width)]
+    return np.array(images, dtype=np.int64).reshape(len(images), n)
+
+
+def _combination_blocks(images: np.ndarray, p: int, width: int) -> Iterator[np.ndarray]:
+    """The words sum_j d_j(t) * images[j] for t = 0 .. p^J - 1 in order,
+    d_j(t) being base-p digit j of t, as blocks of at most RANK_BLOCK.
+
+    The combinations of the first images that fit in a block are tabulated
+    once and added to each word of the span of the rest, enumerated by this
+    generator.  When p alone exceeds a block, the multiples of the one
+    tabulated image come in chunks of RANK_BLOCK, rebuilt for each word."""
+    n = images.shape[1]
+    if not len(images):
+        yield np.zeros((1, n), dtype=np.int64)
+        return
+    low = 1
+    while low < len(images) and p ** (low + 1) <= RANK_BLOCK:
+        low += 1
+    digits = to_digits_array(images[:low], p, width)
+    starts = range(0, p, RANK_BLOCK)
+
+    def table(lo: int) -> np.ndarray:
+        coeffs = np.arange(lo, min(lo + RANK_BLOCK, p))[:, None, None]
+        out = np.zeros((1, n), dtype=np.int64)
+        for image in digits:
+            multiples = from_digits_array(coeffs * image % p, p)
+            out = add_digits(multiples[:, None], out, p, width).reshape(len(multiples) * len(out), n)
+        return out
+
+    tables = [table(0)] if len(starts) == 1 else None
+    for block in _combination_blocks(images[low:], p, width):
+        for word in block:
+            for chunk in tables or map(table, starts):
+                yield add_digits(chunk, word, p, width)
 
 
 def span_blocks(
@@ -213,7 +240,7 @@ def span_blocks(
     """
     check_budget(tower.order ** len(rows), budget)
     require_int64(tower)
-    yield from _span_of_multiples(tower, _row_multiples(tower, rows), n)
+    yield from _combination_blocks(_images(tower, rows, n), tower.p, tower.m * tower.N)
 
 
 def line_blocks(
@@ -228,45 +255,17 @@ def line_blocks(
     rows[i+1:].  That is (Q^k - 1)/(Q - 1) words for Q = q^N, none for
     k = 0.  Since rank(c x) = rank(x) for c != 0, these words carry a
     span's rank spectrum and its first word of any given rank.  rows[0]
-    only ever leads, so only rows[1:] get a table of multiples.
+    only ever leads, so only rows[1:] get images.
     """
     order, k = tower.order, len(rows)
     check_budget((order**k - 1) // (order - 1), budget)
     require_int64(tower)
     p, width = tower.p, tower.m * tower.N
-    scaled = _row_multiples(tower, rows[1:])
+    images = _images(tower, rows[1:], n)
     for i in reversed(range(k)):
         lead = np.asarray(rows[i], dtype=np.int64)
-        for block in _span_of_multiples(tower, scaled[i:], n):
+        for block in _combination_blocks(images[: (k - 1 - i) * width], p, width):
             yield add_digits(block, lead, p, width)
-
-
-def _span_of_multiples(
-    tower: FieldTower, scaled: Sequence[np.ndarray], n: int
-) -> Iterator[np.ndarray]:
-    """The blocks of ``span_blocks`` for the rows whose ``_multiples`` tables
-    are given.  The combinations of the last rows whose count fits in a
-    block are tabulated once; each block adds that table to a run of
-    consecutive combinations of the other rows."""
-    order = tower.order
-    k = len(scaled)
-    p, width = tower.p, tower.m * tower.N
-    inner_rows = 0
-    while inner_rows < k and order ** (inner_rows + 1) <= RANK_BLOCK:
-        inner_rows += 1
-    outer = scaled[: k - inner_rows]
-    inner = np.zeros((1, n), dtype=np.int64)
-    for table in scaled[k - inner_rows :]:
-        inner = add_digits(inner[:, None], table, p, width).reshape(len(inner) * order, n)
-    step = RANK_BLOCK // len(inner)
-    outer_count = order ** len(outer)
-    for lo in range(0, outer_count, step):
-        idx = np.arange(lo, min(lo + step, outer_count))
-        digits = to_digits_array(idx, order, len(outer))[:, ::-1]  # first row most significant
-        prefix = np.zeros((len(digits), n), dtype=np.int64)
-        for i, table in enumerate(outer):
-            prefix = add_digits(prefix, table[digits[:, i]], p, width)
-        yield add_digits(prefix[:, None], inner, p, width).reshape(len(prefix) * len(inner), n)
 
 
 def enumerate_span(
@@ -465,8 +464,8 @@ def code_from_json(data: dict) -> LinearRankCode:
 def same_row_space(tower: FieldTower, rows_a: Rows, rows_b: Rows) -> bool:
     """Whether two row sets span the same subspace over F_{q^N}."""
     ext = tower.ext
-    ra, _ = row_reduce([list(r) for r in rows_a], ext)
-    rb, _ = row_reduce([list(r) for r in rows_b], ext)
+    ra, _ = row_reduce(rows_a, ext)
+    rb, _ = row_reduce(rows_b, ext)
     ra = [r for r in ra if any(r)]
     rb = [r for r in rb if any(r)]
     return ra == rb

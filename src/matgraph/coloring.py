@@ -240,7 +240,7 @@ def search_forbidden_H(
         cols: list[tuple[int, ...]] = []
         for _ in range(n):
             checks = [
-                null_space([list(c) for c in S], m, ext)
+                null_space(S, m, ext)
                 for S in itertools.combinations(cols, min(d - 1, len(cols)))
             ]
             for _ in range(COLUMN_TRIES):
@@ -263,7 +263,7 @@ def search_forbidden_H(
 
 def _kernel_basis(tower: FieldTower, h_rows: Rows, n: int) -> Rows:
     """Independent rows spanning the kernel code {v : v H^T = 0}."""
-    return tuple(null_space([list(r) for r in h_rows], n, tower.ext))
+    return tuple(null_space(h_rows, n, tower.ext))
 
 
 def kernel_rank_spectrum(

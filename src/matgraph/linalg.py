@@ -162,7 +162,7 @@ class VecExt:
 # generic Gaussian elimination over any field view
 # ---------------------------------------------------------------------------
 
-def row_reduce(rows: list[list[int]], fieldview) -> tuple[list[list[int]], list[int]]:
+def row_reduce(rows: Sequence[Sequence[int]], fieldview) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form; returns (rref, pivot column indices)."""
     mat = [list(r) for r in rows]
     if not mat:
@@ -195,11 +195,11 @@ def row_reduce(rows: list[list[int]], fieldview) -> tuple[list[list[int]], list[
     return mat, pivots
 
 
-def matrix_rank_over(rows: list[list[int]], fieldview) -> int:
+def matrix_rank_over(rows: Sequence[Sequence[int]], fieldview) -> int:
     return len(row_reduce(rows, fieldview)[1])
 
 
-def null_space(rows: list[list[int]], ncols: int, fieldview) -> list[tuple[int, ...]]:
+def null_space(rows: Sequence[Sequence[int]], ncols: int, fieldview) -> list[tuple[int, ...]]:
     """Basis of {x : M x^T = 0} for the matrix M given by ``rows``."""
     rref, pivots = row_reduce(rows, fieldview)
     free = [c for c in range(ncols) if c not in pivots]
@@ -386,9 +386,11 @@ def ranks(tower: FieldTower, words: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=32)
 def index_ranks(tower: FieldTower, radix: int, width: int) -> np.ndarray:
     """``ranks`` of the word of ``width`` base-``radix`` digits of every
-    index below radix**width, as uint8, in blocks of RANK_BLOCK indices.
+    index below radix**width, as uint8, in blocks of RANK_BLOCK indices;
+    built on first use and shared read-only.
 
     With (q^N, n) the indices are vector indices, and with (q^n, N) vertex
     indices: the N base-q^n digits of one are the rows of its matrix M,
@@ -399,6 +401,7 @@ def index_ranks(tower: FieldTower, radix: int, width: int) -> np.ndarray:
     for lo in range(0, order, RANK_BLOCK):
         idx = np.arange(lo, min(lo + RANK_BLOCK, order))
         out[lo : lo + len(idx)] = ranks(tower, to_digits_array(idx, radix, width))
+    out.flags.writeable = False
     return out
 
 

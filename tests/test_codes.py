@@ -4,6 +4,7 @@ import importlib.util
 import itertools
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +189,7 @@ SPAN_CASES = pytest.mark.parametrize(
         ((2, 1, 13), 2, 1),  # the field alone is larger than a block
         ((3, 1, 2), 2, 0),  # the zero code
         ((3, 2, 2), 2, 2),  # odd p, m > 1: a table of 81 words, 50 outer combinations per block
+        ((4099, 1, 1), 1, 1),  # p > RANK_BLOCK: one image's multiples span two blocks
     ],
 )
 
@@ -228,13 +230,14 @@ def test_line_blocks_are_the_smallest_member_of_each_line(pmN, n, k):
     "pmN, n", [((2, 1, 4), 3), ((3, 1, 2), 2), ((2, 2, 2), 2)], ids=["q2", "p3", "m2"]
 )
 def test_line_blocks_tabulate_all_rows_but_the_first(monkeypatch, pmN, n):
-    # rows[0] only ever leads a line, so k rows need k - 1 tables of
-    # multiples; the words are still the smallest member of each line.
+    # rows[0] only ever leads a line, so k rows need the F_p-basis images
+    # of k - 1 rows, n * m * N field products each; the words are still the
+    # smallest member of each line.
     tower = build_tower(*pmN)
     rng = random.Random(repr(pmN))
     calls = []
-    multiples = codes_mod._multiples
-    monkeypatch.setattr(codes_mod, "_multiples", lambda *args: calls.append(1) or multiples(*args))
+    mul = tower.ext.mul
+    monkeypatch.setattr(tower.ext, "mul", lambda *args: calls.append(1) or mul(*args))
     for k in (1, 2, 3):
         rows = tuple(tuple(rng.randrange(tower.order) for _ in range(n)) for _ in range(k))
         scalars = itertools.product(range(tower.order), repeat=k)
@@ -242,7 +245,7 @@ def test_line_blocks_tabulate_all_rows_but_the_first(monkeypatch, pmN, n):
         expected = [word for c, word in zip(scalars, span) if any(c) and next(x for x in c if x) == 1]
         calls.clear()
         assert [tuple(w) for b in line_blocks(tower, rows, n) for w in b.tolist()] == expected
-        assert len(calls) == k - 1
+        assert len(calls) == (k - 1) * n * tower.m * tower.N
 
 
 def _full_scan_spectrum(tower, rows, n):
@@ -307,6 +310,22 @@ def test_spectrum_of_2_20_words_matches_mrd_closed_form():
     code = gabidulin(build_tower(2, 1, 10), 4, 2)
     assert code.size == 1 << 20
     assert rank_spectrum(code) == oracles.mrd_rank_spectrum(2, 10, 4, 2)
+
+
+def test_spectrum_memory_does_not_grow_with_the_field():
+    # 65,537 lines over F_{2^16}: no table of all 2^16 multiples of a row
+    spec = importlib.util.spec_from_file_location("matgraph_bench_oracles", ORACLES)
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    code = gabidulin(build_tower(2, 1, 16), 4, 2)
+    tracemalloc.start()
+    try:
+        spectrum = rank_spectrum(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spectrum == oracles.mrd_rank_spectrum(2, 16, 4, 2)
+    assert peak < 16 << 20
 
 
 def test_span_of_zero_length_words():

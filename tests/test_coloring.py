@@ -4,6 +4,7 @@ import collections
 import functools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -421,6 +422,19 @@ def test_color_table_matches_color_index_on_every_vertex(col):
 def _random_rows(tower, n, rows, seed):
     rng = random.Random(seed)
     return tuple(tuple(rng.randrange(tower.order) for _ in range(n)) for _ in range(rows))
+
+
+def test_color_table_memory_does_not_grow_with_the_field():
+    # 2^16 vertices, one color each: the table itself is 512 KiB of int64
+    col = d_distance_coloring(GraphParams(build_tower(2, 1, 16), 1), 1)
+    tracemalloc.start()
+    try:
+        table = color_table(col)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(table.tolist()) == list(range(1 << 16))
+    assert peak < 4 << 20
 
 
 def test_color_table_rejects_color_indices_beyond_int64():

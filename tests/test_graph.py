@@ -385,6 +385,15 @@ def test_rank_table_matches_per_matrix_rank(Nnq):
     assert index_ranks(tower, q**N, n).tolist() == expected
 
 
+def test_index_ranks_are_built_once_and_read_only():
+    tower = build_tower(3, 1, 2)
+    table = index_ranks(tower, 9, 2)
+    assert index_ranks(tower, 9, 2) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 1
+
+
 # Output of export_dot and export_edgelist_csv, recorded before both read
 # their edges from the neighbor index table.
 EXPORT_SHA256 = {
