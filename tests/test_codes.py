@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matgraph import codes as codes_mod
 from matgraph.gftower import build_tower
 from matgraph.codes import (
     LinearRankCode,
