@@ -1,82 +1,70 @@
 """Matrix graphs over finite fields: rank-metric codes, distance colorings
-and bound calculators."""
+and bound calculators.
 
-from .gftower import FieldTower, build_tower
-from .linalg import (
-    BudgetExceededError,
-    MatFq,
-    VecExt,
-    column_rank,
-    count_rank_k,
-    enumerate_matrices,
-    enumerate_rank_one,
-    matrix_to_vector,
-    rank,
-    rank_distance,
-    vector_to_matrix,
-)
-from .graph import GraphParams, degree, graph_distance_bfs, neighbors
-from .codes import (
-    EquidistantCode,
-    LinearRankCode,
-    builtin_code,
-    check_parity_columns,
-    enumerate_codewords,
-    gabidulin,
-    is_equidistant,
-    min_rank_distance,
-    rank_spectrum,
-)
-from .coloring import (
-    Coloring,
-    clique_d1,
-    d_distance_coloring,
-    exact_d_coloring,
-    search_forbidden_H,
-    verify_at_most_d,
-    verify_exactly_d,
-)
-from .bounds import chi_exact_upper, chi_lower_singleton, chi_prime, known_chi_exact, table1
+Importing the package loads none of its submodules.  A public name, or a
+submodule named as an attribute, is loaded the first time it is looked up
+(PEP 562), so a caller pays only for the layers it uses.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceededError",
-    "Coloring",
-    "EquidistantCode",
-    "FieldTower",
-    "GraphParams",
-    "LinearRankCode",
-    "MatFq",
-    "VecExt",
-    "build_tower",
-    "builtin_code",
-    "check_parity_columns",
-    "chi_exact_upper",
-    "chi_lower_singleton",
-    "chi_prime",
-    "clique_d1",
-    "column_rank",
-    "count_rank_k",
-    "d_distance_coloring",
-    "degree",
-    "enumerate_codewords",
-    "enumerate_matrices",
-    "enumerate_rank_one",
-    "exact_d_coloring",
-    "gabidulin",
-    "graph_distance_bfs",
-    "is_equidistant",
-    "known_chi_exact",
-    "matrix_to_vector",
-    "min_rank_distance",
-    "neighbors",
-    "rank",
-    "rank_distance",
-    "rank_spectrum",
-    "search_forbidden_H",
-    "table1",
-    "vector_to_matrix",
-    "verify_at_most_d",
-    "verify_exactly_d",
-]
+# Each submodule and the public names it provides; ``__all__`` and the
+# lookups below are derived from this one table.
+_PUBLIC = {
+    "_budget": ("BudgetExceededError",),
+    "gftower": ("FieldTower", "build_tower"),
+    "linalg": (
+        "MatFq",
+        "VecExt",
+        "column_rank",
+        "count_rank_k",
+        "enumerate_matrices",
+        "enumerate_rank_one",
+        "matrix_to_vector",
+        "rank",
+        "rank_distance",
+        "vector_to_matrix",
+    ),
+    "graph": ("GraphParams", "degree", "graph_distance_bfs", "neighbors"),
+    "codes": (
+        "EquidistantCode",
+        "LinearRankCode",
+        "builtin_code",
+        "check_parity_columns",
+        "enumerate_codewords",
+        "gabidulin",
+        "is_equidistant",
+        "min_rank_distance",
+        "rank_spectrum",
+    ),
+    "coloring": (
+        "Coloring",
+        "clique_d1",
+        "d_distance_coloring",
+        "exact_d_coloring",
+        "search_forbidden_H",
+        "verify_at_most_d",
+        "verify_exactly_d",
+    ),
+    "bounds": ("chi_exact_upper", "chi_lower_singleton", "chi_prime", "known_chi_exact", "table1"),
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+_SUBMODULES = frozenset(module for module in _PUBLIC if not module.startswith("_"))
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _HOME.keys() | _SUBMODULES)

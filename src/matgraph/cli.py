@@ -2,6 +2,10 @@
 
 Exit codes: 0 success/verified, 1 usage error, 2 verification failure,
 3 enumeration or search budget exceeded, 4 internal error.
+
+Building the parser and mapping errors to exit codes need only
+``matgraph._budget``; each handler imports the submodules it runs when it
+runs, and looks their functions up at call time.
 """
 
 from __future__ import annotations
@@ -9,13 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import bounds as bounds_mod
-from . import codes, coloring, graph, linalg
-from .gftower import build_tower
-from .linalg import BudgetExceededError, DEFAULT_BUDGET
+from ._budget import DEFAULT_BUDGET, EXPORT_BUDGET, BudgetExceededError, SearchExhaustedError
+
+if TYPE_CHECKING:
+    from .coloring import Coloring
 
 
 class _Parser(argparse.ArgumentParser):
@@ -26,6 +30,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _tower_from_flags(args: argparse.Namespace):
+    from .gftower import build_tower
+
     q, m = args.q, args.m
     # The integer p >= 2 with p**m == q, by bisection; 2**m > q when m is at
     # least q's bit length.  Whether p is prime is build_tower's check.
@@ -71,6 +77,8 @@ def _cmd_field_describe(args: argparse.Namespace) -> int:
 # -- graph ------------------------------------------------------------------
 
 def _cmd_graph_stats(args: argparse.Namespace) -> int:
+    from . import graph
+
     params = graph.GraphParams(_tower_from_flags(args), args.n)
     stats = {
         "q": params.q,
@@ -88,6 +96,8 @@ def _cmd_graph_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph_export(args: argparse.Namespace) -> int:
+    from . import graph
+
     params = graph.GraphParams(_tower_from_flags(args), args.n)
     if args.format == "dot":
         text = graph.export_dot(params, budget=args.budget)
@@ -100,6 +110,8 @@ def _cmd_graph_export(args: argparse.Namespace) -> int:
 # -- code -------------------------------------------------------------------
 
 def _cmd_code_gabidulin(args: argparse.Namespace) -> int:
+    from . import codes
+
     tower = _tower_from_flags(args)
     code = codes.gabidulin(tower, args.n, args.k, s=args.s, h=args.h)
     if args.out:
@@ -115,6 +127,8 @@ def _cmd_code_gabidulin(args: argparse.Namespace) -> int:
 
 
 def _cmd_code_spectrum(args: argparse.Namespace) -> int:
+    from . import codes
+
     code = codes.code_from_json(json.loads(Path(args.file).read_text()))
     spectrum = codes.rank_spectrum(code, budget=args.budget)
     result = {
@@ -127,6 +141,8 @@ def _cmd_code_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_code_builtin(args: argparse.Namespace) -> int:
+    from . import codes
+
     code = codes.builtin_code(args.name)
     lines = [f"name={code.name}", f"n={code.n}", f"size={code.size}", f"declared_distance={code.distance}"]
     if args.verify:
@@ -142,13 +158,17 @@ def _cmd_code_builtin(args: argparse.Namespace) -> int:
 
 # -- color ------------------------------------------------------------------
 
-def _print_violation(col: coloring.Coloring, pair: tuple[int, int]) -> None:
+def _print_violation(col: Coloring, pair: tuple[int, int]) -> None:
+    from . import linalg
+
     tower, n = col.params.tower, col.params.n
     labels = [linalg.mat_label(linalg.vector_to_matrix(linalg.vec_from_index(tower, n, i))) for i in pair]
     sys.stderr.write(f"violating pair: {labels[0]} {labels[1]}\n")
 
 
-def _verify_and_report(col: coloring.Coloring, args: argparse.Namespace) -> int:
+def _verify_and_report(col: Coloring, args: argparse.Namespace) -> int:
+    from . import coloring
+
     pair = coloring.find_violation(col, pairwise=args.pairwise, budget=args.budget)
     sys.stdout.write(f"verified={pair is None}\n")
     if pair is not None:
@@ -158,6 +178,8 @@ def _verify_and_report(col: coloring.Coloring, args: argparse.Namespace) -> int:
 
 
 def _cmd_color_dist(args: argparse.Namespace) -> int:
+    from . import coloring, graph
+
     params = graph.GraphParams(_tower_from_flags(args), args.n)
     col = coloring.d_distance_coloring(params, args.d)
     if args.out:
@@ -169,13 +191,15 @@ def _cmd_color_dist(args: argparse.Namespace) -> int:
 
 
 def _cmd_color_exact(args: argparse.Namespace) -> int:
+    from . import bounds, coloring, graph
+
     params = graph.GraphParams(_tower_from_flags(args), args.n)
     col = coloring.exact_d_coloring(
         params, args.d, seed=args.seed, m=args.rows, restarts=args.restarts, budget=args.budget
     )
     if args.out:
         _dump_json(coloring.coloring_to_json(col), args.out)
-    counting_bound = bounds_mod.chi_exact_upper(params.N, params.n, params.q, args.d) if args.d <= params.n else 1
+    counting_bound = bounds.chi_exact_upper(params.N, params.n, params.q, args.d) if args.d <= params.n else 1
     sys.stdout.write(
         f"mode={col.mode} d={col.d} colors={col.num_colors} "
         f"counting_bound={counting_bound} tag={col.tag}\n"
@@ -186,11 +210,15 @@ def _cmd_color_exact(args: argparse.Namespace) -> int:
 
 
 def _cmd_color_verify(args: argparse.Namespace) -> int:
+    from . import coloring
+
     col = coloring.coloring_from_json(json.loads(Path(args.file).read_text()))
     return _verify_and_report(col, args)
 
 
 def _cmd_color_assign(args: argparse.Namespace) -> int:
+    from . import coloring, linalg
+
     col = coloring.coloring_from_json(json.loads(Path(args.file).read_text()))
     params = col.params
     M = linalg.mat_from_label(params.tower, params.N, params.n, args.vertex)
@@ -201,9 +229,11 @@ def _cmd_color_assign(args: argparse.Namespace) -> int:
 # -- bounds -----------------------------------------------------------------
 
 def _cmd_bounds_row(args: argparse.Namespace) -> int:
-    row = bounds_mod.bounds_row(args.N, args.n, args.q, args.d)
+    from . import bounds
+
+    row = bounds.bounds_row(args.N, args.n, args.q, args.d)
     if args.format == "csv":
-        _emit(bounds_mod.rows_csv([row]), args.out)
+        _emit(bounds.rows_csv([row]), args.out)
     else:
         data = {
             "N": row.N,
@@ -231,7 +261,9 @@ def _cmd_bounds_row(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds_table1(args: argparse.Namespace) -> int:
-    _emit(bounds_mod.table1(), args.out)
+    from . import bounds
+
+    _emit(bounds.table1(), args.out)
     return 0
 
 
@@ -263,7 +295,7 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_graph_stats)
     # export's own parent parser, so its smaller default stays off the shared --budget
-    p = graph_sub.add_parser("export", parents=[_common_flags(graph.EXPORT_BUDGET)])
+    p = graph_sub.add_parser("export", parents=[_common_flags(EXPORT_BUDGET)])
     _field_flags(p, with_n=True)
     p.add_argument("--format", choices=["dot", "csv"], required=True)
     p.set_defaults(func=_cmd_graph_export)
@@ -332,13 +364,15 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (BudgetExceededError, coloring.SearchExhaustedError) as exc:
+    except (BudgetExceededError, SearchExhaustedError) as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return 3
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except Exception:
+        import traceback
+
         traceback.print_exc()
         return 4
 

@@ -34,6 +34,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+from ._budget import DEFAULT_BUDGET, SearchExhaustedError
 from ._numpy import np
 from .bounds import chi_exact_upper_exponent
 from .gftower import FieldTower, from_digits
@@ -49,7 +50,6 @@ from .codes import (
     span_rank_spectrum,
 )
 from .linalg import (
-    DEFAULT_BUDGET,
     RANK_BLOCK,
     MatFq,
     VecExt,
@@ -138,19 +138,6 @@ class CliqueWitness:
     @property
     def size(self) -> int:
         return len(self.members)
-
-
-class SearchExhaustedError(RuntimeError):
-    """The randomized search used all restarts without a verified matrix."""
-
-    def __init__(self, restarts: int, best_rank_d_count: int, best_spectrum: dict[int, int]):
-        super().__init__(
-            f"no verified parity matrix after {restarts} restarts; "
-            f"best attempt had {best_rank_d_count} kernel words at the forbidden rank"
-        )
-        self.restarts = restarts
-        self.best_rank_d_count = best_rank_d_count
-        self.best_spectrum = best_spectrum
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,10 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
+from ._budget import DEFAULT_BUDGET, EXPORT_BUDGET
 from ._numpy import np
 from .gftower import FieldTower
 from .linalg import (
-    DEFAULT_BUDGET,
     RANK_BLOCK,
     MatFq,
     add_digits,
@@ -45,8 +45,6 @@ from .linalg import (
 )
 # Not called here; kept bound because benchmarks/tracing.py wraps it by name.
 from .linalg import rank  # noqa: F401
-
-EXPORT_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)

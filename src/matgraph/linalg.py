@@ -17,10 +17,10 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
+from ._budget import DEFAULT_BUDGET, BudgetExceededError
 from ._numpy import np
 from .gftower import FieldTower, from_digits, to_digits
 
-DEFAULT_BUDGET = 1 << 20
 # Words per block of every bulk rank computation and span enumeration.  On
 # the rank spectra of five MRD codes (q = 2, 3, 4, 5; 2-vCPU Xeon), blocks
 # of 2^10, 2^12, 2^14 and 2^16 words took 0.24, 0.19, 0.18 and 0.26 s and
@@ -29,15 +29,6 @@ RANK_BLOCK = 1 << 12
 # The F_q tables have q^2 entries, built by scalar field operations in up to
 # about 2 s at q = 3^5; above this order the batched ranks go word by word.
 FQ_TABLE_MAX_Q = 1 << 8
-
-
-class BudgetExceededError(RuntimeError):
-    """An exhaustive operation would enumerate more items than allowed."""
-
-    def __init__(self, needed: int, budget: int) -> None:
-        super().__init__(f"operation needs {needed} items but the budget is {budget}")
-        self.needed = needed
-        self.budget = budget
 
 
 def check_budget(needed: int, budget: int) -> None:

@@ -366,6 +366,85 @@ def test_numpy_loads_only_when_a_kernel_runs(tmp_path):
     assert (spectrum_code, spectrum_loaded_numpy) == (0, True)
 
 
+# Runs cli.main on one argv in a fresh interpreter and prints the exit code
+# and the matgraph modules loaded by then.
+MATGRAPH_MODULES_AFTER_MAIN = """
+import contextlib, io, json, sys
+from matgraph.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "matgraph")]))
+"""
+
+CLI_MODULES = {"matgraph", "matgraph._budget", "matgraph.cli"}
+TOWER_MODULES = {"matgraph._numpy", "matgraph.gftower", "matgraph.linalg"}
+ALL_MODULES = CLI_MODULES | TOWER_MODULES | {
+    f"matgraph.{name}" for name in ("bounds", "codes", "coloring", "graph")
+}
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["bounds", "table1"], CLI_MODULES | {"matgraph.bounds"}),
+        (["bounds", "row", "--N", "6", "--n", "4", "--d", "2", "--q", "2"], CLI_MODULES | {"matgraph.bounds"}),
+        (["field", "describe", "--q", "9", "--m", "2", "--N", "2"], CLI_MODULES | {"matgraph.gftower"}),
+        (["graph", "stats", "--q", "3", "--m", "1", "--N", "3", "--n", "2"],
+         CLI_MODULES | TOWER_MODULES | {"matgraph.graph"}),
+        (["code", "gabidulin", "--q", "2", "--m", "1", "--N", "3", "--n", "3", "--k", "1"],
+         CLI_MODULES | TOWER_MODULES | {"matgraph.codes"}),
+        (["code", "builtin", "C3", "--verify"], CLI_MODULES | TOWER_MODULES | {"matgraph.codes"}),
+        (["color", "assign", "col.json", "--vertex", "1201"], ALL_MODULES),
+    ],
+    ids=["bounds-table1", "bounds-row", "field-describe", "graph-stats", "code-gabidulin", "code-builtin",
+         "color-assign"],
+)
+def test_each_call_loads_only_the_submodules_it_runs(tmp_path, argv, modules):
+    if argv[:2] == ["color", "assign"]:
+        run_cli("color", "dist", "--q", "3", "--m", "1", "--N", "2", "--n", "2", "--d", "1",
+                "--out", str(tmp_path / "col.json"))
+    res = run_python("-c", MATGRAPH_MODULES_AFTER_MAIN, json.dumps(argv), cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [0, sorted(modules)]
+
+
+def test_importing_the_package_loads_no_submodule():
+    res = run_python("-c", "import sys, matgraph; print(sorted(m for m in sys.modules if 'matgraph' in m))")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "['matgraph']\n"
+
+
+def write_gabidulin_code(path):
+    """A (4, 2) Gabidulin code over F_16 with 17 lines in its spectrum."""
+    from matgraph.codes import code_to_json, gabidulin
+
+    path.write_text(json.dumps(code_to_json(gabidulin(build_tower(2, 1, 4), 4, 2))))
+
+
+# Each call in a fresh process, since the error classes it raises are now
+# loaded by the handler that runs; exit code and exact first stderr line.
+@pytest.mark.parametrize(
+    "argv, code, first_line",
+    [
+        (["color", "exact", "--q", "2", "--m", "1", "--N", "3", "--n", "3", "--d", "2",
+          "--rows", "1", "--restarts", "2", "--seed", "1"], 3,
+         "budget exceeded: no verified parity matrix after 2 restarts; "
+         "best attempt had 28 kernel words at the forbidden rank"),
+        (["code", "spectrum", "code.json", "--budget", "10"], 3,
+         "budget exceeded: operation needs 17 items but the budget is 10"),
+        (["code", "gabidulin", "--q", "2", "--m", "1", "--N", "3", "--n", "3", "--k", "4"], 1,
+         "error: need 1 <= k <= n, got k=4"),
+    ],
+    ids=["search-exhausted", "spectrum-over-budget", "value-error"],
+)
+def test_lazily_loaded_errors_map_to_exit_codes(tmp_path, argv, code, first_line):
+    write_gabidulin_code(tmp_path / "code.json")
+    res = run_cli(*argv, cwd=tmp_path)
+    assert res.returncode == code
+    assert res.stdout == ""
+    assert res.stderr.splitlines()[0] == first_line
+
+
 def test_bounds_row_json():
     res = run_cli("bounds", "row", "--N", "6", "--n", "4", "--d", "2", "--q", "2")
     assert res.returncode == 0
