@@ -421,8 +421,8 @@ def write_gabidulin_code(path):
     path.write_text(json.dumps(code_to_json(gabidulin(build_tower(2, 1, 4), 4, 2))))
 
 
-# Each call in a fresh process, since the error classes it raises are now
-# loaded by the handler that runs; exit code and exact first stderr line.
+# Each call runs in a fresh process, where the module that raises the error
+# is loaded only by the handler; exit code and exact first stderr line.
 @pytest.mark.parametrize(
     "argv, code, first_line",
     [
