@@ -45,7 +45,7 @@ def ceil_log(base: int, value: int) -> int:
 def chi_prime(N: int, n: int, q: int, d: int) -> int:
     """Exact at-most-d chromatic number q^(N min(d, n)): past the diameter n
     every two vertices are within distance d, so each needs its own color."""
-    if min(N, n, q, d) < 1 or n > N:
+    if min(N, n, d) < 1 or q < 2 or n > N:
         raise ValueError("need 1 <= n <= N, q >= 2 and d >= 1")
     return q ** (N * min(d, n))
 

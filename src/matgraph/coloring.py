@@ -216,6 +216,8 @@ def search_forbidden_H(
     """
     if m < 1 or d < 1:
         raise ValueError("need m >= 1 and d >= 1")
+    if restarts < 1:
+        raise ValueError(f"need restarts >= 1, got {restarts}")
     if not 1 <= n <= tower.N:
         raise ValueError(f"need 1 <= n <= N = {tower.N}")
     order = tower.order
@@ -245,7 +247,7 @@ def search_forbidden_H(
         if best_count is None or count < best_count:
             best_count = count
             best_spectrum = spectrum
-    raise SearchExhaustedError(restarts, best_count or 0, best_spectrum)
+    raise SearchExhaustedError(restarts, best_count, best_spectrum)
 
 
 def _kernel_basis(tower: FieldTower, h_rows: Rows, n: int) -> Rows:

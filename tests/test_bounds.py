@@ -55,6 +55,14 @@ def test_chi_prime_values():
         chi_prime(2, 3, 2, 1)  # n > N
 
 
+@pytest.mark.parametrize("q", [0, 1])
+def test_chi_prime_rejects_q_below_two(q):
+    with pytest.raises(ValueError, match=r"^need 1 <= n <= N, q >= 2 and d >= 1$"):
+        chi_prime(3, 2, q, 1)
+    with pytest.raises(ValueError, match=r"^need 1 <= n <= N, q >= 2 and d >= 1$"):
+        bounds_row(3, 2, q, 1)
+
+
 def test_chi_prime_monotone():
     for q in (2, 3):
         for N in range(1, 6):

@@ -445,6 +445,27 @@ def test_lazily_loaded_errors_map_to_exit_codes(tmp_path, argv, code, first_line
     assert res.stderr.splitlines()[0] == first_line
 
 
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [
+        (["color", "exact", "--q", "2", "--m", "1", "--N", "3", "--n", "3", "--d", "2",
+          "--rows", "1", "--restarts", "0"], "error: need restarts >= 1, got 0"),
+        (["color", "exact", "--q", "2", "--m", "1", "--N", "3", "--n", "3", "--d", "2",
+          "--rows", "1", "--restarts", "-3"], "error: need restarts >= 1, got -3"),
+        (["bounds", "row", "--N", "3", "--n", "2", "--d", "1", "--q", "1"],
+         "error: need 1 <= n <= N, q >= 2 and d >= 1"),
+        (["bounds", "row", "--N", "3", "--n", "2", "--d", "1", "--q", "0"],
+         "error: need 1 <= n <= N, q >= 2 and d >= 1"),
+    ],
+    ids=["no-restart", "negative-restarts", "bounds-q1", "bounds-q0"],
+)
+def test_argument_errors_exit_1_with_their_own_message(argv, first_line):
+    res = run_cli(*argv)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == first_line + "\n"
+
+
 def test_bounds_row_json():
     res = run_cli("bounds", "row", "--N", "6", "--n", "4", "--d", "2", "--q", "2")
     assert res.returncode == 0

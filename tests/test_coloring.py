@@ -340,6 +340,13 @@ def test_search_exhausted_reports_best():
     assert sum(info.value.best_spectrum.values()) == 4  # the kernel size
 
 
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_search_rejects_fewer_than_one_restart(restarts):
+    # no attempt runs, so there is no best attempt to report
+    with pytest.raises(ValueError, match=f"^need restarts >= 1, got {restarts}$"):
+        search_forbidden_H(P222.tower, 2, 2, 1, seed=2, restarts=restarts)
+
+
 @pytest.mark.parametrize(
     "pmN, n, d, m, seed, restarts, best_spectrum",
     [

@@ -10,7 +10,6 @@ from matgraph import graph as graph_module
 from matgraph.gftower import build_tower
 from matgraph.graph import (
     GraphParams,
-    all_sources_distances,
     bfs_distances,
     check_vertex_transitivity,
     degree,
@@ -312,34 +311,54 @@ def _stacked_bfs(nbr):
     return np.stack([bfs_distances(nbr, s) for s in range(nbr.shape[0])])
 
 
-def _all_sources(nbr):
-    blocks = list(all_sources_distances(nbr))
-    assert [first for first, _ in blocks] == list(range(0, nbr.shape[0], 64))
-    return np.concatenate([dist for _, dist in blocks])
+def _first_mismatch(params, nbr):
+    """Reference: the level BFS from every source against the rank of
+    v - u, first mismatch in (u, v) order."""
+    vertices = np.arange(params.order, dtype=np.int64)
+    diffs = add_digits(vertices, vertices[:, None], params.tower.p, params.width, sign=-1)
+    expected = rank_table(params)[diffs]
+    dist = _stacked_bfs(nbr)
+    wrong = np.argwhere(dist != expected)
+    if not wrong.size:
+        return None
+    u, v = (int(i) for i in wrong[0])
+    return (u, v, int(dist[u, v]), int(expected[u, v]))
 
 
-@pytest.mark.parametrize("pmNn", [(2, 1, 2, 2), (3, 1, 2, 2), (3, 1, 3, 2), (2, 2, 2, 2)])
-def test_all_sources_distances_match_level_bfs(pmNn):
-    # V = 16, 81 (a partial last block), 729 (11 full blocks and one of 25), 256 (m = 2)
+@pytest.mark.parametrize("pmNn", [(2, 1, 2, 2), (3, 1, 2, 2), (5, 1, 2, 1), (2, 2, 2, 1)])
+def test_distance_check_matches_the_per_source_reference(monkeypatch, pmNn):
     p, m, N, n = pmNn
-    nbr = neighbor_index_table(GraphParams(build_tower(p, m, N), n))
-    assert np.array_equal(_all_sources(nbr), _stacked_bfs(nbr))
+    params = GraphParams(build_tower(p, m, N), n)
+    clean = neighbor_index_table(params)
+    assert _first_mismatch(params, clean) is None
+    assert verify_distance_equals_rank(params) is None
+    rng = np.random.default_rng(sum(pmNn))
+    outcomes = []
+    for i in range(40):
+        kind = ("reroute", "shuffle row", "translate column", "random entry")[i % 4]
+        table = _corrupted(clean, kind, params, rng)
+        monkeypatch.setattr(graph_module, "neighbor_index_table", lambda params, budget: table)
+        outcomes.append(_first_mismatch(params, table))
+        assert verify_distance_equals_rank(params) == outcomes[-1], (kind, i)
+    assert None in outcomes
+    # some first mismatches lie past source 0, where only a table failing
+    # the translation check is walked
+    assert any(found is not None and found[0] > 0 for found in outcomes)
 
 
-@pytest.mark.parametrize(
-    "rows",
-    [
-        # two directed triangles: no path between them
-        [[1, 2], [2, 0], [0, 1], [4, 5], [5, 3], [3, 4]],
-        # no row lists vertex 4, the last one, and only row 4 lists vertex 0
-        [[1, 2], [2, 3], [3, 1], [1, 2], [0, 0]],
-    ],
-)
-def test_all_sources_distances_on_hand_built_tables(rows):
-    nbr = np.array(rows, dtype=np.int32)
-    dist = _all_sources(nbr)
-    assert (dist == -1).any()
-    assert np.array_equal(dist, _stacked_bfs(nbr))
+@pytest.mark.parametrize("pmNn", [(2, 1, 3, 3), (3, 1, 3, 2), (2, 2, 2, 2), (2, 1, 5, 2)])
+def test_distance_check_on_a_clean_table_walks_one_source(monkeypatch, pmNn):
+    p, m, N, n = pmNn
+    params = GraphParams(build_tower(p, m, N), n)
+    sources = []
+
+    def recorded(nbr, source, target=None):
+        sources.append(source)
+        return bfs_distances(nbr, source, target)
+
+    monkeypatch.setattr(graph_module, "bfs_distances", recorded)
+    assert verify_distance_equals_rank(params) is None
+    assert sources == [0]
 
 
 def test_translation_moves_m1_to_m2():
