@@ -6,8 +6,10 @@ subfield with r elements is encoded as the integer sum(c_i * r**i), where
 first.  Encodings nest: an element of F_{q^N} is an integer below q**N whose
 base-q digits are its F_q coordinates, and each F_q coordinate is an integer
 below p**m whose base-p digits are F_p coordinates.  So addition at every
-level is one base-p digit rule, XOR when p = 2 and digit by digit mod p
-otherwise: ``_add_digits`` here, and its numpy form ``linalg.add_digits``.
+level is one base-p digit rule, XOR when p = 2 and digit-wise mod p
+otherwise: ``_add_digits`` here, one digit at a time, and its numpy form
+``linalg.add_digits``, which reads the sums of chunks of digits from a
+lookup table.
 
 ``ExtField(K, f)`` is the ring K[x]/(f) for any monic f; it is a field,
 with a valid ``inv``, only when f is irreducible.  Moduli are chosen
@@ -292,11 +294,36 @@ def is_irreducible(poly: list[int], field) -> bool:
     return True
 
 
+def _binomials_reducible(r: int, degree: int) -> bool:
+    """Whether every binomial x^degree + c over F_r is reducible.
+
+    For degree >= 2, x^degree is, and x^degree - a with a != 0 is
+    irreducible iff each prime l dividing the degree divides ord(a) but not
+    (r - 1)/ord(a), and r = 1 (mod 4) when 4 divides the degree (Lidl and
+    Niederreiter, *Finite Fields*, Thm 3.75).  ord(a) divides r - 1, so no
+    binomial is irreducible when some l does not divide r - 1, or when 4
+    divides the degree and r = 3 (mod 4); otherwise x^degree - a is, for a
+    primitive a."""
+    rest, ell = degree, 2
+    while rest > 1:
+        if rest % ell == 0:
+            if (r - 1) % ell:
+                return True
+            rest //= ell
+        else:
+            ell += 1
+    return degree % 4 == 0 and r % 4 != 1
+
+
 def find_irreducible(field, degree: int) -> tuple[int, ...]:
-    """Smallest monic irreducible of the given degree, by integer encoding."""
+    """Smallest monic irreducible of the given degree, by integer encoding.
+
+    The first ``field.order`` candidates are the binomials x^degree + c,
+    skipped at once when ``_binomials_reducible`` rules them all out."""
     if degree < 1:
         raise ValueError("degree must be positive")
-    for t in range(field.order ** degree):
+    start = field.order if _binomials_reducible(field.order, degree) else 0
+    for t in range(start, field.order ** degree):
         poly = to_digits(t, field.order, degree) + [1]
         if is_irreducible(poly, field):
             return tuple(poly)

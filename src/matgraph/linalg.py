@@ -29,6 +29,11 @@ RANK_BLOCK = 1 << 12
 # The F_q tables have q^2 entries, built by scalar field operations in up to
 # about 2 s at q = 3^5; above this order the batched ranks go word by word.
 FQ_TABLE_MAX_Q = 1 << 8
+# Bound on the entries of each digit-sum table of ``add_digits``, p^(2k) for
+# chunks of k base-p digits.  On one (700 x 104) call at p = 3 and width 6
+# (2-vCPU Xeon, numpy 2.4.6), bounds of 2^4, 2^8, 2^12 and 2^14 (k = 1, 2,
+# 3, 4) took 1.17, 0.55, 0.35 and 0.35 ms, against 3.2 ms digit by digit.
+ADD_TABLE_SIZE = 1 << 12
 
 
 def check_budget(needed: int, budget: int) -> None:
@@ -309,26 +314,56 @@ def from_digits_array(digits, radix: int) -> np.ndarray:
     return digits @ _digit_weights(radix, digits.shape[-1])
 
 
+@functools.lru_cache(maxsize=32)
+def _chunk_sums(p: int, k: int, sign: int) -> np.ndarray:
+    """The digit-wise a + sign*b mod p of every pair of k-digit base-p
+    integers, at index a * p^k + b, as int64; built on first use and shared
+    read-only."""
+    digits = to_digits_array(np.arange(p ** k), p, k)
+    sums = from_digits_array((digits[:, None] + sign * digits[None, :]) % p, p)
+    table = sums.reshape(-1)
+    table.flags.writeable = False
+    return table
+
+
 def add_digits(a, b, p: int, width: int, sign: int = 1) -> np.ndarray:
     """a + sign*b for F_p-coordinate vectors packed as base-p integers of
-    ``width`` digits, elementwise with numpy broadcasting.
+    ``width`` digits, elementwise with numpy broadcasting, as int64.
 
     Vertex indices, vector indices and F_{q^N} encodings are all such
     integers (q = p^m), so this adds matrices, vectors and field elements
-    alike.  With p = 2 it is XOR; otherwise it works digit by digit mod p.
+    alike.  With p = 2 it is XOR.  Otherwise the width is cut into chunks
+    of k digits, k the largest with p^(2k) <= ADD_TABLE_SIZE, and each
+    chunk's digit-wise sum mod p is read from the ``_chunk_sums`` table;
+    when p^2 exceeds the table size, each one-digit chunk is summed mod p.
     """
     if p == 2:
         return np.bitwise_xor(a, b)
-    # The array codec inlined, with one set of weights: a // p^t differs
-    # from digit t of a by a multiple of p, which the "% p" of the sum
-    # removes, so the operands skip their own reduction.  The sum is
-    # reduced in place, so only one full-size digit array is alive.
     weights = _digit_weights(p, width)
-    a = np.asarray(a, dtype=np.int64)[..., None] // weights
-    b = np.asarray(b, dtype=np.int64)[..., None] // weights
-    s = a + sign * b
-    s %= p
-    return s @ weights
+    k = 1
+    while p ** (2 * k + 2) <= ADD_TABLE_SIZE:
+        k += 1
+    table = _chunk_sums(p, k, sign) if p * p <= ADD_TABLE_SIZE else None
+    stride = p ** k
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    for c in range(0, width, k):
+        # The last chunk is reduced mod p^(width - c), so digits at and
+        # above ``width`` are dropped, as the digit-wise rule drops them.
+        size = p ** min(k, width - c)
+        a, x = np.divmod(a, size)
+        b, y = np.divmod(b, size)
+        if table is None:
+            s = x + sign * y
+            s %= p
+        else:
+            s = table.take(x * stride + y)
+        if c:
+            s *= weights[c]
+            out += s
+        else:
+            out = s
+    return out
 
 
 def require_int64(tower: FieldTower) -> None:

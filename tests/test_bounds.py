@@ -63,6 +63,19 @@ def test_chi_prime_rejects_q_below_two(q):
         bounds_row(3, 2, q, 1)
 
 
+@pytest.mark.parametrize("q", [6, 10, 12, 15, 36, 2 * 3 ** 5, 1000000007 * 2])
+def test_chi_prime_rejects_q_not_a_prime_power(q):
+    with pytest.raises(ValueError, match=rf"^q = {q} is not a prime power$"):
+        chi_prime(3, 2, q, 1)
+    with pytest.raises(ValueError, match=rf"^q = {q} is not a prime power$"):
+        bounds_row(3, 2, q, 1)
+
+
+def test_chi_prime_accepts_every_prime_power():
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 2 ** 20, 3 ** 13, 1000000007):
+        assert chi_prime(3, 2, q, 1) == q ** 3
+
+
 def test_chi_prime_monotone():
     for q in (2, 3):
         for N in range(1, 6):

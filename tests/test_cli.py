@@ -79,6 +79,16 @@ def test_field_describe_large_prime_quadratic():
     assert json.loads(res.stdout)["modulus_qN"] == [[1], [0], [1]]
 
 
+def test_field_describe_large_prime_cubic():
+    # p = 2 mod 3, so every x^3 + c is reducible: the p binomials are
+    # skipped at once instead of running Ben-Or's test on each
+    start = time.perf_counter()
+    res = run_cli("field", "describe", "--q", "1000000007", "--m", "1", "--N", "3")
+    assert time.perf_counter() - start < 1
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["modulus_qN"] == [[5], [1], [0], [1]]
+
+
 def test_field_describe_rejects_non_prime_power():
     res = run_cli("field", "describe", "--q", "6", "--m", "1", "--N", "2")
     assert res.returncode == 1
@@ -456,8 +466,10 @@ def test_lazily_loaded_errors_map_to_exit_codes(tmp_path, argv, code, first_line
          "error: need 1 <= n <= N, q >= 2 and d >= 1"),
         (["bounds", "row", "--N", "3", "--n", "2", "--d", "1", "--q", "0"],
          "error: need 1 <= n <= N, q >= 2 and d >= 1"),
+        (["bounds", "row", "--N", "3", "--n", "2", "--d", "1", "--q", "6"],
+         "error: q = 6 is not a prime power"),
     ],
-    ids=["no-restart", "negative-restarts", "bounds-q1", "bounds-q0"],
+    ids=["no-restart", "negative-restarts", "bounds-q1", "bounds-q0", "bounds-q6"],
 )
 def test_argument_errors_exit_1_with_their_own_message(argv, first_line):
     res = run_cli(*argv)

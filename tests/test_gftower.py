@@ -1,5 +1,6 @@
 """Field tower arithmetic: moduli selection, axioms, frobenius, expansion."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from matgraph.gftower import (
+    _binomials_reducible,
     ExtField,
     FieldTower,
     build_tower,
@@ -307,6 +309,31 @@ def test_find_irreducible_is_smallest_by_trial_division(field, max_degree):
             if _trial_division_irreducible(to_digits(t, field.order, deg) + [1], field)
         )
         assert find_irreducible(field, deg) == tuple(to_digits(first, field.order, deg) + [1])
+
+
+# Every field with fewer than 50 elements, prime and extension.
+SMALL_FIELDS = [(p, m) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+                for m in range(1, 6) if p ** m < 50]
+
+
+@pytest.mark.parametrize("p, m", SMALL_FIELDS)
+def test_binomial_skip_agrees_with_ben_or(p, m):
+    field = build_tower(p, m, 1).base
+    r = field.order
+    for degree in range(1, 5):
+        binomials = ([c] + [0] * (degree - 1) + [1] for c in range(r))
+        some_irreducible = any(is_irreducible(poly, field) for poly in binomials)
+        assert _binomials_reducible(r, degree) == (not some_irreducible), (r, degree)
+
+
+def test_moduli_unchanged_by_the_binomial_skip():
+    # Pinned from the scan that runs Ben-Or's test on every candidate,
+    # binomials included; the skip is exact, so no choice may move.
+    pinned = json.loads((Path(__file__).parent / "data" / "tower_moduli.json").read_text())
+    assert len(pinned) == 6 * 3 * 6
+    for key, (modulus_q, modulus_qN) in pinned.items():
+        tower = build_tower(*map(int, key.split(",")))
+        assert (list(tower.modulus_q), list(tower.modulus_qN)) == (modulus_q, modulus_qN), key
 
 
 def test_extfield_rejects_non_monic_modulus():

@@ -6,7 +6,10 @@ import time
 import numpy as np
 import pytest
 
+from matgraph import codes as codes_module
+from matgraph import coloring as coloring_module
 from matgraph import graph as graph_module
+from matgraph.coloring import Coloring, find_violation
 from matgraph.gftower import build_tower
 from matgraph.graph import (
     GraphParams,
@@ -508,3 +511,47 @@ def test_pair_walk_blocks_stay_within_rank_block(monkeypatch, pmNn):
             assert sizes == [params.degree]
         if r == n:
             assert len(sizes) > 1
+
+
+def _add_digit_by_digit(a, b, p, width, sign=1):
+    """Reference for ``add_digits``: each operand expanded into a (..., width)
+    array of base-p digits, summed digit by digit mod p and folded back."""
+    if p == 2:
+        return np.bitwise_xor(a, b)
+    weights = p ** np.arange(width, dtype=np.int64)
+    a = np.asarray(a, dtype=np.int64)[..., None] // weights % p
+    b = np.asarray(b, dtype=np.int64)[..., None] // weights % p
+    return (a + sign * b) % p @ weights
+
+
+# (p, m, N, n) for (N,n,q) = (3,2,3), (2,2,5) and (2,2,9); with m = 2 the
+# F_9 entries have two base-3 digits each, so a chunk of the table-driven
+# addition can split an entry's digits.
+ODD_P_GRAPHS = [(3, 1, 3, 2), (5, 1, 2, 2), (3, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("pmNn", ODD_P_GRAPHS)
+def test_odd_p_tables_match_the_per_digit_rule(monkeypatch, pmNn):
+    p, m, N, n = pmNn
+    params = GraphParams(build_tower(p, m, N), n)
+    budget = params.order * params.degree  # 5,248,800 entries for (2,2,9)
+    table = neighbor_index_table(params, budget)
+    assert verify_distance_equals_rank(params, budget) is None
+    monkeypatch.setattr(graph_module, "add_digits", _add_digit_by_digit)
+    assert np.array_equal(neighbor_index_table(params, budget), table)
+
+
+def test_odd_p_pairwise_violations_match_the_per_digit_rule(monkeypatch):
+    params = GraphParams(build_tower(3, 1, 3), 2)
+    rng = np.random.default_rng(323)
+    colorings = [Coloring(params, "at-most-d", 1, (), 1, tag="one color")]
+    for i in range(12):
+        mode, d = (("at-most-d", 1), ("exactly-d", 1), ("exactly-d", 2))[i % 3]
+        h = tuple(int(x) for x in rng.integers(0, params.tower.order, size=2))
+        colorings.append(Coloring(params, mode, d, (h,), params.tower.order, tag="seeded", seed=i))
+    fast = [find_violation(col, pairwise=True) for col in colorings]
+    for module in (codes_module, coloring_module):
+        monkeypatch.setattr(module, "add_digits", _add_digit_by_digit)
+    assert [find_violation(col, pairwise=True) for col in colorings] == fast
+    assert sum(pair is not None for pair in fast) >= 6
+    assert None in fast

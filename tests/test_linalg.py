@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from matgraph.codes import parity_syndrome
-from matgraph.gftower import build_tower, from_digits, to_digits
+from matgraph.gftower import _add_digits, build_tower, from_digits, to_digits
 from matgraph.linalg import (
+    ADD_TABLE_SIZE,
     BudgetExceededError,
     MatFq,
     VecExt,
+    _chunk_sums,
     add_digits,
     column_rank,
     count_rank_k,
@@ -397,6 +399,71 @@ def test_add_digits_is_field_addition_and_subtraction(pmN):
     pairs = list(zip(a.tolist(), b.tolist()))
     assert added == [ext.add(x, y) for x, y in pairs]
     assert subtracted == [ext.sub(x, y) for x, y in pairs]
+
+
+def _chunk_digits(p):
+    """The k of ``add_digits``: the largest with p^(2k) <= ADD_TABLE_SIZE, or
+    1 when p^2 exceeds it."""
+    k = 1
+    while p ** (2 * k + 2) <= ADD_TABLE_SIZE:
+        k += 1
+    return k
+
+
+def _widths(p):
+    """Every width from 1 to one past two chunks, within int64."""
+    top = 2 * _chunk_digits(p) + 1
+    return [w for w in range(1, top + 1) if p ** w < 1 << 63]
+
+
+def _scalar_sums(a, b, p, width, sign):
+    """``gftower._add_digits`` on each broadcast pair of entries."""
+    a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
+    return [_add_digits(int(x), int(y), p, sign) for x, y in zip(a.ravel().tolist(), b.ravel().tolist())]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 67, 65537])
+def test_add_digits_matches_the_scalar_rule(p):
+    rng = np.random.default_rng(p)
+    for width in _widths(p):
+        top = p ** width - 1
+        a = np.concatenate([[0, top], rng.integers(0, top, size=10, endpoint=True)])[:, None]
+        b = np.concatenate([[0, top, 1], rng.integers(0, top, size=7, endpoint=True)])[None, :]
+        for sign in (1, -1):
+            out = add_digits(a, b, p, width, sign)
+            assert out.dtype == np.int64 and out.shape == (12, 10)
+            assert out.ravel().tolist() == _scalar_sums(a, b, p, width, sign), (width, sign)
+            # Elementwise, same shapes, and 0-d or Python-int operands.
+            flat = add_digits(np.broadcast_to(a, out.shape), np.broadcast_to(b, out.shape), p, width, sign)
+            assert np.array_equal(flat, out)
+            x, y = int(a[-1, 0]), int(b[0, -1])
+            for args in ((x, y), (np.int64(x), np.array(y))):
+                one = add_digits(*args, p, width, sign)
+                assert np.asarray(one).dtype == np.int64 and np.ndim(one) == 0
+                assert int(one) == _add_digits(x, y, p, sign)
+            # Digits at and above ``width`` are dropped, as in the digit-wise rule.
+            if (top + 1) * p < 1 << 63:
+                assert add_digits(x + (top + 1) * (p - 1), y + top + 1, p, width, sign) == one
+
+
+def test_add_digits_keeps_the_int64_guard():
+    for p, width in ((3, 40), (5, 28), (65537, 4)):
+        with pytest.raises(ValueError, match="does not fit int64"):
+            add_digits(0, 0, p, width)
+    assert add_digits(3 ** 39 - 1, 1, 3, 39) == 3 ** 39 - 3  # digit-wise: the carry is dropped
+
+
+def test_add_digit_tables_are_cached_and_read_only():
+    _chunk_sums.cache_clear()
+    for _ in range(2):
+        add_digits(np.arange(9), 4, 3, 2, sign=-1)
+    assert _chunk_sums.cache_info()[:2] == (1, 1)  # built once, then reused
+    table = _chunk_sums(3, _chunk_digits(3), -1)
+    assert _chunk_sums.cache_info()[:2] == (2, 1)  # the table add_digits built
+    assert table.dtype == np.int64 and table.size == 3 ** (2 * _chunk_digits(3)) <= ADD_TABLE_SIZE
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 1
 
 
 @pytest.mark.parametrize("radix, width", [(2, 1), (2, 62), (3, 6), (4, 5), (9, 4), (257, 3), (65537, 3), (2**31 - 1, 2)])
