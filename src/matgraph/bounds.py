@@ -25,7 +25,9 @@ than silently reproducing them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import comb, isqrt
+from math import comb
+
+from ._primes import is_prime_power
 
 
 def ceil_log(base: int, value: int) -> int:
@@ -48,12 +50,7 @@ def chi_prime(N: int, n: int, q: int, d: int) -> int:
     A q that is not a prime power names no field and is a ValueError."""
     if min(N, n, d) < 1 or q < 2 or n > N:
         raise ValueError("need 1 <= n <= N, q >= 2 and d >= 1")
-    # A power of q's smallest divisor above 1, which is prime, or no field.
-    p = next((f for f in range(2, isqrt(q) + 1) if q % f == 0), q)
-    rest = q
-    while rest % p == 0:
-        rest //= p
-    if rest != 1:
+    if not is_prime_power(q):
         raise ValueError(f"q = {q} is not a prime power")
     return q ** (N * min(d, n))
 

@@ -19,13 +19,24 @@ Ben-Or's test, which runs in ``ExtField(F_r, f)`` for each candidate f.
 For F_8 this selects x^3 + x + 1, so the residue class a of x satisfies
 a^3 = a + 1 and is primitive.
 
-All objects are immutable after construction and safe to share between
-threads.
+``build_tower`` runs the two modulus scans once for each (p, m, N) in a
+process and returns that one shared tower to every later caller, including
+``FieldTower.from_json`` (two threads that miss at once may each build an
+equal tower; one is kept).  All objects are immutable after construction
+and safe to share between threads; the one lazily set field, a tower's
+``primitive_element``, is deterministic, so computing it twice sets the
+same value.  Primality is ``matgraph._primes.is_prime``, deterministic
+Miller-Rabin, re-exported here by name.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from typing import Iterable
+
+# Absolute, so that this file also loads on its own, outside the package.
+from matgraph._primes import is_prime
 
 
 def to_digits(x: int, radix: int, width: int) -> list[int]:
@@ -71,17 +82,6 @@ def _add_digits(a: int, b: int, p: int, sign: int = 1) -> int:
         out += (x + sign * y) % p * scale
         scale *= p
     return out
-
-
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 class PrimeField:
@@ -410,7 +410,9 @@ class FieldTower:
 
     @staticmethod
     def from_json(data: dict) -> "FieldTower":
-        tower = FieldTower(int(data["p"]), int(data["m"]), int(data["N"]))
+        """The shared ``build_tower`` tower, after checking that any stored
+        moduli are the ones it chose."""
+        tower = build_tower(int(data["p"]), int(data["m"]), int(data["N"]))
         if "modulus_q" in data and tuple(data["modulus_q"]) != tower.modulus_q:
             raise ValueError("stored modulus_q does not match the deterministic choice")
         if "modulus_qN" in data:
@@ -450,6 +452,17 @@ class FieldTower:
         return f"FieldTower(p={self.p}, m={self.m}, N={self.N})"
 
 
-def build_tower(p: int, m: int, N: int) -> FieldTower:
-    """Build the tower F_p <= F_{p^m} <= F_{(p^m)^N} with deterministic moduli."""
+@functools.lru_cache(maxsize=128)
+def _shared_tower(p: int, m: int, N: int) -> FieldTower:
     return FieldTower(p, m, N)
+
+
+def build_tower(p: int, m: int, N: int) -> FieldTower:
+    """The tower F_p <= F_{p^m} <= F_{(p^m)^N} with deterministic moduli,
+    built once per (p, m, N) and shared.  The arguments are made plain ints
+    first, so a numpy integer finds the same tower; bad arguments raise on
+    every call, as errors are not cached."""
+    return _shared_tower(operator.index(p), operator.index(m), operator.index(N))
+
+
+build_tower.cache_clear = _shared_tower.cache_clear

@@ -97,9 +97,13 @@ def neighbors(M: MatFq, budget: int = DEFAULT_BUDGET) -> Iterator[MatFq]:
 
 
 @functools.lru_cache(maxsize=32)
-def _rank_one_indices(params: GraphParams) -> tuple[int, ...]:
-    """Vertex index of each rank-one matrix, in rank-one order: the steps."""
-    return tuple(mat_index(R) for R in enumerate_rank_one(params.tower, params.N, params.n))
+def _rank_one_indices(params: GraphParams) -> np.ndarray:
+    """Vertex index of each rank-one matrix, in rank-one order: the steps,
+    as one read-only int64 array shared by every pair query."""
+    rank_one = enumerate_rank_one(params.tower, params.N, params.n)
+    steps = np.array([mat_index(R) for R in rank_one], dtype=np.int64)
+    steps.flags.writeable = False
+    return steps
 
 
 class _StepRows:
@@ -110,7 +114,7 @@ class _StepRows:
     def __init__(self, params: GraphParams, budget: int) -> None:
         check_budget(params.order * params.degree, budget)
         self.shape = (params.order, params.degree)
-        self._steps = np.array(_rank_one_indices(params), dtype=np.int64)
+        self._steps = _rank_one_indices(params)
         self._p, self._width = params.tower.p, params.width
 
     def __getitem__(self, vertices: np.ndarray) -> np.ndarray:

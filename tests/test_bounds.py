@@ -76,6 +76,17 @@ def test_chi_prime_accepts_every_prime_power():
         assert chi_prime(3, 2, q, 1) == q ** 3
 
 
+@pytest.mark.parametrize("q", [(2**61 - 1) ** 2, 3**40, 100000000000031], ids=["mersenne61-squared", "3^40", "prime-1e14"])
+def test_chi_prime_accepts_large_prime_powers(q):
+    assert chi_prime(3, 2, q, 1) == q**3
+
+
+def test_chi_prime_rejects_a_product_of_two_large_primes():
+    q = (10**9 + 7) * (10**9 + 9)
+    with pytest.raises(ValueError, match=rf"^q = {q} is not a prime power$"):
+        chi_prime(3, 2, q, 1)
+
+
 def test_chi_prime_monotone():
     for q in (2, 3):
         for N in range(1, 6):

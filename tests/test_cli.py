@@ -89,6 +89,28 @@ def test_field_describe_large_prime_cubic():
     assert json.loads(res.stdout)["modulus_qN"] == [[5], [1], [0], [1]]
 
 
+def test_large_prime_q_is_fast():
+    # q = 100000000000031 is prime: the primality test takes microseconds
+    # where dividing by every number up to sqrt(q) took about a second
+    q = 100000000000031
+    start = time.perf_counter()
+    row = run_cli("bounds", "row", "--N", "3", "--n", "2", "--d", "1", "--q", str(q))
+    field = run_cli("field", "describe", "--q", str(q), "--m", "1", "--N", "1")
+    assert time.perf_counter() - start < 1
+    assert (row.returncode, field.returncode) == (0, 0), row.stderr + field.stderr
+    chi = str(q**3)
+    assert json.loads(row.stdout) == {
+        "N": 3, "n": 2, "d": 1, "q": q, "bound12": str(q), "bound8": chi, "chi_prime": chi,
+        "chi_prime_lower": chi, "lower_bounds": [chi], "note": "",
+        "known_exact": {
+            "exact": True,
+            "provenance": "distance 1: single-column clique of size q^N meets the q^N-color construction",
+            "value": chi,
+        },
+    }
+    assert json.loads(field.stdout) == {"N": 1, "m": 1, "p": q, "modulus_q": [0, 1], "modulus_qN": [[0], [1]]}
+
+
 def test_field_describe_rejects_non_prime_power():
     res = run_cli("field", "describe", "--q", "6", "--m", "1", "--N", "2")
     assert res.returncode == 1
@@ -387,7 +409,8 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "mat
 """
 
 CLI_MODULES = {"matgraph", "matgraph._budget", "matgraph.cli"}
-TOWER_MODULES = {"matgraph._numpy", "matgraph.gftower", "matgraph.linalg"}
+PRIME_MODULES = {"matgraph._primes"}
+TOWER_MODULES = PRIME_MODULES | {"matgraph._numpy", "matgraph.gftower", "matgraph.linalg"}
 ALL_MODULES = CLI_MODULES | TOWER_MODULES | {
     f"matgraph.{name}" for name in ("bounds", "codes", "coloring", "graph")
 }
@@ -396,9 +419,10 @@ ALL_MODULES = CLI_MODULES | TOWER_MODULES | {
 @pytest.mark.parametrize(
     "argv, modules",
     [
-        (["bounds", "table1"], CLI_MODULES | {"matgraph.bounds"}),
-        (["bounds", "row", "--N", "6", "--n", "4", "--d", "2", "--q", "2"], CLI_MODULES | {"matgraph.bounds"}),
-        (["field", "describe", "--q", "9", "--m", "2", "--N", "2"], CLI_MODULES | {"matgraph.gftower"}),
+        (["bounds", "table1"], CLI_MODULES | PRIME_MODULES | {"matgraph.bounds"}),
+        (["bounds", "row", "--N", "6", "--n", "4", "--d", "2", "--q", "2"],
+         CLI_MODULES | PRIME_MODULES | {"matgraph.bounds"}),
+        (["field", "describe", "--q", "9", "--m", "2", "--N", "2"], CLI_MODULES | PRIME_MODULES | {"matgraph.gftower"}),
         (["graph", "stats", "--q", "3", "--m", "1", "--N", "3", "--n", "2"],
          CLI_MODULES | TOWER_MODULES | {"matgraph.graph"}),
         (["code", "gabidulin", "--q", "2", "--m", "1", "--N", "3", "--n", "3", "--k", "1"],

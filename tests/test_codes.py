@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matgraph.gftower import build_tower
+from matgraph.gftower import FieldTower, build_tower
 from matgraph.codes import (
     LinearRankCode,
     builtin_code,
@@ -231,8 +231,9 @@ def test_line_blocks_are_the_smallest_member_of_each_line(pmN, n, k):
 def test_line_blocks_tabulate_all_rows_but_the_first(monkeypatch, pmN, n):
     # rows[0] only ever leads a line, so k rows need the F_p-basis images
     # of k - 1 rows, n * m * N field products each; the words are still the
-    # smallest member of each line.
-    tower = build_tower(*pmN)
+    # smallest member of each line.  The tower is a private copy, as the
+    # patch below sets an attribute on it and build_tower's is shared.
+    tower = FieldTower(*pmN)
     rng = random.Random(repr(pmN))
     calls = []
     mul = tower.ext.mul

@@ -3,10 +3,14 @@
 import json
 import subprocess
 import sys
+from math import isqrt
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from matgraph import _primes, gftower
+from matgraph._primes import is_prime_power
 from matgraph.gftower import (
     _binomials_reducible,
     ExtField,
@@ -29,6 +33,53 @@ def test_is_prime():
     assert [p for p in range(2, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1)
     assert not is_prime(0)
+
+
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(20000) if is_prime(n)] == [n for n in range(20000) if _is_prime_by_trial_division(n)]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [561, 41041, 3215031751, 3825123056546413051],
+    ids=["carmichael-561", "carmichael-41041", "spsp-2-3-5-7", "spsp-first-9-primes"],
+)
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("n", [2**61 - 1, 100000000000031, 10**9 + 7])
+def test_is_prime_accepts_large_primes(n):
+    assert is_prime(n)
+
+
+def test_is_prime_trial_divides_past_the_miller_rabin_bound(monkeypatch):
+    # The bound is the least composite that passes all 13 bases, so above
+    # it a number that passes is trial-divided; that path, run from 0 here,
+    # is exact on its own.
+    bound = _primes.MILLER_RABIN_BOUND
+    s = ((bound - 1) & (1 - bound)).bit_length() - 1
+    assert all(_primes._strong_probable_prime(bound, a, (bound - 1) >> s, s) for a in _primes.BASES)
+    assert bound == 1287836182261 * 2575672364521
+    assert not is_prime((2**61 - 1) ** 2) and not is_prime((2**89 - 1) * (2**61 - 1))
+    monkeypatch.setattr(_primes, "MILLER_RABIN_BOUND", 0)
+    assert [n for n in range(5000) if is_prime(n)] == [n for n in range(5000) if _is_prime_by_trial_division(n)]
+
+
+def test_is_prime_power_agrees_with_factoring():
+    def by_factoring(q):
+        p = next((f for f in range(2, q + 1) if q % f == 0), None)
+        while p and q % p == 0:
+            q //= p
+        return p is not None and q == 1
+
+    assert [q for q in range(3000) if is_prime_power(q)] == [q for q in range(3000) if by_factoring(q)]
+    assert is_prime_power((2**61 - 1) ** 2) and is_prime_power(3**40) and is_prime_power(2**200)
+    assert not is_prime_power((10**9 + 7) * (10**9 + 9)) and not is_prime_power(6**40)
 
 
 def test_modulus_f8_is_x3_x_1():
@@ -326,7 +377,7 @@ def test_binomial_skip_agrees_with_ben_or(p, m):
         assert _binomials_reducible(r, degree) == (not some_irreducible), (r, degree)
 
 
-def test_moduli_unchanged_by_the_binomial_skip():
+def _assert_pinned_moduli():
     # Pinned from the scan that runs Ben-Or's test on every candidate,
     # binomials included; the skip is exact, so no choice may move.
     pinned = json.loads((Path(__file__).parent / "data" / "tower_moduli.json").read_text())
@@ -334,6 +385,55 @@ def test_moduli_unchanged_by_the_binomial_skip():
     for key, (modulus_q, modulus_qN) in pinned.items():
         tower = build_tower(*map(int, key.split(",")))
         assert (list(tower.modulus_q), list(tower.modulus_qN)) == (modulus_q, modulus_qN), key
+
+
+def test_moduli_unchanged_by_the_binomial_skip():
+    _assert_pinned_moduli()
+
+
+def test_moduli_unchanged_with_a_cold_cache():
+    build_tower.cache_clear()
+    _assert_pinned_moduli()
+
+
+def test_build_tower_returns_one_shared_tower():
+    assert build_tower(2, 2, 3) is build_tower(2, 2, 3)
+    assert build_tower(3, 1, 2) is not build_tower(3, 1, 3)
+
+
+def test_build_tower_scans_once_per_process(monkeypatch):
+    calls = []
+    is_irreducible = gftower.is_irreducible
+    monkeypatch.setattr(gftower, "is_irreducible", lambda *args: calls.append(1) or is_irreducible(*args))
+    build_tower.cache_clear()
+    first = build_tower(3, 2, 2)
+    assert calls
+    calls.clear()
+    assert build_tower(3, 2, 2) is first and FieldTower.from_json(first.to_json()) is first
+    assert calls == []
+
+
+def test_build_tower_normalizes_numpy_integers():
+    build_tower.cache_clear()
+    tower = build_tower(np.int64(3), np.int32(1), np.uint8(3))
+    assert tower is build_tower(3, 1, 3)
+    assert all(type(x) is int for x in (tower.p, tower.m, tower.N, tower.q))
+    assert json.loads(json.dumps(tower.to_json())) == tower.to_json()
+    with pytest.raises(TypeError):
+        build_tower(3.0, 1, 3)
+
+
+@pytest.mark.parametrize("pmN", [(4, 1, 2), (1, 1, 1), (3, 0, 2), (3, 1, 0)])
+def test_build_tower_raises_on_every_call(pmN):
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            build_tower(*pmN)
+
+
+def test_from_json_returns_the_shared_tower():
+    tower = build_tower(2, 2, 2)
+    assert FieldTower.from_json(tower.to_json()) is tower
+    assert FieldTower.from_json({"p": 2, "m": 2, "N": 2}) is tower
 
 
 def test_extfield_rejects_non_monic_modulus():

@@ -416,6 +416,14 @@ def test_index_ranks_are_built_once_and_read_only():
         table[0] = 1
 
 
+def test_pair_queries_share_one_read_only_step_array():
+    params = GraphParams(build_tower(3, 1, 2), 2)
+    rows = graph_module._StepRows(params, budget=10**6)
+    assert rows._steps is graph_module._StepRows(params, budget=10**6)._steps
+    assert rows._steps.dtype == np.int64 and not rows._steps.flags.writeable
+    assert len(rows._steps) == params.degree
+
+
 # Output of export_dot and export_edgelist_csv, recorded before both read
 # their edges from the neighbor index table.
 EXPORT_SHA256 = {
