@@ -76,7 +76,9 @@ def test_chi_prime_accepts_every_prime_power():
         assert chi_prime(3, 2, q, 1) == q ** 3
 
 
-@pytest.mark.parametrize("q", [(2**61 - 1) ** 2, 3**40, 100000000000031], ids=["mersenne61-squared", "3^40", "prime-1e14"])
+@pytest.mark.parametrize(
+    "q", [(2**61 - 1) ** 2, 3**40, 100000000000031], ids=["mersenne61-squared", "3^40", "prime-1e14"]
+)
 def test_chi_prime_accepts_large_prime_powers(q):
     assert chi_prime(3, 2, q, 1) == q**3
 

@@ -422,7 +422,8 @@ ALL_MODULES = CLI_MODULES | TOWER_MODULES | {
         (["bounds", "table1"], CLI_MODULES | PRIME_MODULES | {"matgraph.bounds"}),
         (["bounds", "row", "--N", "6", "--n", "4", "--d", "2", "--q", "2"],
          CLI_MODULES | PRIME_MODULES | {"matgraph.bounds"}),
-        (["field", "describe", "--q", "9", "--m", "2", "--N", "2"], CLI_MODULES | PRIME_MODULES | {"matgraph.gftower"}),
+        (["field", "describe", "--q", "9", "--m", "2", "--N", "2"],
+         CLI_MODULES | PRIME_MODULES | {"matgraph.gftower"}),
         (["graph", "stats", "--q", "3", "--m", "1", "--N", "3", "--n", "2"],
          CLI_MODULES | TOWER_MODULES | {"matgraph.graph"}),
         (["code", "gabidulin", "--q", "2", "--m", "1", "--N", "3", "--n", "3", "--k", "1"],

@@ -40,15 +40,20 @@ def _is_prime_by_trial_division(n):
 
 
 def test_is_prime_agrees_with_trial_division():
-    assert [n for n in range(20000) if is_prime(n)] == [n for n in range(20000) if _is_prime_by_trial_division(n)]
+    below = range(20000)
+    assert [n for n in below if is_prime(n)] == [n for n in below if _is_prime_by_trial_division(n)]
 
 
 @pytest.mark.parametrize(
-    "n",
-    [561, 41041, 3215031751, 3825123056546413051],
-    ids=["carmichael-561", "carmichael-41041", "spsp-2-3-5-7", "spsp-first-9-primes"],
+    "n, fooled",
+    [(561, 0), (41041, 0), (3215031751, 4), (3825123056546413051, 11), (318665857834031151167461, 12)],
+    ids=["carmichael-561", "carmichael-41041", "spsp-4-bases", "spsp-11-bases", "spsp-12-bases"],
 )
-def test_is_prime_rejects_pseudoprimes(n):
+def test_is_prime_rejects_pseudoprimes(n, fooled):
+    # strong pseudoprimes to the first `fooled` bases are caught by a later one
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    passes = [_primes._strong_probable_prime(n, a, (n - 1) >> s, s) for a in _primes.BASES[:fooled + 1]]
+    assert passes == [True] * fooled + [False]
     assert not is_prime(n)
 
 
@@ -67,7 +72,8 @@ def test_is_prime_trial_divides_past_the_miller_rabin_bound(monkeypatch):
     assert bound == 1287836182261 * 2575672364521
     assert not is_prime((2**61 - 1) ** 2) and not is_prime((2**89 - 1) * (2**61 - 1))
     monkeypatch.setattr(_primes, "MILLER_RABIN_BOUND", 0)
-    assert [n for n in range(5000) if is_prime(n)] == [n for n in range(5000) if _is_prime_by_trial_division(n)]
+    below = range(5000)
+    assert [n for n in below if is_prime(n)] == [n for n in below if _is_prime_by_trial_division(n)]
 
 
 def test_is_prime_power_agrees_with_factoring():
