@@ -48,7 +48,7 @@ _PUBLIC = {
         "verify_at_most_d",
         "verify_exactly_d",
     ),
-    "bounds": ("chi_exact_upper", "chi_lower_singleton", "chi_prime", "known_chi_exact", "table1"),
+    "bounds": ("chi_exact_upper", "chi_prime", "known_chi_exact", "table1"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}
 _SUBMODULES = frozenset(module for module in _PUBLIC if not module.startswith("_"))

@@ -5,12 +5,18 @@
 Miller-Rabin with the first 13 primes as bases, which no composite below
 ``MILLER_RABIN_BOUND`` = 3.317...e24 passes (Sorenson and Webster, *Strong
 pseudoprimes to twelve prime bases*, 2015).  A number at or above the bound
-that passes every base is trial-divided, so the answer is exact at every
-size and slow only for such large primes.  The module imports nothing, so
+that passes every base raises ``BudgetExceededError`` instead of being
+trial-divided, which could not finish: the test refuses, it never guesses.
+``iroot`` is the one exact integer k-th root, used by ``is_prime_power`` and
+by the CLI to find p from q and m.  The module imports only ``_budget``, so
 ``bounds`` can use it without loading ``gftower``.
 """
 
 from __future__ import annotations
+
+from math import isqrt
+
+from ._budget import DEFAULT_BUDGET, BudgetExceededError
 
 BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MILLER_RABIN_BOUND = 3317044064679887385961981
@@ -29,7 +35,10 @@ def _strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Whether the integer n is prime, exactly."""
+    """Whether the integer n is prime, exactly.  At or above
+    ``MILLER_RABIN_BOUND`` only a composite can be told apart: a number
+    there that passes every base raises ``BudgetExceededError``, as proving
+    it prime would take about isqrt(n) // 2 trial divisions."""
     if n < 2:
         return False
     for a in BASES:
@@ -41,15 +50,10 @@ def is_prime(n: int) -> bool:
         return False
     if n < MILLER_RABIN_BOUND:
         return True
-    f = BASES[-1] + 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    raise BudgetExceededError(isqrt(n) // 2, DEFAULT_BUDGET)
 
 
-def _iroot(n: int, k: int) -> int:
+def iroot(n: int, k: int) -> int:
     """The largest r >= 0 with r**k <= n, by Newton's method from above."""
     if n < 2:
         return n
@@ -65,7 +69,7 @@ def is_prime_power(q: int) -> bool:
     """Whether q = p**k for a prime p and some k >= 1: some exact integer
     k-th root of q, k at most q's bit length, is prime."""
     for k in range(1, q.bit_length() + 1):
-        r = _iroot(q, k)
+        r = iroot(q, k)
         if r < 2:
             break
         if r**k == q and is_prime(r):

@@ -55,17 +55,6 @@ def chi_prime(N: int, n: int, q: int, d: int) -> int:
     return q ** (N * min(d, n))
 
 
-def chi_lower_singleton(N: int, n: int, q: int, d: int) -> int:
-    """Sphere lower bound q^(Nn) / A with the Singleton code size A.
-
-    A = q^(N(n-d)) is attained, so the bound equals q^(Nd) and is tight.
-    """
-    if not 1 <= d <= n <= N:
-        raise ValueError("need 1 <= d <= n <= N")
-    a = q ** (N * (n - d))
-    return -(-(q ** (N * n)) // a)
-
-
 def chi_exact_upper_exponent(N: int, n: int, q: int, d: int) -> int:
     """The exponent ceil(log_q(2 + C(n-1, d-1) (q^N - 1)^(d-1)))."""
     if not 1 <= d <= n <= N:
@@ -121,7 +110,7 @@ class BoundsRow:
     d: int
     q: int
     chi_prime_exact: int
-    chi_lower_eq1: int
+    chi_lower_eq1: int  # the sphere-packing lower bound, tight, so chi_prime_exact
     chi_exact_upper_thm: int  # bound12
     chi_exact_upper_nat: int  # bound8
     known_exact: KnownChi | None
@@ -140,7 +129,7 @@ def bounds_row(N: int, n: int, q: int, d: int) -> BoundsRow:
         d=d,
         q=q,
         chi_prime_exact=at_most_d,
-        chi_lower_eq1=chi_lower_singleton(N, n, q, d),
+        chi_lower_eq1=at_most_d,
         chi_exact_upper_thm=chi_exact_upper(N, n, q, d),
         chi_exact_upper_nat=at_most_d,
         known_exact=known,

@@ -30,19 +30,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _tower_from_flags(args: argparse.Namespace):
+    from ._primes import iroot
     from .gftower import build_tower
 
     q, m = args.q, args.m
-    # The integer p >= 2 with p**m == q, by bisection; 2**m > q when m is at
-    # least q's bit length.  Whether p is prime is build_tower's check.
-    p = None
-    if q >= 2 and 1 <= m < q.bit_length():
-        lo, hi = 2, 1 << (q.bit_length() // m + 1)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            lo, hi = (mid + 1, hi) if mid**m < q else (lo, mid)
-        p = lo if lo**m == q else None
-    if p is None:
+    # The exact m-th root p of q; p >= 2 needs 2**m <= q, so m below q's bit
+    # length.  Whether p is prime is build_tower's check.
+    p = iroot(q, m) if 1 <= m < q.bit_length() else 0
+    if p < 2 or p**m != q:
         raise ValueError(f"q = {q} is not a prime power with exponent m = {m}")
     return build_tower(p, m, args.N)
 

@@ -23,10 +23,9 @@ a^3 = a + 1 and is primitive.
 process and returns that one shared tower to every later caller, including
 ``FieldTower.from_json`` (two threads that miss at once may each build an
 equal tower; one is kept).  All objects are immutable after construction
-and safe to share between threads; the one lazily set field, a tower's
-``primitive_element``, is deterministic, so computing it twice sets the
-same value.  Primality is ``matgraph._primes.is_prime``, deterministic
-Miller-Rabin, re-exported here by name.
+and safe to share between threads.  Primality is
+``matgraph._primes.is_prime``, deterministic Miller-Rabin, re-exported here
+by name.
 """
 
 from __future__ import annotations
@@ -211,20 +210,6 @@ class ExtField:
         return f"ExtField(order={self.order}, modulus={self.modulus})"
 
 
-def multiplicative_order(field, a: int) -> int:
-    """Order of ``a`` in the multiplicative group; a must be nonzero."""
-    if a == 0:
-        raise ValueError("zero has no multiplicative order")
-    k = 1
-    y = a
-    while y != 1:
-        y = field.mul(y, a)
-        k += 1
-        if k > field.order:
-            raise AssertionError("element order exceeded the group order")
-    return k
-
-
 # ---------------------------------------------------------------------------
 # polynomials over a field view, low degree first (ExtField.mul, Ben-Or)
 # ---------------------------------------------------------------------------
@@ -362,7 +347,6 @@ class FieldTower:
         self.modulus_qN = find_irreducible(self.base, N)
         self.ext = ExtField(self.base, self.modulus_qN)
         self.basis = tuple(self.q ** i for i in range(N))
-        self._primitive: int | None = None
 
     @property
     def order(self) -> int:
@@ -385,17 +369,6 @@ class FieldTower:
         if j < 0:
             raise ValueError("frobenius power must be nonnegative")
         return self.ext.pow(x, self.q ** (j % self.N))
-
-    def primitive_element(self) -> int:
-        """Smallest encoding whose multiplicative order is q**N - 1."""
-        if self._primitive is None:
-            target = self.order - 1
-            for x in range(1, self.order):
-                if multiplicative_order(self.ext, x) == target:
-                    self._primitive = x
-                    break
-        assert self._primitive is not None
-        return self._primitive
 
     # -- serialization ------------------------------------------------------
 

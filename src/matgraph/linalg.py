@@ -545,27 +545,3 @@ def enumerate_rank_one(
         for w in normalized:
             entries = tuple(mul(ui, wj) for ui in u for wj in w)
             yield MatFq(tower, rows, cols, entries)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def mat_to_json(M: MatFq) -> list[list[list[int]]]:
-    """Rows of F_q coefficient arrays (each entry an F_p coordinate list)."""
-    tower = M.tower
-    return [[tower.fq_coeffs(e) for e in M.row(i)] for i in range(M.rows)]
-
-
-def mat_from_json(tower: FieldTower, data: list[list[list[int]]]) -> MatFq:
-    rows = len(data)
-    if rows == 0:
-        raise ValueError("matrix must have at least one row")
-    cols = len(data[0])
-    entries = []
-    for r in data:
-        if len(r) != cols:
-            raise ValueError("ragged matrix rows")
-        entries.extend(tower.fq_from_coeffs(c) for c in r)
-    return MatFq(tower, rows, cols, tuple(entries))
-

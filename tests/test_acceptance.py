@@ -12,7 +12,7 @@ import sys
 import time
 from math import gcd
 
-from matgraph.bounds import TABLE1_HEADER, chi_lower_singleton, table1
+from matgraph.bounds import TABLE1_HEADER, chi_prime, table1
 from matgraph.codes import (
     builtin_code,
     check_parity_columns,
@@ -157,7 +157,7 @@ def test_criterion_5_at_most_d_colorings_optimal():
             assert verify_at_most_d(col, pairwise=True)
             used = realized_colors(col)
             assert used == col.num_colors == q ** (N * d)
-            assert used == chi_lower_singleton(N, n, q, d)
+            assert used == chi_prime(N, n, q, d)
 
 
 def test_criterion_6_chi1_clique():

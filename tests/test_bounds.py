@@ -10,7 +10,6 @@ from matgraph.bounds import (
     ceil_log,
     chi_exact_upper,
     chi_exact_upper_exponent,
-    chi_lower_singleton,
     chi_prime,
     known_chi_exact,
     table1,
@@ -104,9 +103,9 @@ def test_chi_lower_equals_chi_prime():
         for N in range(1, 5):
             for n in range(1, N + 1):
                 for d in range(1, n + 1):
-                    assert chi_lower_singleton(N, n, q, d) == chi_prime(N, n, q, d)
-    assert chi_lower_singleton(2, 2, 2, 1) == 4
-    assert chi_lower_singleton(3, 3, 2, 3) == 2 ** 9
+                    assert bounds_row(N, n, q, d).chi_lower_eq1 == chi_prime(N, n, q, d)
+    assert bounds_row(2, 2, 2, 1).chi_lower_eq1 == 4
+    assert bounds_row(3, 3, 2, 3).chi_lower_eq1 == 2 ** 9
 
 
 def test_chi_exact_upper_table_values():

@@ -111,25 +111,56 @@ def test_large_prime_q_is_fast():
     assert json.loads(field.stdout) == {"N": 1, "m": 1, "p": q, "modulus_q": [0, 1], "modulus_qN": [[0], [1]]}
 
 
+def test_prime_past_the_miller_rabin_bound_exits_3():
+    # 10**25 + 13 is prime and above 3.317e24, where proving it so would
+    # take about 1.6e12 trial divisions: both calls refuse with exit 3
+    q = str(10**25 + 13)
+    for args in (
+        ("bounds", "row", "--N", "3", "--n", "2", "--d", "1", "--q", q),
+        ("field", "describe", "--q", q, "--m", "1", "--N", "1"),
+    ):
+        start = time.perf_counter()
+        res = run_cli(*args)
+        assert time.perf_counter() - start < 2
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.startswith("budget exceeded:")
+        assert res.stdout == ""
+
+
 def test_field_describe_rejects_non_prime_power():
     res = run_cli("field", "describe", "--q", "6", "--m", "1", "--N", "2")
     assert res.returncode == 1
 
 
+PRIME_POWER_PARSE_CASES = [
+    ("1000000007", "1", 0, 1000000007, ""),
+    ("8", "3", 0, 2, ""),
+    # an exact m-th root that is not prime fails in PrimeField
+    ("9", "1", 1, None, "error: p = 9 is not prime\n"),
+    ("16", "2", 1, None, "error: p = 4 is not prime\n"),
+    ("6", "1", 1, None, "error: p = 6 is not prime\n"),
+    # no exact m-th root, or m outside 1 <= m < q.bit_length()
+    ("8", "2", 1, None, "error: q = 8 is not a prime power with exponent m = 2\n"),
+    ("1", "1", 1, None, "error: q = 1 is not a prime power with exponent m = 1\n"),
+    ("2", "2", 1, None, "error: q = 2 is not a prime power with exponent m = 2\n"),
+    ("8", "5", 1, None, "error: q = 8 is not a prime power with exponent m = 5\n"),
+    ("8", "0", 1, None, "error: q = 8 is not a prime power with exponent m = 0\n"),
+]
+
+
 @pytest.mark.parametrize(
-    "q, m, code, p",
-    [("1000000007", "1", 0, 1000000007), ("8", "3", 0, 2), ("9", "1", 1, None), ("1", "1", 1, None)],
+    "q, m, code, p, stderr",
+    PRIME_POWER_PARSE_CASES,
+    ids=["-".join(map(str, case[:4])) for case in PRIME_POWER_PARSE_CASES],
 )
-def test_field_describe_prime_power_parse(q, m, code, p):
+def test_field_describe_prime_power_parse(q, m, code, p, stderr):
     start = time.perf_counter()
     res = run_cli("field", "describe", "--q", q, "--m", m, "--N", "1")
     assert time.perf_counter() - start < 30
-    assert res.returncode == code, res.stderr
+    assert (res.returncode, res.stderr) == (code, stderr)
     if p is not None:
         data = json.loads(res.stdout)
         assert (data["p"], data["m"]) == (p, int(m))
-    else:
-        assert res.stderr.startswith("error: ")
 
 
 def test_graph_stats_text():

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from math import isqrt
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from matgraph import _primes, gftower
+from matgraph._budget import DEFAULT_BUDGET, BudgetExceededError
 from matgraph._primes import is_prime_power
 from matgraph.gftower import (
     _binomials_reducible,
@@ -20,7 +22,6 @@ from matgraph.gftower import (
     from_digits,
     is_irreducible,
     is_prime,
-    multiplicative_order,
     PrimeField,
     to_digits,
 )
@@ -62,18 +63,29 @@ def test_is_prime_accepts_large_primes(n):
     assert is_prime(n)
 
 
-def test_is_prime_trial_divides_past_the_miller_rabin_bound(monkeypatch):
-    # The bound is the least composite that passes all 13 bases, so above
-    # it a number that passes is trial-divided; that path, run from 0 here,
-    # is exact on its own.
+def test_is_prime_refuses_past_the_miller_rabin_bound(monkeypatch):
+    # The bound is the least composite that passes all 13 bases, so at or
+    # above it a number that passes is refused at once: proving it prime
+    # would take about isqrt(n) // 2 trial divisions.  A composite that
+    # fails a base is still answered exactly.
     bound = _primes.MILLER_RABIN_BOUND
     s = ((bound - 1) & (1 - bound)).bit_length() - 1
     assert all(_primes._strong_probable_prime(bound, a, (bound - 1) >> s, s) for a in _primes.BASES)
     assert bound == 1287836182261 * 2575672364521
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as info:
+        is_prime(bound)
+    assert time.perf_counter() - start < 1
+    assert (info.value.needed, info.value.budget) == (isqrt(bound) // 2, DEFAULT_BUDGET)
+    with pytest.raises(BudgetExceededError):
+        is_prime_power(10**25 + 13)
     assert not is_prime((2**61 - 1) ** 2) and not is_prime((2**89 - 1) * (2**61 - 1))
     monkeypatch.setattr(_primes, "MILLER_RABIN_BOUND", 0)
-    below = range(5000)
-    assert [n for n in below if is_prime(n)] == [n for n in below if _is_prime_by_trial_division(n)]
+    for prime in (43, 10**9 + 7, 2**61 - 1):
+        with pytest.raises(BudgetExceededError):
+            is_prime(prime)
+    assert not is_prime(45) and not is_prime(41 * 43)
+    assert not is_prime(3215031751) and not is_prime(3825123056546413051)
 
 
 def test_is_prime_power_agrees_with_factoring():
@@ -296,23 +308,6 @@ def test_contract_rejects_wrong_length():
     tower = build_tower(2, 1, 3)
     with pytest.raises(ValueError):
         tower.contract((1, 0))
-
-
-def test_primitive_element_f8():
-    tower = build_tower(2, 1, 3)
-    assert tower.primitive_element() == 2
-    assert multiplicative_order(tower.ext, 2) == 7
-
-
-def test_primitive_element_f2():
-    assert build_tower(2, 1, 1).primitive_element() == 1
-
-
-def test_primitive_element_f9_order_eight():
-    tower = build_tower(3, 1, 2)
-    g = tower.primitive_element()
-    powers = {tower.ext.pow(g, e) for e in range(8)}
-    assert len(powers) == 8  # hits every nonzero element
 
 
 def test_find_irreducible_has_no_factors():

@@ -22,11 +22,9 @@ from matgraph.linalg import (
     enumerate_rank_one,
     from_digits_array,
     mat_from_index,
-    mat_from_json,
     mat_from_label,
     mat_index,
     mat_label,
-    mat_to_json,
     matrix_rank_over,
     matrix_to_vector,
     null_space,
@@ -265,21 +263,6 @@ def test_mat_label_is_row_major_msb_first():
     M = MatFq(T22, 2, 2, (1, 0, 1, 1))
     assert mat_label(M) == "1011"
     assert mat_index(M) == 0b1011
-
-
-def test_mat_json_roundtrip():
-    tower = build_tower(2, 2, 2)
-    M = MatFq(tower, 2, 2, (3, 0, 1, 2))
-    data = mat_to_json(M)
-    assert mat_from_json(tower, data) == M
-
-
-def test_mat_from_json_rejects_empty_and_ragged():
-    tower = build_tower(2, 2, 2)
-    with pytest.raises(ValueError, match="matrix must have at least one row"):
-        mat_from_json(tower, [])
-    with pytest.raises(ValueError, match="ragged matrix rows"):
-        mat_from_json(tower, [[[1, 0], [0, 1]], [[1, 1]]])
 
 
 def test_vec_index_roundtrip():
