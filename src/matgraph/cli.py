@@ -266,7 +266,13 @@ def _cmd_bounds_table1(args: argparse.Namespace) -> int:
 
 def _common_flags(budget: int) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=int, default=budget, help="max items to enumerate")
+    common.add_argument(
+        "--budget",
+        type=int,
+        default=budget,
+        help="max items to enumerate; a rank spectrum counts the F_{q^N}^* lines of the smaller "
+        "of the code and its dual, the side it scans",
+    )
     common.add_argument("--seed", type=int, default=0, help="seed for randomized search")
     common.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
     common.add_argument("--out", type=str, default=None, help="write output to this file")

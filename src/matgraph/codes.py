@@ -20,6 +20,12 @@ c, so the span of k rows is the set of F_p-combinations of the k*m*N
 images e_s * row (e_s encoded p^s), built block by block with no array
 that grows with q^N.
 
+A rank spectrum is enumerated on one side only: the code or its dual,
+whichever spans fewer F_{q^N}^* lines.  The dual's spectrum fixes the
+code's through the MacWilliams identity of the bilinear-forms scheme
+(Delsarte 1978), computed in exact integers, so the budget counts the
+lines of the side scanned.
+
 Building, checking and serializing codes needs no numpy; span enumeration
 and the rank spectrum import it on first use, through ``matgraph._numpy``.
 """
@@ -46,6 +52,7 @@ from .linalg import (
     matrix_rank_over,
     null_space,
     rank_distance,
+    rank_eigenmatrix,
     ranks,
     require_int64,
     row_reduce,
@@ -306,9 +313,41 @@ def span_rank_spectrum(
     return {0: 1, **{w: c * (tower.order - 1) for w, c in per_line.items()}}
 
 
+def _smaller_side_spectrum(
+    tower: FieldTower, rows: Rows, dual_rows: Rows, n: int, budget: int = DEFAULT_BUDGET
+) -> dict[int, int]:
+    """Rank spectrum of the span C of the independent ``rows``, given
+    independent ``dual_rows`` spanning its dual {v : v c^T = 0 for c in C}.
+
+    ``span_rank_spectrum`` scans whichever side has fewer rows, so the
+    budget counts that side's lines; on a tie it scans C.  From the dual
+    D's spectrum B, C's follows by the MacWilliams identity of the
+    bilinear-forms scheme (Delsarte 1978, section 3),
+    A_k = (1/|D|) sum_i B_i P_k(i) with P = ``rank_eigenmatrix``, in exact
+    integers: a sum that |D| does not divide, or a negative count, raises
+    ArithmeticError, since it can only come from a wrong spectrum or
+    eigenmatrix."""
+    if len(dual_rows) >= len(rows):
+        return span_rank_spectrum(tower, rows, n, budget=budget)
+    scanned = span_rank_spectrum(tower, dual_rows, n, budget=budget)
+    eigen = rank_eigenmatrix(max(tower.N, n), min(tower.N, n), tower.q)
+    size = tower.order ** len(dual_rows)
+    spectrum = {}
+    for k in range(len(eigen)):
+        count, remainder = divmod(sum(c * eigen[i][k] for i, c in scanned.items()), size)
+        if remainder or count < 0:
+            raise ArithmeticError(
+                f"MacWilliams transform gives {count} + {remainder}/{size} words of rank {k}"
+            )
+        if count:
+            spectrum[k] = count
+    return spectrum
+
+
 def rank_spectrum(code: LinearRankCode, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
-    """Histogram of codeword column ranks; counts sum to the code size."""
-    return span_rank_spectrum(code.tower, code.generator, code.n, budget=budget)
+    """Histogram of codeword column ranks; counts sum to the code size.
+    Scans the generator or the parity side, whichever has fewer lines."""
+    return _smaller_side_spectrum(code.tower, code.generator, code.parity, code.n, budget=budget)
 
 
 def min_nonzero_rank(spectrum: dict[int, int]) -> int:

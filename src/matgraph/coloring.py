@@ -12,8 +12,10 @@ share a color exactly when their difference lies in the kernel code of H.
 
 * exactly-d coloring: H is found by randomized greedy search so that the
   kernel code contains no word of rank exactly d; the greedy draw is only a
-  heuristic and every candidate H is verified by enumerating the kernel's
-  rank spectrum before it is accepted.
+  heuristic and every candidate H is verified by the kernel's exact rank
+  spectrum before it is accepted.  The spectrum is enumerated on the
+  smaller of the kernel and its dual, H's row space, and carried to the
+  kernel by the MacWilliams identity when the row space is smaller.
 
 Verification runs in two modes that must agree: a kernel scan (rank one
 kernel word per F_{q^N}^* line, since scaling keeps the rank) justified
@@ -41,13 +43,13 @@ from .gftower import FieldTower, from_digits
 from .graph import GraphParams
 from .codes import (
     Rows,
+    _smaller_side_spectrum,
     gabidulin_parity,
     line_blocks,
     parity_syndrome,
     rows_from_json,
     rows_to_json,
     span_blocks,
-    span_rank_spectrum,
 )
 from .linalg import (
     RANK_BLOCK,
@@ -60,6 +62,7 @@ from .linalg import (
     matrix_to_vector,
     null_space,
     ranks,
+    row_and_null_space,
     vector_to_matrix,
 )
 # Not called here; kept bound because benchmarks/tracing.py wraps them by name.
@@ -115,8 +118,8 @@ class Coloring:
 class ForbiddenDistanceCode:
     """An m x n parity matrix whose kernel code avoids rank exactly d.
 
-    ``verified`` is set only after the kernel's rank spectrum has been
-    enumerated and found to contain no word of rank d.
+    ``verified`` is set only after the kernel's exact rank spectrum has
+    been computed and found to contain no word of rank d.
     """
 
     tower: FieldTower
@@ -208,9 +211,11 @@ def search_forbidden_H(
     heuristic).  Before the draws for a column, each such subset S gets its
     check set, a basis of the vectors orthogonal to S; a draw lies in span S
     iff its syndrome against that check set is zero.  A subset spanning all
-    of F_{q^N}^m has an empty check set and rejects every draw.  Each
-    completed matrix is verified by enumerating the kernel code and
-    checking its rank spectrum; the first verified matrix wins.
+    of F_{q^N}^m has an empty check set and rejects every draw, so that
+    column's draws are taken from the stream without being tested.  Each
+    completed matrix is verified by its kernel's rank spectrum, which
+    ``kernel_rank_spectrum`` computes exactly from the smaller of the
+    kernel and H's row space; the first verified matrix wins.
     Deterministic for a fixed seed: restart r uses the derived seed
     (seed << 32) + r, so results do not depend on scheduling.
     """
@@ -220,23 +225,10 @@ def search_forbidden_H(
         raise ValueError(f"need restarts >= 1, got {restarts}")
     if not 1 <= n <= tower.N:
         raise ValueError(f"need 1 <= n <= N = {tower.N}")
-    order = tower.order
-    ext = tower.ext
     best_count: int | None = None
     best_spectrum: dict[int, int] = {}
     for r in range(restarts):
-        rng = random.Random((seed << 32) + r)
-        cols: list[tuple[int, ...]] = []
-        for _ in range(n):
-            checks = [
-                null_space(S, m, ext)
-                for S in itertools.combinations(cols, min(d - 1, len(cols)))
-            ]
-            for _ in range(COLUMN_TRIES):
-                cand = tuple(rng.randrange(order) for _ in range(m))
-                if all(any(parity_syndrome(tower, Y, cand)) for Y in checks):
-                    break
-            cols.append(cand)
+        cols = _greedy_columns(tower, n, d, m, random.Random((seed << 32) + r))
         h_rows = tuple(tuple(cols[j][i] for j in range(n)) for i in range(m))
         spectrum = kernel_rank_spectrum(tower, h_rows, n, budget=budget)
         count = spectrum.get(d, 0)
@@ -250,6 +242,30 @@ def search_forbidden_H(
     raise SearchExhaustedError(restarts, best_count, best_spectrum)
 
 
+def _greedy_columns(
+    tower: FieldTower, n: int, d: int, m: int, rng: random.Random
+) -> list[tuple[int, ...]]:
+    """One restart's n columns of length m, drawn as ``search_forbidden_H``
+    describes.  When some check set is empty, every draw would be rejected:
+    the COLUMN_TRIES * m random numbers are taken all the same, so the
+    stream stays where the rejected draws would leave it, and the last m
+    are kept, with no syndrome evaluated."""
+    order, ext = tower.order, tower.ext
+    cols: list[tuple[int, ...]] = []
+    for _ in range(n):
+        checks = [null_space(S, m, ext) for S in itertools.combinations(cols, min(d - 1, len(cols)))]
+        if all(checks):
+            for _ in range(COLUMN_TRIES):
+                cand = tuple(rng.randrange(order) for _ in range(m))
+                if all(any(parity_syndrome(tower, Y, cand)) for Y in checks):
+                    break
+        else:
+            draws = [rng.randrange(order) for _ in range(COLUMN_TRIES * m)]
+            cand = tuple(draws[-m:])
+        cols.append(cand)
+    return cols
+
+
 def _kernel_basis(tower: FieldTower, h_rows: Rows, n: int) -> Rows:
     """Independent rows spanning the kernel code {v : v H^T = 0}."""
     return tuple(null_space(h_rows, n, tower.ext))
@@ -258,8 +274,11 @@ def _kernel_basis(tower: FieldTower, h_rows: Rows, n: int) -> Rows:
 def kernel_rank_spectrum(
     tower: FieldTower, h_rows: Rows, n: int, budget: int = DEFAULT_BUDGET
 ) -> dict[int, int]:
-    """Rank histogram of the kernel code {v : v H^T = 0}."""
-    return span_rank_spectrum(tower, _kernel_basis(tower, h_rows, n), n, budget=budget)
+    """Rank histogram of the kernel code {v : v H^T = 0}.  One row reduction
+    of H gives the kernel and its dual, H's row space of dimension
+    r = rank H; the row space is scanned iff r < n - r."""
+    row_space, kernel = row_and_null_space(h_rows, n, tower.ext)
+    return _smaller_side_spectrum(tower, tuple(kernel), tuple(row_space), n, budget=budget)
 
 
 def exact_d_coloring(

@@ -71,11 +71,12 @@ class GraphParams:
     def q(self) -> int:
         return self.tower.q
 
-    @property
+    # Computed once per instance; equality and hash still read (tower, n).
+    @functools.cached_property
     def order(self) -> int:
         return self.q ** (self.N * self.n)
 
-    @property
+    @functools.cached_property
     def degree(self) -> int:
         return count_rank_k(self.N, self.n, self.q, 1)
 
@@ -83,6 +84,11 @@ class GraphParams:
     def width(self) -> int:
         """Base-p digits of a vertex index: the F_p coordinates of a matrix."""
         return self.N * self.n * self.tower.m
+
+
+# One GraphParams per (tower, n) for the pair queries, so that each query
+# reuses its order and degree.
+_shared_params = functools.lru_cache(maxsize=32)(GraphParams)
 
 
 def degree(params: GraphParams) -> int:
@@ -129,7 +135,7 @@ def graph_distance_bfs(M1: MatFq, M2: MatFq, budget: int = DEFAULT_BUDGET) -> in
         raise ValueError("vertices belong to different graphs")
     if M1.rows != M1.tower.N:
         raise ValueError(f"vertices must have N = {M1.tower.N} rows, have {M1.rows}")
-    rows = _StepRows(GraphParams(M1.tower, M1.cols), budget)
+    rows = _StepRows(_shared_params(M1.tower, M1.cols), budget)
     target = mat_index(M2)
     return int(bfs_distances(rows, mat_index(M1), target)[target])
 

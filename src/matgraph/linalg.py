@@ -197,6 +197,15 @@ def matrix_rank_over(rows: Sequence[Sequence[int]], fieldview) -> int:
 
 def null_space(rows: Sequence[Sequence[int]], ncols: int, fieldview) -> list[tuple[int, ...]]:
     """Basis of {x : M x^T = 0} for the matrix M given by ``rows``."""
+    return row_and_null_space(rows, ncols, fieldview)[1]
+
+
+def row_and_null_space(
+    rows: Sequence[Sequence[int]], ncols: int, fieldview
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Bases of the row space of M and of {x : M x^T = 0}, from one row
+    reduction of M: its nonzero reduced rows, and one vector per free
+    column.  The two spaces are each other's duals."""
     rref, pivots = row_reduce(rows, fieldview)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -206,7 +215,7 @@ def null_space(rows: Sequence[Sequence[int]], ncols: int, fieldview) -> list[tup
         for r, pc in enumerate(pivots):
             v[pc] = fieldview.neg(rref[r][fc])
         basis.append(tuple(v))
-    return basis
+    return [tuple(r) for r in rref[: len(pivots)]], basis
 
 
 def _rank_bits(masks: Sequence[int]) -> int:
@@ -457,6 +466,48 @@ def count_rank_k(N: int, n: int, q: int, k: int) -> int:
     quotient, remainder = divmod(num, den)
     assert remainder == 0, "rank count formula must divide exactly"
     return quotient
+
+
+def _gaussian_binomial(a: int, b: int, q: int) -> int:
+    """[a, b]_q, the number of b-dimensional subspaces of F_q^a; 0 unless
+    0 <= b <= a."""
+    if not 0 <= b <= a:
+        return 0
+    num = den = 1
+    for i in range(b):
+        num *= q ** (a - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@functools.lru_cache(maxsize=32)
+def rank_eigenmatrix(N: int, n: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """Eigenmatrix of the bilinear-forms scheme on N x n matrices over F_q,
+    whose relation k joins two matrices at rank distance k: entry [i][k] is
+    its eigenvalue on eigenspace i,
+
+        P_k(i) = sum_{j=0..k} (-1)^(k-j) q^C(k-j,2) [n-j, n-k]_q [n-i, j]_q q^(Nj),
+
+    in exact integers, i and k = 0 .. n (Delsarte, JCTA 25, 1978).  Row 0
+    holds the valencies ``count_rank_k``.  The scheme is self-dual, so
+    P P = q^(Nn) I, and P also maps a code's rank spectrum to its dual's:
+    B_k = (1/|C|) sum_i A_i P_k(i)."""
+    if not 0 <= n <= N:
+        raise ValueError(f"need 0 <= n <= N, got n={n}, N={N}")
+    return tuple(
+        tuple(
+            sum(
+                (-1) ** (k - j)
+                * q ** ((k - j) * (k - j - 1) // 2)
+                * _gaussian_binomial(n - j, n - k, q)
+                * _gaussian_binomial(n - i, j, q)
+                * q ** (N * j)
+                for j in range(k + 1)
+            )
+            for k in range(n + 1)
+        )
+        for i in range(n + 1)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -209,8 +209,8 @@ def test_graph_export_edge_lines_exceed_default_budget():
 
 
 def test_code_spectrum_ranks_one_word_per_line(tmp_path):
-    # 2^24 codewords, over the default budget of 2^20, but 65,793 lines of
-    # F_256^*, which is what the spectrum ranks.
+    # 2^24 codewords, over the default budget of 2^20, but only lines of
+    # F_256^* are ranked, and only on the parity side, which has one.
     out = tmp_path / "code.json"
     res = run_cli(
         "code", "gabidulin", "--q", "2", "--m", "1", "--N", "8", "--n", "4",
@@ -223,6 +223,48 @@ def test_code_spectrum_ranks_one_word_per_line(tmp_path):
     expected = bench_oracles().mrd_rank_spectrum(2, 8, 4, 3)
     assert data["spectrum"] == {str(r): c for r, c in expected.items()}
     assert data["min_rank_distance"] == 2
+
+
+def test_code_spectrum_of_gabidulin_7_6_over_f_1024(tmp_path):
+    # 2^60 codewords; the parity side is one line, and the transform gives
+    # the closed-form MRD spectrum
+    out = tmp_path / "code.json"
+    res = run_cli(
+        "code", "gabidulin", "--q", "2", "--m", "1", "--N", "10", "--n", "7",
+        "--k", "6", "--out", str(out),
+    )
+    assert res.returncode == 0, res.stderr
+    start = time.perf_counter()
+    res = run_cli("code", "spectrum", str(out))
+    elapsed = time.perf_counter() - start
+    assert res.returncode == 0, res.stderr
+    expected = bench_oracles().mrd_rank_spectrum(2, 10, 7, 6)
+    assert json.loads(res.stdout) == {
+        "spectrum": {str(r): c for r, c in expected.items()},
+        "min_rank_distance": 2,
+        "size": str(1 << 60),
+    }
+    assert elapsed < 2.0
+
+
+def test_code_spectrum_exits_4_on_a_wrong_eigenmatrix(tmp_path, monkeypatch, capsys):
+    # A count that does not divide exactly is an internal error, never rounded.
+    from matgraph import codes
+    from matgraph.cli import main
+    from matgraph.linalg import rank_eigenmatrix
+
+    def off_by_one(N, n, q):
+        P = [list(row) for row in rank_eigenmatrix(N, n, q)]
+        P[0][1] += 1
+        return tuple(map(tuple, P))
+
+    out = tmp_path / "code.json"
+    out.write_text(json.dumps(codes.code_to_json(codes.gabidulin(build_tower(2, 1, 3), 3, 2))))
+    monkeypatch.setattr(codes, "rank_eigenmatrix", off_by_one)
+    assert main(["code", "spectrum", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ArithmeticError: MacWilliams transform gives" in captured.err
 
 
 def test_code_gabidulin_and_spectrum(tmp_path):
@@ -460,15 +502,18 @@ ALL_MODULES = CLI_MODULES | TOWER_MODULES | {
         (["code", "gabidulin", "--q", "2", "--m", "1", "--N", "3", "--n", "3", "--k", "1"],
          CLI_MODULES | TOWER_MODULES | {"matgraph.codes"}),
         (["code", "builtin", "C3", "--verify"], CLI_MODULES | TOWER_MODULES | {"matgraph.codes"}),
+        (["code", "spectrum", "code.json"], CLI_MODULES | TOWER_MODULES | {"matgraph.codes"}),
         (["color", "assign", "col.json", "--vertex", "1201"], ALL_MODULES),
     ],
     ids=["bounds-table1", "bounds-row", "field-describe", "graph-stats", "code-gabidulin", "code-builtin",
-         "color-assign"],
+         "code-spectrum", "color-assign"],
 )
 def test_each_call_loads_only_the_submodules_it_runs(tmp_path, argv, modules):
     if argv[:2] == ["color", "assign"]:
         run_cli("color", "dist", "--q", "3", "--m", "1", "--N", "2", "--n", "2", "--d", "1",
                 "--out", str(tmp_path / "col.json"))
+    if argv[:2] == ["code", "spectrum"]:
+        write_gabidulin_code(tmp_path / "code.json")
     res = run_python("-c", MATGRAPH_MODULES_AFTER_MAIN, json.dumps(argv), cwd=tmp_path)
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout) == [0, sorted(modules)]

@@ -13,6 +13,7 @@ import pytest
 from matgraph.gftower import FieldTower, build_tower
 from matgraph.codes import (
     LinearRankCode,
+    _smaller_side_spectrum,
     builtin_code,
     check_parity_columns,
     code_from_json,
@@ -41,6 +42,7 @@ from matgraph.linalg import (
     column_rank,
     count_rank_k,
     matrix_rank_over,
+    null_space,
     vec_rank_distance,
 )
 
@@ -157,11 +159,14 @@ def test_spectrum_total_is_code_size():
 
 
 def test_spectrum_budget():
-    # The budget counts the words ranked: one per F_8^* line, 73 of the 512.
-    code = gabidulin(T8, 3, 3)
-    with pytest.raises(BudgetExceededError):
-        rank_spectrum(code, budget=72)
-    assert rank_spectrum(code, budget=73) == {0: 1, 1: 49, 2: 294, 3: 168}
+    # The budget counts the words ranked on the side scanned: one per F_8^*
+    # line of the parity side, 1 line, not the 9 of the [3,2] code itself.
+    code = gabidulin(T8, 3, 2)
+    with pytest.raises(BudgetExceededError, match="needs 1 items but the budget is 0"):
+        rank_spectrum(code, budget=0)
+    assert rank_spectrum(code, budget=1) == {0: 1, 2: 49, 3: 14}
+    # the whole space: its dual {0} has no line at all
+    assert rank_spectrum(gabidulin(T8, 3, 3), budget=1) == {0: 1, 1: 49, 2: 294, 3: 168}
 
 
 def _span_reference(tower, rows, n):
@@ -293,6 +298,60 @@ def test_spectra_of_random_row_sets_match_the_full_scan(pmN, draws, k):
         parity = parity_from_generator(tower, rows, 3)
         assert kernel_rank_spectrum(tower, parity, 3) == full
         assert rank_spectrum(LinearRankCode(tower, 3, k, rows, parity)) == full
+
+
+@pytest.mark.parametrize(
+    "pmN", [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (3, 1, 3), (5, 1, 2), (2, 2, 2), (2, 2, 3), (3, 2, 2)]
+)
+def test_both_sides_of_every_small_gabidulin_code_agree(pmN):
+    # Each side's spectrum, enumerated, against the MacWilliams transform of
+    # the other's: the helper scans the side with fewer rows, so passing the
+    # two bases in both orders runs the transform both ways unless they tie.
+    tower = build_tower(*pmN)
+    for n in range(1, tower.N + 1):
+        for k in range(1, n + 1):
+            code = gabidulin(tower, n, k)
+            own = span_rank_spectrum(tower, code.generator, n)
+            dual = span_rank_spectrum(tower, code.parity, n)
+            assert sum(own.values()) == code.size
+            assert rank_spectrum(code) == own, (n, k)
+            assert _smaller_side_spectrum(tower, code.generator, code.parity, n) == own, (n, k)
+            assert _smaller_side_spectrum(tower, code.parity, code.generator, n) == dual, (n, k)
+            assert list(rank_spectrum(code)) == sorted(own)
+
+
+def _seeded_parity_matrices(tower, max_n, rng):
+    """(H, n) over the tower for n up to max_n: random m x n matrices for
+    every m up to n + 1, and per n one with a zero row and one of rank 1 with
+    two rows; also the zero H, rank 0, where its kernel has at most 2^16
+    words."""
+    order = tower.order
+    for n in range(1, max_n + 1):
+        for m in range(1, n + 2):
+            yield tuple(tuple(rng.randrange(order) for _ in range(n)) for _ in range(m)), n
+        row = tuple(rng.randrange(1, order) for _ in range(n))
+        yield (row, (0,) * n), n
+        c = rng.randrange(2, order) if order > 2 else 1
+        yield (row, tuple(tower.ext.mul(c, x) for x in row)), n
+        if order**n <= 1 << 16:
+            yield ((0,) * n,), n
+
+
+@pytest.mark.parametrize(
+    "pmN, max_n",
+    [((2, 1, 4), 4), ((3, 1, 3), 3), ((2, 2, 3), 3), ((3, 2, 3), 3), ((2, 1, 3), 5)],
+    ids=["q2", "q3", "q4", "q9", "n-above-N"],
+)
+def test_kernel_spectrum_from_either_side_matches_the_kernel_scan(pmN, max_n):
+    # for n > N the scheme is that of the transposed n x N matrices
+    tower = build_tower(*pmN)
+    rng = random.Random(f"kernel sides {pmN}")
+    transformed = 0
+    for h_rows, n in _seeded_parity_matrices(tower, max_n, rng):
+        kernel = tuple(null_space(h_rows, n, tower.ext))
+        transformed += n - len(kernel) < len(kernel)  # H's row space is scanned
+        assert kernel_rank_spectrum(tower, h_rows, n) == span_rank_spectrum(tower, kernel, n), h_rows
+    assert transformed >= 3
 
 
 def test_empty_span_and_trivial_kernel_are_the_zero_word():

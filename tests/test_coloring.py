@@ -2,6 +2,7 @@
 
 import collections
 import functools
+import itertools
 import json
 import random
 import tracemalloc
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from matgraph import coloring as coloring_mod
-from matgraph.codes import span_blocks
+from matgraph.codes import parity_syndrome, span_blocks
 from matgraph.gftower import build_tower, from_digits
 from matgraph.graph import GraphParams
 from matgraph.coloring import (
@@ -307,6 +308,63 @@ def test_search_forbidden_h_pinned_results(pmN, n, d, m, seed, h_rows, restarts_
     found = search_forbidden_H(build_tower(*pmN), n, d, m, seed=seed)
     assert found.h_rows == h_rows
     assert found.restarts_used == restarts_used
+
+
+def _greedy_columns_reference(tower, n, d, m, rng):
+    """The column loop as it was when every draw was tested, even against an
+    empty check set, which rejects all of them."""
+    order, ext = tower.order, tower.ext
+    cols = []
+    for _ in range(n):
+        checks = [null_space(S, m, ext) for S in itertools.combinations(cols, min(d - 1, len(cols)))]
+        for _ in range(coloring_mod.COLUMN_TRIES):
+            cand = tuple(rng.randrange(order) for _ in range(m))
+            if all(any(parity_syndrome(tower, Y, cand)) for Y in checks):
+                break
+        cols.append(cand)
+    return cols
+
+
+@pytest.mark.parametrize(
+    "pmN, n, d, m",
+    [
+        ((2, 1, 4), 3, 2, 1),
+        ((2, 1, 5), 3, 3, 1),
+        ((3, 1, 3), 3, 3, 1),
+        ((2, 2, 2), 2, 2, 1),
+        ((2, 1, 4), 3, 2, 2),
+        ((2, 1, 4), 4, 3, 2),
+        ((3, 1, 3), 3, 3, 2),
+        ((2, 2, 3), 3, 2, 2),
+    ],
+)
+def test_greedy_columns_match_the_loop_that_tests_every_draw(pmN, n, d, m):
+    # same columns and the same random stream left behind, for every seed
+    tower = build_tower(*pmN)
+    for seed in range(40):
+        new, old = random.Random(seed), random.Random(seed)
+        assert coloring_mod._greedy_columns(tower, n, d, m, new) == _greedy_columns_reference(
+            tower, n, d, m, old
+        ), seed
+        assert new.getstate() == old.getstate(), seed
+
+
+def test_greedy_columns_test_no_draw_against_an_empty_check_set(monkeypatch):
+    # m = 1, d = 2: once a column is nonzero it spans F_16, so only the
+    # first column's draws are tested; the old loop tested 32 per column after.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return parity_syndrome(*args)
+
+    monkeypatch.setattr(coloring_mod, "parity_syndrome", counted)
+    tower = build_tower(2, 1, 4)
+    for seed in range(20):
+        calls.clear()
+        cols = coloring_mod._greedy_columns(tower, 3, 2, 1, random.Random(seed))
+        assert cols[0] != (0,)
+        assert len(calls) <= coloring_mod.COLUMN_TRIES
 
 
 @pytest.mark.parametrize(

@@ -63,6 +63,14 @@ def test_degree_equals_rank_one_count():
         assert params.degree == count_rank_k(params.N, params.n, params.q, 1)
 
 
+def test_params_equality_and_hash_ignore_the_cached_order_and_degree():
+    fresh, used = GraphParams(build_tower(2, 1, 3), 2), GraphParams(build_tower(2, 1, 3), 2)
+    assert (used.order, used.degree) == (64, 21)
+    assert fresh == used and hash(fresh) == hash(used)
+    assert {fresh: 1}[used] == 1
+    assert GraphParams(build_tower(2, 1, 3), 3) != used
+
+
 def test_params_reject_bad_n():
     with pytest.raises(ValueError):
         GraphParams(build_tower(2, 1, 2), 3)

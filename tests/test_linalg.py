@@ -21,6 +21,7 @@ from matgraph.linalg import (
     enumerate_matrices,
     enumerate_rank_one,
     from_digits_array,
+    index_ranks,
     mat_from_index,
     mat_from_label,
     mat_index,
@@ -30,7 +31,9 @@ from matgraph.linalg import (
     null_space,
     rank,
     rank_distance,
+    rank_eigenmatrix,
     ranks,
+    row_and_null_space,
     row_reduce,
     to_digits_array,
     vec_from_index,
@@ -196,6 +199,40 @@ def test_count_rank_k_matches_enumeration_small():
             assert counts.get(k, 0) == count_rank_k(N, n, p, k)
 
 
+def test_rank_eigenmatrix_row_0_counts_ranks_and_its_square_is_the_order():
+    # Row 0 holds the valencies, and the bilinear-forms scheme is self-dual,
+    # so P P = q^(Nn) I.
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for N in range(1, 7):
+            for n in range(N + 1):
+                P = rank_eigenmatrix(N, n, q)
+                assert P[0] == tuple(count_rank_k(N, n, q, k) for k in range(n + 1)), (N, n, q)
+                for i, j in itertools.product(range(n + 1), repeat=2):
+                    square = sum(P[i][k] * P[k][j] for k in range(n + 1))
+                    assert square == (q ** (N * n) if i == j else 0), (N, n, q, i, j)
+
+
+@pytest.mark.parametrize("pmN, n", [((2, 1, 2), 2), ((2, 1, 3), 2), ((3, 1, 2), 2), ((2, 1, 3), 3)])
+def test_rank_eigenmatrix_columns_are_the_eigenvalues_of_each_rank_graph(pmN, n):
+    # column k lists the distinct eigenvalues of the "rank of v - u is k" graph
+    tower = build_tower(*pmN)
+    p, N, width = tower.p, tower.N, tower.N * n * tower.m
+    V = tower.q ** (N * n)
+    vertices = np.arange(V)
+    rank_of = index_ranks(tower, tower.q**n, N)
+    diff_ranks = rank_of[add_digits(vertices[None, :], vertices[:, None], p, width, sign=-1)]
+    P = rank_eigenmatrix(N, n, tower.q)
+    for k in range(n + 1):
+        eigenvalues = np.linalg.eigvalsh((diff_ranks == k).astype(float))
+        assert set(np.rint(eigenvalues).astype(int).tolist()) == {P[i][k] for i in range(n + 1)}
+
+
+def test_rank_eigenmatrix_needs_n_at_most_N():
+    assert rank_eigenmatrix(3, 0, 2) == ((1,),)
+    with pytest.raises(ValueError, match="need 0 <= n <= N"):
+        rank_eigenmatrix(2, 3, 2)
+
+
 def test_enumerate_rank_one_counts():
     mats = list(enumerate_rank_one(T22, 2, 2))
     assert len(mats) == 9 == count_rank_k(2, 2, 2, 1)
@@ -282,6 +319,15 @@ def test_row_reduce_detects_dependent_rows():
     f = T8.ext
     # alpha * (1, alpha, alpha^2) = (alpha, alpha^2, 1 + alpha): rank 1
     assert matrix_rank_over([[1, 2, 4], [2, 4, 3]], f) == 1
+
+
+def test_row_and_null_space_from_one_reduction():
+    f = T8.ext
+    rows = [[1, 2, 4], [0, 0, 0], [2, 4, 1]]  # a zero row; rank 2
+    row_space, kernel = row_and_null_space(rows, 3, f)
+    assert kernel == null_space(rows, 3, f)
+    assert len(row_space) == 2 and matrix_rank_over(row_space + rows, f) == 2
+    assert row_and_null_space([[0, 0]], 2, f) == ([], [(1, 0), (0, 1)])
 
 
 def test_row_reduce_and_null_space():
