@@ -323,7 +323,9 @@ def _smaller_side_spectrum(
     budget counts that side's lines; on a tie it scans C.  From the dual
     D's spectrum B, C's follows by the MacWilliams identity of the
     bilinear-forms scheme (Delsarte 1978, section 3),
-    A_k = (1/|D|) sum_i B_i P_k(i) with P = ``rank_eigenmatrix``, in exact
+    A_k = (1/|D|) sum_i B_i P_k(i) with P = ``rank_eigenmatrix`` (for
+    n > N, that of the transposed n x N matrices, which have the same
+    ranks and trace form), in exact
     integers: a sum that |D| does not divide, or a negative count, raises
     ArithmeticError, since it can only come from a wrong spectrum or
     eigenmatrix."""

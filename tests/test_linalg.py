@@ -212,7 +212,7 @@ def test_rank_eigenmatrix_row_0_counts_ranks_and_its_square_is_the_order():
                     assert square == (q ** (N * n) if i == j else 0), (N, n, q, i, j)
 
 
-@pytest.mark.parametrize("pmN, n", [((2, 1, 2), 2), ((2, 1, 3), 2), ((3, 1, 2), 2), ((2, 1, 3), 3)])
+@pytest.mark.parametrize("pmN, n", [((2, 1, 2), 2), ((2, 1, 3), 2), ((3, 1, 2), 2), ((2, 1, 3), 3), ((2, 1, 4), 2)])
 def test_rank_eigenmatrix_columns_are_the_eigenvalues_of_each_rank_graph(pmN, n):
     # column k lists the distinct eigenvalues of the "rank of v - u is k" graph
     tower = build_tower(*pmN)
