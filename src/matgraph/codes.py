@@ -1,10 +1,14 @@
 """Linear rank-metric codes over F_{q^N} and a few explicit equidistant codes.
 
 A length-n linear code of dimension k over F_{q^N} is held by a full-rank
-k x n generator matrix and/or an (n-k) x n parity-check matrix with
-G H^T = 0.  Codewords, viewed through the F_q expansion of their entries,
-are N x n matrices; the code's minimum rank distance is the least column
-rank of a nonzero codeword.
+k x n generator matrix G and an (n-k) x n parity-check matrix H with
+G H^T = 0.  Either may be given as None and is then derived from the
+other by one row reduction: its pivot count proves the given side's rank,
+and the null-space basis it yields, one vector per free column, is the
+other side, full rank by construction.  When both are given, as from a
+code file, each side's rank is checked.  Codewords, viewed through the
+F_q expansion of their entries, are N x n matrices; the code's minimum
+rank distance is the least column rank of a nonzero codeword.
 
 The classical maximum-rank-distance family is built here from a parity
 matrix whose rows are successive q^s-power images of elements h_1, ..., h_n
@@ -50,11 +54,11 @@ from .linalg import (
     column_rank,
     from_digits_array,
     matrix_rank_over,
-    null_space,
     rank_distance,
     rank_eigenmatrix,
     ranks,
     require_int64,
+    row_and_null_space,
     row_reduce,
     to_digits_array,
     vec_rank_distance,
@@ -68,15 +72,19 @@ class LinearRankCode:
     """A linear code over F_{q^N} of length n and dimension k.
 
     ``generator`` is a k x n tuple of rows, ``parity`` an (n-k) x n tuple of
-    rows, both over F_{q^N}; either may be derived from the other.  ``tag``
-    records how the code was constructed.
+    rows, both over F_{q^N}.  Either one may be None: it is then the
+    null-space basis of the other, from one ``row_and_null_space`` call
+    whose pivot count proves the given side full rank, and the derived
+    side is full rank by construction.  When both are given, both ranks
+    are checked.  Every code checks G H^T = 0.  ``tag`` records how the
+    code was constructed.
     """
 
     tower: FieldTower
     n: int
     k: int
-    generator: Rows
-    parity: Rows
+    generator: Rows | None
+    parity: Rows | None
     tag: str = "explicit"
 
     def __post_init__(self) -> None:
@@ -85,19 +93,29 @@ class LinearRankCode:
             raise ValueError(f"need 1 <= n <= N = {tower.N}")
         if not 0 <= self.k <= self.n:
             raise ValueError("dimension out of range")
-        generator = tuple(tuple(r) for r in self.generator)
-        parity = tuple(tuple(r) for r in self.parity)
+        generator, parity = self.generator, self.parity
+        if generator is None and parity is None:
+            raise ValueError("need a generator or a parity matrix")
+        if generator is not None:
+            generator = tuple(tuple(r) for r in generator)
+            if len(generator) != self.k or any(len(r) != self.n for r in generator):
+                raise ValueError("generator must be k x n")
+        if parity is not None:
+            parity = tuple(tuple(r) for r in parity)
+            if len(parity) != self.n - self.k or any(len(r) != self.n for r in parity):
+                raise ValueError("parity must be (n-k) x n")
+        ext = tower.ext
+        if generator is None:
+            generator = _dual_basis(parity, self.n, ext, "parity matrix is not full rank")
+        elif parity is None:
+            parity = _dual_basis(generator, self.n, ext, "generator is not full rank")
+        else:
+            if matrix_rank_over(generator, ext) != self.k:
+                raise ValueError("generator is not full rank")
+            if matrix_rank_over(parity, ext) != self.n - self.k:
+                raise ValueError("parity matrix is not full rank")
         object.__setattr__(self, "generator", generator)
         object.__setattr__(self, "parity", parity)
-        if len(generator) != self.k or any(len(r) != self.n for r in generator):
-            raise ValueError("generator must be k x n")
-        if len(parity) != self.n - self.k or any(len(r) != self.n for r in parity):
-            raise ValueError("parity must be (n-k) x n")
-        ext = tower.ext
-        if matrix_rank_over(generator, ext) != self.k:
-            raise ValueError("generator is not full rank")
-        if matrix_rank_over(parity, ext) != self.n - self.k:
-            raise ValueError("parity matrix is not full rank")
         if any(any(parity_syndrome(tower, parity, g)) for g in generator):
             raise ValueError("generator and parity matrices are not orthogonal")
 
@@ -108,6 +126,15 @@ class LinearRankCode:
     def syndrome(self, word: Sequence[int]) -> tuple[int, ...]:
         """word * parity^T as a tuple of n-k field elements."""
         return parity_syndrome(self.tower, self.parity, word)
+
+
+def _dual_basis(rows: Rows, n: int, ext, error: str) -> Rows:
+    """Basis of {v : v R^T = 0} for the matrix R given by ``rows``, from one
+    row reduction whose pivot count must show R full rank."""
+    row_space, basis = row_and_null_space(rows, n, ext)
+    if len(row_space) != len(rows):
+        raise ValueError(error)
+    return tuple(basis)
 
 
 def parity_syndrome(tower: FieldTower, parity: Rows, word: Sequence[int]) -> tuple[int, ...]:
@@ -152,24 +179,6 @@ def gabidulin_parity(
     )
 
 
-def _dual_rows(tower: FieldTower, rows: Rows, n: int, name: str) -> Rows:
-    """Basis of {v : v R^T = 0} for the full-rank matrix R given by ``rows``."""
-    basis = tuple(null_space(rows, n, tower.ext))
-    if len(basis) != n - len(rows):
-        raise ValueError(f"{name} matrix is rank deficient")
-    return basis
-
-
-def generator_from_parity(tower: FieldTower, parity: Rows, n: int) -> Rows:
-    """Basis of the solution space of v H^T = 0, as generator rows."""
-    return _dual_rows(tower, parity, n, "parity")
-
-
-def parity_from_generator(tower: FieldTower, generator: Rows, n: int) -> Rows:
-    """A full-rank parity matrix annihilating the generator rows."""
-    return _dual_rows(tower, generator, n, "generator")
-
-
 def gabidulin(
     tower: FieldTower,
     n: int,
@@ -185,9 +194,8 @@ def gabidulin(
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}")
     parity = gabidulin_parity(tower, n, n - k, s=s, h=h)
-    generator = generator_from_parity(tower, parity, n)
     tag = f"gabidulin(s={s})" if h is None else f"gabidulin(s={s}, custom h)"
-    return LinearRankCode(tower, n, k, generator, parity, tag=tag)
+    return LinearRankCode(tower, n, k, None, parity, tag=tag)
 
 
 # ---------------------------------------------------------------------------

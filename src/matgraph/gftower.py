@@ -12,7 +12,12 @@ otherwise: ``_add_digits`` here, one digit at a time, and its numpy form
 lookup table.
 
 ``ExtField(K, f)`` is the ring K[x]/(f) for any monic f; it is a field,
-with a valid ``inv``, only when f is irreducible.  Moduli are chosen
+with a valid ``inv``, only when f is irreducible.  Its product has three
+forms: over F_2, shifts and xors of the bitmask encoding; over an odd F_p
+(every m = 1 tower, F_q itself, Ben-Or's rings), a schoolbook product of
+the base-p digits as Python ints, reduced by f with one ``% p`` per
+coefficient; over an extension subfield (m > 1), ``_poly_mulmod`` through
+the subfield's own operations.  Moduli are chosen
 deterministically: the monic irreducible of the required degree with the
 smallest encoding (constant coefficient least significant), found by
 Ben-Or's test, which runs in ``ExtField(F_r, f)`` for each candidate f.
@@ -144,8 +149,10 @@ class ExtField:
         self.order = subfield.order ** self.degree
         self.char = subfield.char
         # Over F_2 the encoding is a plain bitmask, so products reduce with
-        # shifts and xors instead of digit-level arithmetic.
-        self._bits = isinstance(subfield, PrimeField) and subfield.p == 2
+        # shifts and xors instead of digit-level arithmetic; over any other
+        # F_p the coordinates are plain ints, multiplied as integers.
+        self._prime = isinstance(subfield, PrimeField)
+        self._bits = self._prime and subfield.p == 2
         if self._bits:
             self._modint = from_digits(modulus, 2)
             self._top = 1 << self.degree
@@ -184,6 +191,22 @@ class ExtField:
                 if a & self._top:
                     a ^= self._modint
             return res
+        if self._prime:
+            # Base-p digits multiplied as Python ints, then reduced by the
+            # monic modulus from the top down, one % p per coefficient.
+            p, e, f = self.char, self.degree, self.modulus
+            x, y = to_digits(a, p, e), to_digits(b, p, e)
+            prod = [0] * (2 * e - 1)
+            for i, xi in enumerate(x):
+                if xi:
+                    for j, yj in enumerate(y):
+                        prod[i + j] += xi * yj
+            for top in range(2 * e - 2, e - 1, -1):
+                c = prod[top] % p
+                if c:
+                    for t in range(e):
+                        prod[top - e + t] -= c * f[t]
+            return from_digits([c % p for c in prod[:e]], p)
         return self.undigits(_poly_mulmod(self.digits(a), self.digits(b), self.modulus, self.subfield))
 
     def inv(self, a: int) -> int:

@@ -294,12 +294,24 @@ def _foreign_modulus(code):
     code["tower"]["modulus_q"] = [1, 1]
 
 
+def _zero_parity(code):
+    code["parity"][0] = [[[0] * len(c) for c in entry] for entry in code["parity"][0]]
+
+
+def _unit_parity(code):
+    # (1, 0, 0) is full rank but not orthogonal to the generator row (a, 1, 0)
+    _zero_parity(code)
+    code["parity"][0][0][0][0] = 1
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [
         (_drop_entry, "error: generator must be k x n"),
         (_repeat_row, "error: generator is not full rank"),
         (_foreign_modulus, "error: stored modulus_q does not match the deterministic choice"),
+        (_zero_parity, "error: parity matrix is not full rank"),
+        (_unit_parity, "error: generator and parity matrices are not orthogonal"),
     ],
 )
 def test_code_spectrum_rejects_a_damaged_file(tmp_path, damage, message):

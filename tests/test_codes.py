@@ -1,10 +1,12 @@
 """Rank-metric codes: the MRD construction, duality, spectra, built-ins."""
 
+import hashlib
 import importlib.util
 import itertools
 import json
 import random
 import tracemalloc
+from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -22,12 +24,10 @@ from matgraph.codes import (
     enumerate_span,
     gabidulin,
     gabidulin_parity,
-    generator_from_parity,
     is_equidistant,
     line_blocks,
     min_nonzero_rank,
     min_rank_distance,
-    parity_from_generator,
     rank_spectrum,
     same_row_space,
     span_blocks,
@@ -121,21 +121,26 @@ def test_generator_parity_orthogonal():
 
 def test_duality_roundtrip_row_space():
     code = gabidulin(T8, 3, 1)
-    again = parity_from_generator(T8, generator_from_parity(T8, code.parity, 3), 3)
+    generator = LinearRankCode(T8, 3, 1, None, code.parity).generator
+    again = LinearRankCode(T8, 3, 1, generator, None).parity
     assert same_row_space(T8, again, code.parity)
 
 
 def test_duality_coordinate_split():
     # parity = identity on the first coordinate: generator supported on the rest
-    parity = ((1, 0, 0),)
-    gen = generator_from_parity(T8, parity, 3)
+    gen = LinearRankCode(T8, 3, 2, None, ((1, 0, 0),)).generator
     assert len(gen) == 2
     assert all(row[0] == 0 for row in gen)
 
 
 def test_duality_rejects_rank_deficient():
-    with pytest.raises(ValueError):
-        generator_from_parity(T8, ((1, 2, 4), (2, 4, 3)), 3)  # row 2 = alpha * row 1
+    rows = ((1, 2, 4), (2, 4, 3))  # row 2 = alpha * row 1
+    with pytest.raises(ValueError, match="parity matrix is not full rank"):
+        LinearRankCode(T8, 3, 1, None, rows)
+    with pytest.raises(ValueError, match="generator is not full rank"):
+        LinearRankCode(T8, 3, 2, rows, None)
+    with pytest.raises(ValueError, match="need a generator or a parity matrix"):
+        LinearRankCode(T8, 3, 2, None, None)
 
 
 def test_enumerate_codewords():
@@ -295,7 +300,7 @@ def test_spectra_of_random_row_sets_match_the_full_scan(pmN, draws, k):
                 break
         full = _full_scan_spectrum(tower, rows, 3)
         assert span_rank_spectrum(tower, rows, 3) == full
-        parity = parity_from_generator(tower, rows, 3)
+        parity = LinearRankCode(tower, 3, k, rows, None).parity
         assert kernel_rank_spectrum(tower, parity, 3) == full
         assert rank_spectrum(LinearRankCode(tower, 3, k, rows, parity)) == full
 
@@ -463,7 +468,9 @@ def test_builtin_rejects_wrong_tower():
 
 
 def test_gabidulin_row_reduces_each_matrix_once(monkeypatch):
-    # one reduction for the dual basis, one per rank check of the code
+    # one reduction of the parity matrix: its pivot count proves the parity
+    # full rank, and its null-space basis is the generator, full rank by
+    # construction, so neither side is reduced again for a rank check
     from matgraph import linalg
 
     calls = []
@@ -475,7 +482,62 @@ def test_gabidulin_row_reduces_each_matrix_once(monkeypatch):
 
     monkeypatch.setattr(linalg, "row_reduce", counted)
     gabidulin(build_tower(2, 1, 3), 3, 1)
-    assert len(calls) == 3
+    assert len(calls) == 1
+
+
+def _gabidulin_arguments(tower):
+    # every (n, k, s) with s <= N, each with the default h and one seeded
+    # custom h of n elements independent over F_q
+    rng = random.Random(f"{tower} h")
+    for n in range(1, tower.N + 1):
+        while True:
+            h = tuple(rng.randrange(1, tower.order) for _ in range(n))
+            if column_rank(VecExt(tower, h)) == n:
+                break
+        for k in range(1, n + 1):
+            for s in range(1, tower.N + 1):
+                if gcd(s, tower.N) == 1:
+                    yield n, k, s, None
+                    yield n, k, s, h
+
+
+@pytest.mark.parametrize(
+    "pmN", [(2, 1, 3), (2, 1, 4), (3, 1, 3), (5, 1, 2), (2, 2, 3), (3, 2, 2)]
+)
+def test_gabidulin_sides_are_full_rank_and_orthogonal(pmN):
+    # What the constructor no longer re-checks for a derived side, checked here.
+    tower = build_tower(*pmN)
+    for n, k, s, h in _gabidulin_arguments(tower):
+        code = gabidulin(tower, n, k, s, h)
+        assert matrix_rank_over(code.generator, tower.ext) == k
+        assert matrix_rank_over(code.parity, tower.ext) == n - k
+        assert all(not any(code.syndrome(g)) for g in code.generator)
+
+
+# Codes and their code_to_json digests (sha256 of json.dumps(..., sort_keys=True)),
+# as the both-sides-checked construction wrote them.
+PINNED_CODES = [
+    ((2, 1, 3), 3, 1, 1, None, ((3, 6, 1),), ((1, 2, 4), (1, 4, 6)),
+     "8e5c87b83c19e1aea31499a46ae058f47c994d24b79c4d7ab4da18ecfdcd9c21"),
+    ((2, 1, 4), 4, 2, 3, None, ((10, 7, 1, 0), (3, 12, 0, 1)), ((1, 2, 4, 8), (1, 5, 2, 10)),
+     "3a77dc31b1e1ab40f9f6061eb5877a8bd269d2cb36d06c81074bb4b7d74ba956"),
+    ((3, 1, 3), 3, 2, 1, None, ((6, 1, 0), (18, 0, 1)), ((1, 3, 9),),
+     "551fae6cfd5532a4793ee951a7c4eddacd79deaa46824f1a369b6e39826f7c3e"),
+    ((5, 1, 2), 2, 1, 1, None, ((20, 1),), ((1, 5),),
+     "db62dcaf5b3a584e5e79769625ffce08b4bf80ab3effa498a1aac9ab6ee00e8e"),
+    ((2, 2, 3), 3, 1, 2, None, ((48, 8, 1),), ((1, 4, 16), (1, 12, 32)),
+     "058fee45b174ee34eeaa5171c04268ed3d23e93dd499e658201e973c680eb8f4"),
+    ((3, 1, 3), 2, 1, 1, (1, 4), ((8, 1),), ((1, 4),),
+     "7f4f311560a1496efed2164736432761e00c83d4b08e8ba163622bebccac52d1"),
+]
+
+
+@pytest.mark.parametrize("pmN, n, k, s, h, generator, parity, digest", PINNED_CODES)
+def test_gabidulin_json_is_pinned(pmN, n, k, s, h, generator, parity, digest):
+    code = gabidulin(build_tower(*pmN), n, k, s, h)
+    assert (code.generator, code.parity) == (generator, parity)
+    text = json.dumps(code_to_json(code), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_is_equidistant_negative():

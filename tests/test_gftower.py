@@ -1,6 +1,7 @@
 """Field tower arithmetic: moduli selection, axioms, frobenius, expansion."""
 
 import json
+import random
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ from matgraph._budget import DEFAULT_BUDGET, BudgetExceededError
 from matgraph._primes import is_prime_power
 from matgraph.gftower import (
     _binomials_reducible,
+    _poly_mulmod,
     ExtField,
     FieldTower,
     build_tower,
@@ -187,6 +189,42 @@ def test_level_mismatch_rejected():
         tower.base.add(4, 1)  # 4 is not an element of F_2
     with pytest.raises(ValueError):
         tower.ext.mul(8, 1)  # 8 is outside F_8
+
+
+def _generic_mul(f, a, b):
+    """The product through the subfield's own operations, as the oracle for
+    the integer product over a prime subfield."""
+    return f.undigits(_poly_mulmod(f.digits(a), f.digits(b), f.modulus, f.subfield))
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        build_tower(3, 2, 1).base,  # F_9
+        build_tower(5, 2, 1).base,  # F_25
+        build_tower(3, 3, 1).base,  # F_27
+        build_tower(7, 2, 1).base,  # F_49
+        ExtField(PrimeField(3), (1, 2, 1)),  # F_3[x]/((x + 1)^2), a ring as in Ben-Or
+        ExtField(PrimeField(5), (0, 0, 1)),  # F_5[x]/(x^2)
+    ],
+    ids=["F9", "F25", "F27", "F49", "F3[x]/((x+1)^2)", "F5[x]/(x^2)"],
+)
+def test_integer_product_matches_the_generic_product_exhaustive(field):
+    for a in range(field.order):
+        for b in range(field.order):
+            assert field.mul(a, b) == _generic_mul(field, a, b)
+
+
+@pytest.mark.parametrize("pmN", [(5, 1, 4), (7, 1, 3), (1000000007, 1, 3)])
+def test_integer_product_matches_the_generic_product_sampled(pmN):
+    f = build_tower(*pmN).ext
+    rng = random.Random(f"{pmN} mul")
+    for _ in range(2000):
+        a, b = rng.randrange(f.order), rng.randrange(f.order)
+        assert f.mul(a, b) == _generic_mul(f, a, b)
+    for a, b in ((f.order, 1), (1, f.order), (-1, 1), (1, -1)):
+        with pytest.raises(ValueError):
+            f.mul(a, b)
 
 
 def test_pow_matches_repeated_multiplication():
