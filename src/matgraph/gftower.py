@@ -149,8 +149,7 @@ class ExtField:
         self.order = subfield.order ** self.degree
         self.char = subfield.char
         # Over F_2 the encoding is a plain bitmask, so products reduce with
-        # shifts and xors instead of digit-level arithmetic; over any other
-        # F_p the coordinates are plain ints, multiplied as integers.
+        # shifts and xors instead of digit-level arithmetic.
         self._prime = isinstance(subfield, PrimeField)
         self._bits = self._prime and subfield.p == 2
         if self._bits:

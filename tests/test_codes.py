@@ -505,7 +505,7 @@ def _gabidulin_arguments(tower):
     "pmN", [(2, 1, 3), (2, 1, 4), (3, 1, 3), (5, 1, 2), (2, 2, 3), (3, 2, 2)]
 )
 def test_gabidulin_sides_are_full_rank_and_orthogonal(pmN):
-    # What the constructor no longer re-checks for a derived side, checked here.
+    # The constructor does not reduce a derived side again, so its rank is checked here.
     tower = build_tower(*pmN)
     for n, k, s, h in _gabidulin_arguments(tower):
         code = gabidulin(tower, n, k, s, h)
@@ -514,8 +514,8 @@ def test_gabidulin_sides_are_full_rank_and_orthogonal(pmN):
         assert all(not any(code.syndrome(g)) for g in code.generator)
 
 
-# Codes and their code_to_json digests (sha256 of json.dumps(..., sort_keys=True)),
-# as the both-sides-checked construction wrote them.
+# Codes with their rows and code_to_json digests (sha256 of json.dumps(...,
+# sort_keys=True)); how the constructor derives a side must change none of them.
 PINNED_CODES = [
     ((2, 1, 3), 3, 1, 1, None, ((3, 6, 1),), ((1, 2, 4), (1, 4, 6)),
      "8e5c87b83c19e1aea31499a46ae058f47c994d24b79c4d7ab4da18ecfdcd9c21"),
