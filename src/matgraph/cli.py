@@ -326,7 +326,13 @@ def build_parser() -> _Parser:
     p = color_sub.add_parser("exact", parents=[common])
     _field_flags(p, with_n=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--rows", type=int, default=None, help="parity row count override")
+    p.add_argument(
+        "--rows",
+        type=int,
+        default=None,
+        help="parity rows: below m* = min(d, n-d+1) the seeded search runs, "
+        "otherwise the proven m*-row coloring is built (the default)",
+    )
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--pairwise", action="store_true")

@@ -59,10 +59,11 @@ from .linalg import (
     ranks,
     require_int64,
     row_and_null_space,
-    row_reduce,
     to_digits_array,
     vec_rank_distance,
 )
+# Not called here; kept bound because benchmarks/tracing.py wraps it by name.
+from .linalg import row_reduce  # noqa: F401
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -501,20 +502,28 @@ def code_to_json(code: LinearRankCode) -> dict:
     }
 
 
+def require_keys(data: dict, kind: str, *keys: str) -> None:
+    """Raise ValueError naming the first of ``keys`` that a ``kind`` file's
+    top-level object lacks."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a {kind} file must hold a JSON object")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{kind} file has no {key!r} key")
+
+
 def code_from_json(data: dict) -> LinearRankCode:
+    """The code of a ``code_to_json`` object.  A missing or null side, the
+    generator or the parity matrix, is derived from the other."""
+    require_keys(data, "code", "tower", "n", "k")
+    if data.get("generator") is None and data.get("parity") is None:
+        raise ValueError("code file has neither a 'generator' nor a 'parity' key")
     tower = FieldTower.from_json(data["tower"])
-    generator = rows_from_json(tower, data["generator"])
-    parity = rows_from_json(tower, data["parity"])
+    generator, parity = (
+        None if data.get(key) is None else rows_from_json(tower, data[key])
+        for key in ("generator", "parity")
+    )
     return LinearRankCode(
         tower, int(data["n"]), int(data["k"]), generator, parity, tag=data.get("tag", "explicit")
     )
 
-
-def same_row_space(tower: FieldTower, rows_a: Rows, rows_b: Rows) -> bool:
-    """Whether two row sets span the same subspace over F_{q^N}."""
-    ext = tower.ext
-    ra, _ = row_reduce(rows_a, ext)
-    rb, _ = row_reduce(rows_b, ext)
-    ra = [r for r in ra if any(r)]
-    rb = [r for r in rb if any(r)]
-    return ra == rb

@@ -10,12 +10,18 @@ share a color exactly when their difference lies in the kernel code of H.
   q^(Nd) colors, which matches the sphere/Singleton lower bound, so the
   at-most-d chromatic number is exactly q^(Nd) for d <= n.
 
-* exactly-d coloring: H is found by randomized greedy search so that the
-  kernel code contains no word of rank exactly d; the greedy draw is only a
-  heuristic and every candidate H is verified by the kernel's exact rank
-  spectrum before it is accepted.  The spectrum is enumerated on the
-  smaller of the kernel and its dual, H's row space, and carried to the
-  kernel by the MacWilliams identity when the row space is smaller.
+* exactly-d coloring: the kernel code must contain no word of rank exactly
+  d.  Two syndromes are proven to do so and need no search.  The MRD
+  parity matrix with d rows has a kernel of minimum rank d + 1.  The unit
+  rows e_d, ..., e_n color a vertex by its last n - d + 1 columns, so two
+  vertices of one color differ only in their first d - 1 columns, a
+  difference of rank at most d - 1.  The better of the two has
+  m* = min(d, n - d + 1) rows, so chi_d <= q^(N m*).  Fewer rows than m*
+  are left to a randomized greedy search, whose draw is only a heuristic:
+  every candidate H is verified by the kernel's exact rank spectrum before
+  it is accepted.  The spectrum is enumerated on the smaller of the kernel
+  and its dual, H's row space, and carried to the kernel by the
+  MacWilliams identity when the row space is smaller.
 
 Verification runs in two modes that must agree: a kernel scan (rank one
 kernel word per F_{q^N}^* line, since scaling keeps the rank) justified
@@ -47,6 +53,7 @@ from .codes import (
     gabidulin_parity,
     line_blocks,
     parity_syndrome,
+    require_keys,
     rows_from_json,
     rows_to_json,
     span_blocks,
@@ -187,8 +194,9 @@ def clique_d1(params: GraphParams, budget: int = DEFAULT_BUDGET) -> CliqueWitnes
 
 
 def forbidden_rows_target(params: GraphParams, d: int) -> int:
-    """Row count for the exactly-d construction: the counting exponent
-    ceil(log_q(2 + C(n-1, d-1) (q^N - 1)^(d-1))) rounded up to whole rows."""
+    """Row count of the counting bound: the exponent
+    ceil(log_q(2 + C(n-1, d-1) (q^N - 1)^(d-1))) rounded up to whole rows.
+    ``exact_d_coloring`` builds min(d, n - d + 1) rows, never more."""
     e = chi_exact_upper_exponent(params.N, params.n, params.q, d)
     return -(-e // params.N)
 
@@ -289,27 +297,42 @@ def exact_d_coloring(
     restarts: int = 64,
     budget: int = DEFAULT_BUDGET,
 ) -> Coloring:
-    """Proper coloring for rank distance exactly d with q^(N*m) colors.
+    """Proper coloring for rank distance exactly d.
 
-    The default row count m comes from the counting bound via
-    ``forbidden_rows_target``; pass ``m`` to override.  The parity matrix is
-    found by ``search_forbidden_H`` and is always kernel-verified.
+    When ``m`` is None or at least m* = min(d, n - d + 1), the coloring is
+    built with m* rows and no search, so it has q^(N m*) colors and
+    ``seed`` None:
+
+    * ``mrd-parity`` when d <= n - d + 1: the parity matrix of the
+      Gabidulin [n, n - d] code, whose kernel has minimum rank d + 1;
+    * ``column-projection`` otherwise: the unit rows at 0-based columns
+      d - 1 .. n - 1, so same-colored vertices differ in their first d - 1
+      columns only.
+
+    A smaller ``m`` runs ``search_forbidden_H`` with m rows and ``seed``;
+    its result is always kernel-verified.  For d > n the one-color map is
+    proper.
     """
     if not 1 <= d:
         raise ValueError("d must be positive")
     if d > params.n:
         return Coloring(params, "exactly-d", d, (), 1, tag="trivial", seed=seed)
-    if m is None:
-        m = forbidden_rows_target(params, d)
-    found = search_forbidden_H(
-        params.tower, params.n, d, m, seed=seed, restarts=restarts, budget=budget
-    )
+    tower, n = params.tower, params.n
+    rows = min(d, n - d + 1)
+    if m is None or m >= rows:
+        if d <= n - d + 1:
+            h_rows, tag = gabidulin_parity(tower, n, d), "mrd-parity"
+        else:
+            h_rows = tuple(tuple(int(i == j) for i in range(n)) for j in range(d - 1, n))
+            tag = "column-projection"
+        return Coloring(params, "exactly-d", d, h_rows, tower.order ** rows, tag=tag)
+    found = search_forbidden_H(tower, n, d, m, seed=seed, restarts=restarts, budget=budget)
     return Coloring(
         params,
         "exactly-d",
         d,
         found.h_rows,
-        params.tower.order ** m,
+        tower.order ** m,
         tag=f"forbidden-search(restarts={found.restarts_used})",
         seed=seed,
     )
@@ -475,6 +498,12 @@ def coloring_to_json(coloring: Coloring) -> dict:
 
 
 def coloring_from_json(data: dict) -> Coloring:
+    """The coloring of a ``coloring_to_json`` object; ``seed`` and ``tag``
+    may be missing."""
+    require_keys(data, "coloring", "tower", "n", "mode", "d", "H_col", "num_colors")
+    seed = data.get("seed")
+    if seed is not None and type(seed) is not int:
+        raise ValueError(f"coloring file's 'seed' must be an integer or null, got {seed!r}")
     tower = FieldTower.from_json(data["tower"])
     params = GraphParams(tower, int(data["n"]))
     return Coloring(
@@ -484,5 +513,5 @@ def coloring_from_json(data: dict) -> Coloring:
         rows_from_json(tower, data["H_col"]),
         int(data["num_colors"]),
         tag=data.get("tag", "loaded"),
-        seed=data.get("seed"),
+        seed=seed,
     )

@@ -115,10 +115,6 @@ class MatFq:
         return f"MatFq({self.rows}x{self.cols} over F_{self.tower.q}, {mat_label(self)})"
 
 
-def zero_matrix(tower: FieldTower, rows: int, cols: int) -> MatFq:
-    return MatFq(tower, rows, cols, (0,) * (rows * cols))
-
-
 @dataclass(frozen=True)
 class VecExt:
     """A length-n vector over F_{q^N}, entries as F_{q^N} encodings; n <= N."""
@@ -553,11 +549,6 @@ def mat_from_label(tower: FieldTower, rows: int, cols: int, label: str) -> MatFq
     if mat_label(M) != label:
         raise ValueError(f"label {label!r} is not in canonical form {mat_label(M)!r}")
     return M
-
-
-def vec_index(v: VecExt) -> int:
-    """Integer index of v: entries as base-q^N digits, entry 0 most significant."""
-    return from_digits(reversed(v.entries), v.tower.order)
 
 
 def vec_from_index(tower: FieldTower, n: int, index: int) -> VecExt:

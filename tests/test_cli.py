@@ -330,6 +330,46 @@ def test_code_spectrum_rejects_a_damaged_file(tmp_path, damage, message):
     assert res.stderr.strip() == message
 
 
+@pytest.mark.parametrize("missing", ["generator", "parity"])
+def test_code_spectrum_derives_a_missing_side(tmp_path, missing):
+    # a Gabidulin [3,2] code over F_27 with one side deleted from its file
+    full, damaged = tmp_path / "code.json", tmp_path / "damaged.json"
+    res = run_cli(
+        "code", "gabidulin", "--q", "3", "--m", "1", "--N", "3", "--n", "3",
+        "--k", "2", "--out", str(full),
+    )
+    assert res.returncode == 0
+    code = json.loads(full.read_text())
+    del code[missing]
+    damaged.write_text(json.dumps(code))
+    want, got = run_cli("code", "spectrum", str(full)), run_cli("code", "spectrum", str(damaged))
+    assert want.returncode == got.returncode == 0
+    assert got.stdout == want.stdout
+    assert got.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "missing, message",
+    [
+        (("tower",), "error: code file has no 'tower' key"),
+        (("n",), "error: code file has no 'n' key"),
+        (("k",), "error: code file has no 'k' key"),
+        (("generator", "parity"), "error: code file has neither a 'generator' nor a 'parity' key"),
+    ],
+)
+def test_code_spectrum_names_a_missing_key(tmp_path, missing, message):
+    out = tmp_path / "code.json"
+    write_gabidulin_code(out)
+    code = json.loads(out.read_text())
+    for key in missing:
+        del code[key]
+    out.write_text(json.dumps(code))
+    res = run_cli("code", "spectrum", str(out))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == message + "\n"
+
+
 def test_code_builtin_verify():
     for name, d in (("C1", 2), ("C2", 2), ("C3", 3)):
         res = run_cli("code", "builtin", name, "--verify")
@@ -687,6 +727,59 @@ def test_color_verify_rejects_mismatched_num_colors(tmp_path):
     res = run_cli("color", "verify", str(col))
     assert res.returncode == 1
     assert "num_colors" in res.stderr
+
+
+def _drop(key):
+    def damage(data):
+        del data[key]
+
+    return damage
+
+
+def _bad_seed(data):
+    data["seed"] = "x"
+
+
+@pytest.mark.parametrize("command", ["verify", "assign"])
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        *((_drop(key), f"error: coloring file has no '{key}' key")
+          for key in ("tower", "n", "mode", "d", "H_col", "num_colors")),
+        (_bad_seed, "error: coloring file's 'seed' must be an integer or null, got 'x'"),
+    ],
+    ids=["no-tower", "no-n", "no-mode", "no-d", "no-H_col", "no-num_colors", "seed-x"],
+)
+def test_color_verify_and_assign_reject_a_damaged_file(tmp_path, command, damage, message):
+    col = tmp_path / "col.json"
+    params = GraphParams(build_tower(2, 1, 2), 2)
+    data = coloring_to_json(Coloring(params, "exactly-d", 2, ((0, 1),), 4, tag="x", seed=3))
+    damage(data)
+    col.write_text(json.dumps(data))
+    argv = ["color", command, str(col)] + (["--vertex", "0000"] if command == "assign" else [])
+    res = run_cli(*argv)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == message + "\n"
+
+
+def test_color_exact_builds_the_mrd_parity_on_a_table1_row():
+    # (N, n, d, q) = (10, 7, 4, 2): the search used to exit 3 here
+    res = run_cli("color", "exact", "--q", "2", "--m", "1", "--N", "10", "--n", "7", "--d", "4")
+    assert res.returncode == 0
+    assert "colors=1099511627776 " in res.stdout
+    assert res.stdout.endswith(" tag=mrd-parity\n")
+
+
+def test_color_exact_below_mstar_still_searches():
+    # m* = min(d, n - d + 1) = 2 on (4, 3, 2, 2), so one row is left to the search
+    res = run_cli("color", "exact", "--q", "2", "--m", "1", "--N", "4", "--n", "3", "--d", "2", "--rows", "1")
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert res.stderr == (
+        "budget exceeded: no verified parity matrix after 64 restarts; "
+        "best attempt had 60 kernel words at the forbidden rank\n"
+    )
 
 
 def test_color_verify_pairwise_rejects_colors_beyond_int64(tmp_path):

@@ -29,7 +29,6 @@ from matgraph.codes import (
     min_nonzero_rank,
     min_rank_distance,
     rank_spectrum,
-    same_row_space,
     span_blocks,
     span_rank_spectrum,
     word_rank_histogram,
@@ -43,10 +42,17 @@ from matgraph.linalg import (
     count_rank_k,
     matrix_rank_over,
     null_space,
+    row_reduce,
     vec_rank_distance,
 )
 
 ORACLES = Path(__file__).resolve().parents[1] / "benchmarks" / "oracles.py"
+
+
+def same_row_space(tower, rows_a, rows_b):
+    """Whether two row sets span the same subspace over F_{q^N}."""
+    ra, rb = ([r for r in row_reduce(rows, tower.ext)[0] if any(r)] for rows in (rows_a, rows_b))
+    return ra == rb
 
 T8 = build_tower(2, 1, 3)
 T4N2 = build_tower(2, 1, 2)  # q = 2, N = 2: top field F_4
@@ -559,6 +565,41 @@ def test_code_json_roundtrip():
     assert again.n == code.n and again.k == code.k
     assert again.generator == code.generator
     assert again.parity == code.parity
+
+
+@pytest.mark.parametrize("missing", ["generator", "parity"])
+def test_code_from_json_derives_a_missing_side(missing):
+    code = gabidulin(build_tower(3, 1, 3), 3, 2)
+    data = code_to_json(code)
+    del data[missing]
+    again = code_from_json(data)
+    kept = "parity" if missing == "generator" else "generator"
+    assert getattr(again, kept) == getattr(code, kept)
+    # the derived side is another basis of the same space
+    assert same_row_space(code.tower, getattr(again, missing), getattr(code, missing))
+    assert rank_spectrum(again) == rank_spectrum(code)
+
+
+@pytest.mark.parametrize(
+    "missing, message",
+    [
+        (("tower",), "code file has no 'tower' key"),
+        (("n",), "code file has no 'n' key"),
+        (("k",), "code file has no 'k' key"),
+        (("generator", "parity"), "code file has neither a 'generator' nor a 'parity' key"),
+    ],
+)
+def test_code_from_json_names_a_missing_key(missing, message):
+    data = code_to_json(gabidulin(T8, 3, 1))
+    for key in missing:
+        del data[key]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        code_from_json(data)
+
+
+def test_code_from_json_rejects_a_top_level_that_is_not_an_object():
+    with pytest.raises(ValueError, match="must hold a JSON object"):
+        code_from_json([code_to_json(gabidulin(T8, 3, 1))])
 
 
 def test_linear_code_validation():

@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -431,8 +432,76 @@ def test_exact_coloring_m1():
 
 def test_exact_coloring_default_rows():
     col = exact_d_coloring(P222, 2, seed=0)
-    assert col.num_colors == 16  # two rows over the order-4 field
+    assert col.num_colors == 4  # q^N, the exact chi_2 on (N, n, q) = (2, 2, 2)
+    assert col.tag == "column-projection" and col.seed is None
     assert verify_exactly_d(col, pairwise=True)
+
+
+# (p, m) of each q of the exhaustive construction checks
+_PM = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1)}
+
+
+def _rows_up_to(limit):
+    """(params, d) of every row with q in _PM, n <= N and q^(Nn) <= limit."""
+    for q, (p, m) in _PM.items():
+        for N in range(1, limit.bit_length()):
+            for n in range(1, N + 1):
+                if q ** (N * n) <= limit:
+                    params = GraphParams(build_tower(p, m, N), n)
+                    yield from ((params, d) for d in range(1, n + 1))
+
+
+def test_default_exact_coloring_passes_both_modes_with_q_n_mstar_colors():
+    rows = 0
+    for params, d in _rows_up_to(1 << 16):
+        col = exact_d_coloring(params, d)
+        n, Q = params.n, params.tower.order
+        m_star = min(d, n - d + 1)
+        assert len(col.h_rows) == m_star
+        assert col.num_colors == Q**m_star
+        assert col.tag == ("mrd-parity" if d <= n - d + 1 else "column-projection")
+        assert col.seed is None
+        assert find_violation(col) is None, (params, d)
+        if params.order <= 1 << 12:
+            assert find_violation(col, pairwise=True) is None, (params, d)
+            assert realized_colors(col) == Q**m_star
+        rows += 1
+    assert rows == 88
+
+
+@pytest.mark.parametrize("m", [2, 3, 7])
+def test_exact_coloring_with_rows_at_least_mstar_builds_mstar_rows(m):
+    params = GraphParams(build_tower(2, 1, 4), 4)
+    col = exact_d_coloring(params, 3, seed=5, m=m)
+    assert col == exact_d_coloring(params, 3)
+    assert col.h_rows == ((0, 0, 1, 0), (0, 0, 0, 1))  # e_3, e_4: the last two columns
+    assert col.num_colors == 16**2
+
+
+def test_exact_coloring_below_mstar_runs_the_seeded_search():
+    tower = build_tower(2, 1, 4)
+    with pytest.raises(SearchExhaustedError) as via_coloring:
+        exact_d_coloring(GraphParams(tower, 3), 2, seed=1, m=1, restarts=4)
+    with pytest.raises(SearchExhaustedError) as via_search:
+        search_forbidden_H(tower, 3, 2, 1, seed=1, restarts=4)
+    assert str(via_coloring.value) == str(via_search.value)
+    assert via_coloring.value.best_spectrum == via_search.value.best_spectrum
+
+
+def test_forbidden_rows_target_is_never_below_mstar():
+    # So the default coloring never has more colors than the counting-bound
+    # row count gave it, on every row with prime-power q <= 16 and n <= N <= 12.
+    # forbidden_rows_target reads only N, n and q, so the rows carry no tower:
+    # finding the moduli of the q = 16 towers alone takes seconds.
+    rows = [
+        (types.SimpleNamespace(N=N, n=n, q=q), d)
+        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+        for N in range(1, 13)
+        for n in range(1, N + 1)
+        for d in range(1, n + 1)
+    ]
+    assert len(rows) == 3640
+    assert all(forbidden_rows_target(row, d) >= min(d, row.n - d + 1) for row, d in rows)
 
 
 def test_exact_coloring_d1_uses_qn_colors():
@@ -540,6 +609,32 @@ def test_coloring_json_roundtrip():
     assert again.h_rows == col.h_rows
     assert again.num_colors == col.num_colors
     assert again.seed == col.seed
+
+
+@pytest.mark.parametrize("key", ["tower", "n", "mode", "d", "H_col", "num_colors"])
+def test_coloring_from_json_names_a_missing_key(key):
+    data = coloring_to_json(d_distance_coloring(P222, 1))
+    del data[key]
+    with pytest.raises(ValueError, match=f"^coloring file has no '{key}' key$"):
+        coloring_from_json(data)
+
+
+@pytest.mark.parametrize("seed", ["x", 1.5, True, [1]])
+def test_coloring_from_json_rejects_a_seed_that_is_not_an_integer(seed):
+    data = coloring_to_json(exact_d_coloring(P222, 2, seed=3, m=1))
+    data["seed"] = seed
+    with pytest.raises(ValueError, match="'seed' must be an integer or null"):
+        coloring_from_json(data)
+
+
+def test_coloring_from_json_reads_seed_and_tag_as_optional():
+    col = d_distance_coloring(P222, 1)
+    data = coloring_to_json(col)
+    del data["seed"], data["tag"]
+    again = coloring_from_json(data)
+    assert (again.h_rows, again.seed, again.tag) == (col.h_rows, None, "loaded")
+    data["seed"] = 7
+    assert coloring_from_json(data).seed == 7
 
 
 def test_coloring_rejects_bad_mode():

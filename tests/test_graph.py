@@ -29,6 +29,7 @@ from matgraph.graph import (
 from matgraph.linalg import (
     RANK_BLOCK,
     BudgetExceededError,
+    MatFq,
     add_digits,
     column_rank,
     enumerate_matrices,
@@ -39,12 +40,15 @@ from matgraph.linalg import (
     rank,
     rank_distance,
     vec_from_index,
-    zero_matrix,
 )
 
 P222 = GraphParams(build_tower(2, 1, 2), 2)
 P322 = GraphParams(build_tower(2, 1, 3), 2)
 P223 = GraphParams(build_tower(3, 1, 2), 2)
+
+
+def zero_matrix(tower, rows, cols):
+    return MatFq(tower, rows, cols, (0,) * (rows * cols))
 
 
 def test_order_and_degree_formulas():

@@ -37,15 +37,22 @@ from matgraph.linalg import (
     row_reduce,
     to_digits_array,
     vec_from_index,
-    vec_index,
     vector_to_matrix,
     word_rank,
-    zero_matrix,
 )
 
 T22 = build_tower(2, 1, 2)
 T33 = build_tower(3, 1, 3)
 T8 = build_tower(2, 1, 3)
+
+
+def zero_matrix(tower, rows, cols):
+    return MatFq(tower, rows, cols, (0,) * (rows * cols))
+
+
+def vec_index(v):
+    """Integer index of v: entries as base-q^N digits, entry 0 most significant."""
+    return from_digits(reversed(v.entries), v.tower.order)
 
 
 def test_rank_zero_matrix():

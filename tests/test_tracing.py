@@ -4,9 +4,8 @@ every attribute it names must exist and be restored after uninstall."""
 import importlib.util
 from pathlib import Path
 
-from matgraph.coloring import exact_d_coloring
+from matgraph import coloring
 from matgraph.gftower import build_tower
-from matgraph.graph import GraphParams
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -40,7 +39,8 @@ def test_traced_exact_search_reports_restarts_and_eliminations():
     tracer = _load_tracing().Tracer()
     try:
         tracer.install()
-        exact_d_coloring(GraphParams(build_tower(2, 1, 2), 2), 2, seed=0, m=1)
+        # looked up on the module, where the tracer has wrapped it
+        coloring.search_forbidden_H(build_tower(2, 1, 2), 2, 2, 1, seed=0)
         metrics = tracer.layer_metrics()
     finally:
         tracer.uninstall()
