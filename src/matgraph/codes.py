@@ -512,18 +512,31 @@ def require_keys(data: dict, kind: str, *keys: str) -> None:
             raise ValueError(f"{kind} file has no {key!r} key")
 
 
+def int_key(data: dict, kind: str, key: str) -> int:
+    """The integer under ``key`` of a ``kind`` file's object, given as an int
+    or a decimal string; anything else raises ValueError naming the key."""
+    value = data[key]
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{kind} file's {key!r} must be an integer, got {value!r}")
+
+
 def code_from_json(data: dict) -> LinearRankCode:
     """The code of a ``code_to_json`` object.  A missing or null side, the
     generator or the parity matrix, is derived from the other."""
     require_keys(data, "code", "tower", "n", "k")
     if data.get("generator") is None and data.get("parity") is None:
         raise ValueError("code file has neither a 'generator' nor a 'parity' key")
+    n, k = (int_key(data, "code", key) for key in ("n", "k"))
     tower = FieldTower.from_json(data["tower"])
     generator, parity = (
         None if data.get(key) is None else rows_from_json(tower, data[key])
         for key in ("generator", "parity")
     )
-    return LinearRankCode(
-        tower, int(data["n"]), int(data["k"]), generator, parity, tag=data.get("tag", "explicit")
-    )
+    return LinearRankCode(tower, n, k, generator, parity, tag=data.get("tag", "explicit"))
 

@@ -51,6 +51,7 @@ from .codes import (
     Rows,
     _smaller_side_spectrum,
     gabidulin_parity,
+    int_key,
     line_blocks,
     parity_syndrome,
     require_keys,
@@ -504,14 +505,14 @@ def coloring_from_json(data: dict) -> Coloring:
     seed = data.get("seed")
     if seed is not None and type(seed) is not int:
         raise ValueError(f"coloring file's 'seed' must be an integer or null, got {seed!r}")
+    n, d, num_colors = (int_key(data, "coloring", key) for key in ("n", "d", "num_colors"))
     tower = FieldTower.from_json(data["tower"])
-    params = GraphParams(tower, int(data["n"]))
     return Coloring(
-        params,
+        GraphParams(tower, n),
         data["mode"],
-        int(data["d"]),
+        d,
         rows_from_json(tower, data["H_col"]),
-        int(data["num_colors"]),
+        num_colors,
         tag=data.get("tag", "loaded"),
         seed=seed,
     )

@@ -405,9 +405,17 @@ class FieldTower:
 
     @staticmethod
     def from_json(data: dict) -> "FieldTower":
-        """The shared ``build_tower`` tower, after checking that any stored
+        """The shared ``build_tower`` tower, after checking that ``data`` is
+        an object with integer ``p``, ``m`` and ``N``, and that any stored
         moduli are the ones it chose."""
-        tower = build_tower(int(data["p"]), int(data["m"]), int(data["N"]))
+        if not isinstance(data, dict):
+            raise ValueError(f"'tower' must be a JSON object, got {data!r}")
+        for key in ("p", "m", "N"):
+            if key not in data:
+                raise ValueError(f"'tower' has no {key!r} key")
+            if type(data[key]) is not int:
+                raise ValueError(f"'tower' key {key!r} must be an integer, got {data[key]!r}")
+        tower = build_tower(data["p"], data["m"], data["N"])
         if "modulus_q" in data and tuple(data["modulus_q"]) != tower.modulus_q:
             raise ValueError("stored modulus_q does not match the deterministic choice")
         if "modulus_qN" in data:

@@ -8,11 +8,13 @@ translates an index by every rank-one step in one place, the neighbor
 rows that ``_StepRows`` computes on demand with ``linalg.add_digits``.
 One level BFS (``bfs_distances``) walks either those rows or the neighbor
 index table that stores them: pair queries (``graph_distance_bfs``, which
-stop at the target) and the eccentricity build no table, while the
-bipartiteness check and the all-pairs check read every stored edge.
+stop at the target), the eccentricity and the bipartiteness check, which
+stops at its first same-parity edge, build no table; only the all-pairs
+check, the translation check and the exports do.
 Every translation preserves the edges iff every row u of the stored table
 has the multiset of differences w - u of row 0, so
-``check_vertex_transitivity`` is one pass over the table.  A table that
+``check_vertex_transitivity`` is one pass over the table, which sorts only
+the blocks whose differences are not row 0's in column order.  A table that
 passes is the Cayley digraph of row 0's entries, translation by u is an
 automorphism of it, and d(u, v) = d(0, v - u).  So when the BFS from 0
 agrees with the rank of every vertex, d(u, v) equals the rank of v - u
@@ -229,10 +231,20 @@ def eccentricity_of_zero(params: GraphParams, budget: int = DEFAULT_BUDGET) -> i
 
 
 def is_bipartite(params: GraphParams, budget: int = DEFAULT_BUDGET) -> bool:
-    """Two-color by BFS parity from 0 and look for a same-parity edge."""
-    nbr = neighbor_index_table(params, budget=budget)
-    parity = bfs_distances(nbr, 0) % 2
-    return not bool((parity[nbr] == parity[:, None]).any())
+    """Two-color by BFS parity from 0 and look for a same-parity edge.
+
+    Walks computed rows and builds no table.  The edges are tested in
+    blocks of about RANK_BLOCK entries, stopping at the first block that
+    holds a same-parity edge; a graph with more than two vertices has a
+    triangle, so the first block decides."""
+    rows = _StepRows(params, budget)
+    parity = bfs_distances(rows, 0) % 2
+    block = max(1, RANK_BLOCK // params.degree)
+    for lo in range(0, params.order, block):
+        hi = min(lo + block, params.order)
+        if (parity[rows[np.arange(lo, hi)]] == parity[lo:hi, None]).any():
+            return False
+    return True
 
 
 def _rows_have_row0_differences(params: GraphParams, nbr: np.ndarray) -> bool:
@@ -242,15 +254,17 @@ def _rows_have_row0_differences(params: GraphParams, nbr: np.ndarray) -> bool:
     differences w - u over row u of the table equals that of row u + t, for
     every u.  So every translation does iff every row has the difference
     multiset of row 0: one pass over the table, in blocks of about
-    RANK_BLOCK entries.
+    RANK_BLOCK entries.  Rows whose differences equal row 0's in column
+    order have its multiset, so only a block that differs is sorted.
     """
     p, width = params.tower.p, params.width
-    row0 = np.sort(nbr[0])  # vertex 0 is the zero matrix: its differences are its entries
+    row0 = nbr[0]  # vertex 0 is the zero matrix: its differences are its entries
+    row0_sorted = np.sort(row0)
     block = max(1, RANK_BLOCK // params.degree)
     for lo in range(0, params.order, block):
-        u = np.arange(lo, min(lo + block, params.order))
-        diffs = add_digits(nbr[u], u[:, None], p, width, sign=-1)
-        if not (np.sort(diffs, axis=1) == row0).all():
+        hi = min(lo + block, params.order)
+        diffs = add_digits(nbr[lo:hi], np.arange(lo, hi)[:, None], p, width, sign=-1)
+        if not (diffs == row0).all() and not (np.sort(diffs, axis=1) == row0_sorted).all():
             return False
     return True
 

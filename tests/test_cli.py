@@ -763,6 +763,54 @@ def test_color_verify_and_assign_reject_a_damaged_file(tmp_path, command, damage
     assert res.stderr == message + "\n"
 
 
+def _set(key, value, inner=None):
+    def damage(data):
+        if inner is None:
+            data[key] = value
+        else:
+            data[key][inner] = value
+
+    return damage
+
+
+_BAD_TOWERS = [("x", "'x'"), (1.5, "1.5"), ([], "[]"), (None, "None")]
+
+
+@pytest.mark.parametrize(
+    "kind, damage, message",
+    [
+        *(("code", _set("tower", value), f"error: 'tower' must be a JSON object, got {shown}")
+          for value, shown in _BAD_TOWERS),
+        ("code", _set("tower", {"a": 1}), "error: 'tower' has no 'p' key"),
+        *(("coloring", _set("tower", value), f"error: 'tower' must be a JSON object, got {shown}")
+          for value, shown in _BAD_TOWERS),
+        ("coloring", _set("tower", "2", "m"), "error: 'tower' key 'm' must be an integer, got '2'"),
+        *((kind, _set(key, value), f"error: {kind} file's '{key}' must be an integer, got {shown}")
+          for kind, keys in (("code", ("n", "k")), ("coloring", ("n", "d", "num_colors")))
+          for key in keys
+          for value, shown in (([], "[]"), ({}, "{}"), (None, "None"))),
+        ("coloring", _set("d", 1.5), "error: coloring file's 'd' must be an integer, got 1.5"),
+    ],
+)
+def test_a_file_with_a_value_of_the_wrong_type_names_its_key(tmp_path, kind, damage, message):
+    path = tmp_path / f"{kind}.json"
+    if kind == "code":
+        write_gabidulin_code(path)
+        argv = ["code", "spectrum", str(path)]
+    else:
+        params = GraphParams(build_tower(2, 1, 2), 2)
+        data = coloring_to_json(Coloring(params, "at-most-d", 1, ((1, 2),), 4, tag="x"))
+        path.write_text(json.dumps(data))
+        argv = ["color", "verify", str(path)]
+    data = json.loads(path.read_text())
+    damage(data)
+    path.write_text(json.dumps(data))
+    res = run_cli(*argv)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == message + "\n"
+
+
 def test_color_exact_builds_the_mrd_parity_on_a_table1_row():
     # (N, n, d, q) = (10, 7, 4, 2): the search used to exit 3 here
     res = run_cli("color", "exact", "--q", "2", "--m", "1", "--N", "10", "--n", "7", "--d", "4")

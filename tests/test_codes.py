@@ -597,6 +597,23 @@ def test_code_from_json_names_a_missing_key(missing, message):
         code_from_json(data)
 
 
+@pytest.mark.parametrize("key", ["n", "k"])
+@pytest.mark.parametrize("value", [[3], {}, None, 1.5, True, "x"])
+def test_code_from_json_names_an_integer_key_of_the_wrong_type(key, value):
+    data = code_to_json(gabidulin(T8, 3, 1))
+    data[key] = value
+    with pytest.raises(ValueError, match=f"^code file's '{key}' must be an integer, got "):
+        code_from_json(data)
+
+
+def test_code_from_json_reads_a_decimal_string_as_an_integer():
+    code = gabidulin(T8, 3, 1)
+    data = code_to_json(code)
+    data["n"], data["k"] = "3", "1"
+    again = code_from_json(data)
+    assert (again.n, again.k, again.generator, again.parity) == (3, 1, code.generator, code.parity)
+
+
 def test_code_from_json_rejects_a_top_level_that_is_not_an_object():
     with pytest.raises(ValueError, match="must hold a JSON object"):
         code_from_json([code_to_json(gabidulin(T8, 3, 1))])

@@ -627,6 +627,25 @@ def test_coloring_from_json_rejects_a_seed_that_is_not_an_integer(seed):
         coloring_from_json(data)
 
 
+@pytest.mark.parametrize("key", ["n", "d", "num_colors"])
+@pytest.mark.parametrize("value", [[1], {}, None, 1.5, True, "x"])
+def test_coloring_from_json_names_an_integer_key_of_the_wrong_type(key, value):
+    data = coloring_to_json(d_distance_coloring(P222, 1))
+    data[key] = value
+    with pytest.raises(ValueError, match=f"^coloring file's '{key}' must be an integer, got "):
+        coloring_from_json(data)
+
+
+def test_coloring_from_json_reads_a_decimal_string_as_an_integer():
+    col = d_distance_coloring(P222, 1)
+    data = coloring_to_json(col)
+    data["n"], data["d"] = "2", "1"
+    again = coloring_from_json(data)
+    assert (again.params, again.d, again.h_rows, again.num_colors) == (
+        col.params, col.d, col.h_rows, col.num_colors
+    )
+
+
 def test_coloring_from_json_reads_seed_and_tag_as_optional():
     col = d_distance_coloring(P222, 1)
     data = coloring_to_json(col)

@@ -475,6 +475,26 @@ def test_from_json_returns_the_shared_tower():
     assert FieldTower.from_json({"p": 2, "m": 2, "N": 2}) is tower
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ("x", "'tower' must be a JSON object, got 'x'"),
+        (1.5, "'tower' must be a JSON object, got 1.5"),
+        ([], r"'tower' must be a JSON object, got \[\]"),
+        (None, "'tower' must be a JSON object, got None"),
+        ({"a": 1}, "'tower' has no 'p' key"),
+        ({"p": 2, "m": 1}, "'tower' has no 'N' key"),
+        ({"p": "2", "m": 1, "N": 2}, "'tower' key 'p' must be an integer, got '2'"),
+        ({"p": 2, "m": True, "N": 2}, "'tower' key 'm' must be an integer, got True"),
+        ({"p": 2, "m": 1, "N": 2.0}, "'tower' key 'N' must be an integer, got 2.0"),
+        ({"p": 2, "m": 1, "N": None}, "'tower' key 'N' must be an integer, got None"),
+    ],
+)
+def test_from_json_names_the_bad_key(data, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FieldTower.from_json(data)
+
+
 def test_extfield_rejects_non_monic_modulus():
     with pytest.raises(ValueError):
         ExtField(PrimeField(3), (1, 2))

@@ -205,6 +205,41 @@ def test_not_bipartite():
     assert is_bipartite(GraphParams(build_tower(2, 1, 1), 1))
 
 
+def _bipartite_on_the_stored_table(params):
+    """Reference: the parity test over every edge of the stored table."""
+    nbr = neighbor_index_table(params)
+    parity = bfs_distances(nbr, 0) % 2
+    return not bool((parity[nbr] == parity[:, None]).any())
+
+
+@pytest.mark.parametrize(
+    "pmNn", [(2, 1, 1, 1), (2, 1, 2, 1), (2, 1, 3, 2), (3, 1, 2, 2), (2, 2, 2, 2), (5, 1, 2, 1)]
+)
+def test_bipartiteness_builds_no_table_and_matches_the_stored_table(monkeypatch, pmNn):
+    p, m, N, n = pmNn
+    params = GraphParams(build_tower(p, m, N), n)
+    expected = _bipartite_on_the_stored_table(params)
+    assert expected == (params.order == 2)  # only K_2 has no triangle
+    monkeypatch.setattr(graph_module, "neighbor_index_table", _no_table)
+    assert is_bipartite(params) == expected
+
+
+def test_bipartiteness_stops_at_the_first_block(monkeypatch):
+    params = GraphParams(build_tower(2, 1, 4), 3)
+    add_digits = graph_module.add_digits
+    sizes = []
+
+    def recorded(*args, **kwargs):
+        out = add_digits(*args, **kwargs)
+        sizes.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(graph_module, "add_digits", recorded)
+    assert not is_bipartite(params)
+    # the BFS expands every vertex once, then one block of edges decides
+    assert sum(sizes) <= params.order * params.degree + max(RANK_BLOCK, params.degree)
+
+
 def _translation_invariant(params, nbr, translations=None):
     """Reference: every translation t (all of them when translations is None)
     maps the edges of each u onto those of u + t, compared by sorting the
@@ -261,6 +296,23 @@ def test_vertex_transitivity_in_one_pass(monkeypatch, Nnq):
     assert check_vertex_transitivity(params)
     assert time.perf_counter() - start < 1.0  # the per-translation sorts are O(order^2 x degree)
     assert max(sizes) <= max(RANK_BLOCK, params.degree)
+
+
+@pytest.mark.parametrize("pmNn", [(2, 1, 4, 3), (3, 1, 3, 2), (2, 2, 2, 2)])
+def test_vertex_transitivity_sorts_rows_out_of_column_order(monkeypatch, pmNn):
+    p, m, N, n = pmNn
+    params = GraphParams(build_tower(p, m, N), n)
+    table = neighbor_index_table(params).copy()
+    # every row but row 0 permuted alike: the same edges, listed in another order
+    perm = np.roll(np.arange(params.degree), 1)
+    table[1:] = table[1:, perm]
+    diffs = add_digits(table, np.arange(params.order)[:, None], p, params.width, sign=-1)
+    block = max(1, RANK_BLOCK // params.degree)
+    assert all((diffs[lo : lo + block] != table[0]).any() for lo in range(0, params.order, block))
+    monkeypatch.setattr(graph_module, "neighbor_index_table", lambda params, budget: table)
+    assert check_vertex_transitivity(params)
+    table[params.order - 1, 0] = table[params.order - 1, 1]  # one edge of the last row rerouted
+    assert not check_vertex_transitivity(params)
 
 
 def _corrupted(table, kind, params, rng):
