@@ -235,8 +235,9 @@ def is_bipartite(params: GraphParams, budget: int = DEFAULT_BUDGET) -> bool:
 
     Walks computed rows and builds no table.  The edges are tested in
     blocks of about RANK_BLOCK entries, stopping at the first block that
-    holds a same-parity edge; a graph with more than two vertices has a
-    triangle, so the first block decides."""
+    holds a same-parity edge.  A graph with more than two vertices has a
+    triangle through vertices 0 and 1, so the block holding vertex 1
+    decides: the first one, unless one row fills a block."""
     rows = _StepRows(params, budget)
     parity = bfs_distances(rows, 0) % 2
     block = max(1, RANK_BLOCK // params.degree)
