@@ -41,7 +41,7 @@ _PUBLIC = {
     ),
     "coloring": (
         "Coloring",
-        "clique_d1",
+        "clique",
         "d_distance_coloring",
         "exact_d_coloring",
         "search_forbidden_H",

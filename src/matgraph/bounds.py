@@ -17,6 +17,11 @@ For the graph on N x n matrices over F_q (n <= N):
   threshold scans; (N, n, d, q) = (6, 4, 2, 3) sits at the knife edge
   2186 <= 3^7 = 2187, where floating point could misround.
 
+* the Gabidulin [d, 1] code padded with n - d zero columns is a clique of
+  q^N matrices at pairwise rank d, so chi_d >= q^N for every 1 <= d <= n
+  (column ``lower_bounds``).  The bound is exact at d = 1 and at d = n,
+  where colorings with q^N colors exist (column ``known_exact``).
+
 ``table1`` recomputes the built-in comparison table and flags any entry
 that disagrees with the published values it is checked against, rather
 than silently reproducing them.
@@ -75,32 +80,26 @@ class KnownChi:
     provenance: str
 
 
-# (N, n) pairs with q = 2 and d = n whose exactly-d chromatic number 2^N is
-# certified by an explicit equidistant code of size 2^N.
-_EQUIDISTANT_PAIRS = {(2, 2), (3, 2), (3, 3)}
+def known_chi_exact(N: int, n: int, q: int, d: int) -> KnownChi:
+    """The clique lower bound q^N on the exactly-d chromatic number, exact
+    at d = 1 and d = n.
 
-
-def known_chi_exact(N: int, n: int, q: int, d: int) -> KnownChi | None:
-    """Known exact value or lower bound for the exactly-d chromatic number."""
+    The Gabidulin [d, 1] code, padded with n - d zero columns, is q^N
+    matrices at pairwise rank d (``coloring.clique`` builds it).  At d = 1
+    the q^N-color at-most-1 coloring meets it, and at d = n the one-row
+    column-projection coloring of ``coloring.exact_d_coloring`` does.
+    """
+    if not 1 <= d <= n <= N:
+        raise ValueError("need 1 <= d <= n <= N")
     if d == 1:
-        return KnownChi(
-            q ** N,
-            exact=True,
-            provenance="distance 1: single-column clique of size q^N meets the q^N-color construction",
+        provenance = "distance 1: single-column clique of size q^N meets the q^N-color construction"
+    elif d == n:
+        provenance = (
+            "distance n: Gabidulin [n,1] clique of size q^N meets the one-row column-projection coloring"
         )
-    if q == 2 and d == n and (N, n) in _EQUIDISTANT_PAIRS:
-        return KnownChi(
-            2 ** N,
-            exact=True,
-            provenance="equidistant code of size 2^N at distance n certifies the value",
-        )
-    if n >= 3 and N == comb(n, 2) and d == n - 1:
-        return KnownChi(
-            q ** n - 1,
-            exact=False,
-            provenance="equidistant constant-rank code parameters give a clique of size q^n - 1",
-        )
-    return None
+    else:
+        provenance = "Gabidulin [d,1] code padded with n - d zero columns: a clique of size q^N"
+    return KnownChi(q ** N, exact=d in (1, n), provenance=provenance)
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,7 @@ class BoundsRow:
     chi_lower_eq1: int  # the sphere-packing lower bound, tight, so chi_prime_exact
     chi_exact_upper_thm: int  # bound12
     chi_exact_upper_nat: int  # bound8
-    known_exact: KnownChi | None
+    known_exact: KnownChi
     lower_bounds: list[int]  # the known value, exact or not
     note: str
 
@@ -133,7 +132,7 @@ def bounds_row(N: int, n: int, q: int, d: int) -> BoundsRow:
         chi_exact_upper_thm=chi_exact_upper(N, n, q, d),
         chi_exact_upper_nat=at_most_d,
         known_exact=known,
-        lower_bounds=[known.value] if known else [],
+        lower_bounds=[known.value],
         note="d = n; the at-most-d count is the full q^(Nd)" if d == n else "",
     )
 
@@ -160,7 +159,7 @@ def rows_csv(rows: list[BoundsRow]) -> str:
     """CSV text: the TABLE1_HEADER line, then one line per row."""
     lines = [TABLE1_HEADER]
     for row in rows:
-        known = str(row.known_exact.value) if row.known_exact and row.known_exact.exact else ""
+        known = str(row.known_exact.value) if row.known_exact.exact else ""
         lows = ";".join(str(v) for v in row.lower_bounds)
         lines.append(
             f"{row.N},{row.n},{row.d},{row.q},{row.chi_exact_upper_thm},"

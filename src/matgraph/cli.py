@@ -239,15 +239,11 @@ def _cmd_bounds_row(args: argparse.Namespace) -> int:
             "chi_prime_lower": str(row.chi_lower_eq1),
             "bound12": str(row.chi_exact_upper_thm),
             "bound8": str(row.chi_exact_upper_nat),
-            "known_exact": (
-                {
-                    "value": str(row.known_exact.value),
-                    "exact": row.known_exact.exact,
-                    "provenance": row.known_exact.provenance,
-                }
-                if row.known_exact
-                else None
-            ),
+            "known_exact": {
+                "value": str(row.known_exact.value),
+                "exact": row.known_exact.exact,
+                "provenance": row.known_exact.provenance,
+            },
             "lower_bounds": [str(v) for v in row.lower_bounds],
             "note": row.note,
         }

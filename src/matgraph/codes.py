@@ -486,7 +486,26 @@ def rows_to_json(tower: FieldTower, rows: Rows) -> list[list[list[int]]]:
     return [[tower.ext_coeffs(x) for x in row] for row in rows]
 
 
-def rows_from_json(tower: FieldTower, data: list[list[list[int]]]) -> Rows:
+def rows_from_json(tower: FieldTower, data: object, key: str) -> Rows:
+    """The rows that ``rows_to_json`` stored under a file's ``key``; anything
+    other than a list of rows, each entry N lists of m integers below p,
+    raises ValueError naming the key."""
+    p, m, N = tower.p, tower.m, tower.N
+
+    def is_coeffs(c: object) -> bool:
+        return isinstance(c, list) and len(c) == m and all(type(v) is int and 0 <= v < p for v in c)
+
+    def is_entry(x: object) -> bool:
+        return isinstance(x, list) and len(x) == N and all(map(is_coeffs, x))
+
+    def is_row(row: object) -> bool:
+        return isinstance(row, list) and all(map(is_entry, row))
+
+    if not (isinstance(data, list) and all(map(is_row, data))):
+        raise ValueError(
+            f"{key!r} must be a list of rows whose entries are N = {N} lists of "
+            f"m = {m} integers from 0 to p - 1 = {p - 1}"
+        )
     return tuple(tuple(tower.ext_from_coeffs(x) for x in row) for row in data)
 
 
@@ -512,6 +531,15 @@ def require_keys(data: dict, kind: str, *keys: str) -> None:
             raise ValueError(f"{kind} file has no {key!r} key")
 
 
+def tag_key(data: dict, kind: str, default: str) -> str:
+    """The ``tag`` string of a ``kind`` file's object, ``default`` when the
+    key is missing; anything but a string raises ValueError."""
+    tag = data.get("tag", default)
+    if not isinstance(tag, str):
+        raise ValueError(f"{kind} file's 'tag' must be a string, got {tag!r}")
+    return tag
+
+
 def int_key(data: dict, kind: str, key: str) -> int:
     """The integer under ``key`` of a ``kind`` file's object, given as an int
     or a decimal string; anything else raises ValueError naming the key."""
@@ -535,8 +563,8 @@ def code_from_json(data: dict) -> LinearRankCode:
     n, k = (int_key(data, "code", key) for key in ("n", "k"))
     tower = FieldTower.from_json(data["tower"])
     generator, parity = (
-        None if data.get(key) is None else rows_from_json(tower, data[key])
+        None if data.get(key) is None else rows_from_json(tower, data[key], key)
         for key in ("generator", "parity")
     )
-    return LinearRankCode(tower, n, k, generator, parity, tag=data.get("tag", "explicit"))
+    return LinearRankCode(tower, n, k, generator, parity, tag=tag_key(data, "code", "explicit"))
 

@@ -30,9 +30,9 @@ vertices.  The scan meets each vertex with whichever partner set is
 smaller: its color class, grouped by one sort, or the vertices at a
 difference whose rank breaks the rule.
 
-Building a coloring and coloring one vertex need no numpy; the searches,
-color tables and both verification modes import it on first use, through
-``matgraph._numpy``.
+Building a coloring or a clique and coloring one vertex need no numpy;
+the searches, color tables and both verification modes import it on
+first use, through ``matgraph._numpy``.
 """
 
 from __future__ import annotations
@@ -44,12 +44,12 @@ from typing import Sequence
 
 from ._budget import DEFAULT_BUDGET, SearchExhaustedError
 from ._numpy import np
-from .bounds import chi_exact_upper_exponent
 from .gftower import FieldTower, from_digits
 from .graph import GraphParams
 from .codes import (
     Rows,
     _smaller_side_spectrum,
+    gabidulin,
     gabidulin_parity,
     int_key,
     line_blocks,
@@ -58,6 +58,7 @@ from .codes import (
     rows_from_json,
     rows_to_json,
     span_blocks,
+    tag_key,
 )
 from .linalg import (
     RANK_BLOCK,
@@ -142,7 +143,9 @@ class ForbiddenDistanceCode:
 
 @dataclass(frozen=True)
 class CliqueWitness:
-    """Pairwise-adjacent matrices; its size lower-bounds the d=1 color count."""
+    """Matrices at pairwise rank distance d, from ``clique(params, d)``; its
+    size lower-bounds the distance-d color count, exactly-d or at-most-d,
+    for every 1 <= d <= n."""
 
     members: tuple[MatFq, ...]
 
@@ -180,26 +183,24 @@ def d_distance_coloring(params: GraphParams, d: int) -> Coloring:
     )
 
 
-def clique_d1(params: GraphParams, budget: int = DEFAULT_BUDGET) -> CliqueWitness:
-    """The q^N matrices supported on column 0; any two are adjacent.
+def clique(params: GraphParams, d: int, budget: int = DEFAULT_BUDGET) -> CliqueWitness:
+    """The q^N matrices x g, x in F_{q^N}, with g the one generator row of
+    the Gabidulin [d, 1] code padded with n - d zero columns.
 
-    Differences stay supported on a single column, hence have rank at most
-    1, so the set is a clique and the distance-1 color count is at least
-    q^N.
+    That code has length d and minimum rank distance d, so every nonzero
+    word has rank exactly d.  Two members differ by (x - y) g, so any two
+    are at rank distance d and the distance-d color count is at least q^N.
+    At d = 1, g = (1) and the members are the matrices supported on
+    column 0.
     """
+    if not 1 <= d <= params.n:
+        raise ValueError(f"need 1 <= d <= n = {params.n}")
     tower = params.tower
     check_budget(tower.order, budget)
-    zeros = (0,) * (params.n - 1)
-    members = (vector_to_matrix(VecExt(tower, (x, *zeros))) for x in range(tower.order))
+    (g,) = gabidulin(tower, d, 1).generator
+    row, mul = (*g, *(0,) * (params.n - d)), tower.ext.mul
+    members = (vector_to_matrix(VecExt(tower, tuple(mul(x, y) for y in row))) for x in range(tower.order))
     return CliqueWitness(tuple(members))
-
-
-def forbidden_rows_target(params: GraphParams, d: int) -> int:
-    """Row count of the counting bound: the exponent
-    ceil(log_q(2 + C(n-1, d-1) (q^N - 1)^(d-1))) rounded up to whole rows.
-    ``exact_d_coloring`` builds min(d, n - d + 1) rows, never more."""
-    e = chi_exact_upper_exponent(params.N, params.n, params.q, d)
-    return -(-e // params.N)
 
 
 def search_forbidden_H(
@@ -511,8 +512,8 @@ def coloring_from_json(data: dict) -> Coloring:
         GraphParams(tower, n),
         data["mode"],
         d,
-        rows_from_json(tower, data["H_col"]),
+        rows_from_json(tower, data["H_col"], "H_col"),
         num_colors,
-        tag=data.get("tag", "loaded"),
+        tag=tag_key(data, "coloring", "loaded"),
         seed=seed,
     )

@@ -416,12 +416,10 @@ class FieldTower:
             if type(data[key]) is not int:
                 raise ValueError(f"'tower' key {key!r} must be an integer, got {data[key]!r}")
         tower = build_tower(data["p"], data["m"], data["N"])
-        if "modulus_q" in data and tuple(data["modulus_q"]) != tower.modulus_q:
-            raise ValueError("stored modulus_q does not match the deterministic choice")
-        if "modulus_qN" in data:
-            stored = tuple(tower.fq_from_coeffs(c) for c in data["modulus_qN"])
-            if stored != tower.modulus_qN:
-                raise ValueError("stored modulus_qN does not match the deterministic choice")
+        chosen = tower.to_json()
+        for key in ("modulus_q", "modulus_qN"):
+            if key in data and data[key] != chosen[key]:
+                raise ValueError(f"stored {key} does not match the deterministic choice")
         return tower
 
     def fq_coeffs(self, a: int) -> list[int]:

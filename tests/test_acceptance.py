@@ -23,7 +23,7 @@ from matgraph.codes import (
 )
 from matgraph.coloring import (
     Coloring,
-    clique_d1,
+    clique,
     d_distance_coloring,
     exact_d_coloring,
     find_violation,
@@ -160,19 +160,24 @@ def test_criterion_5_at_most_d_colorings_optimal():
             assert used == chi_prime(N, n, q, d)
 
 
-def test_criterion_6_chi1_clique():
-    with _Timer(6, "distance-1 clique", 10.0):
+def test_criterion_6_clique_certificates():
+    with _Timer(6, "clique certificates", 10.0):
         for N, n, q in ((2, 2, 2), (3, 2, 2)):
             params = GraphParams(_tower(q, N), n)
-            witness = clique_d1(params)
-            assert witness.size == q ** N
-            members = list(witness.members)
-            assert len({M.entries for M in members}) == q ** N
-            for A, B in itertools.combinations(members, 2):
-                assert rank_distance(A, B) == 1
+            for d in range(1, n + 1):
+                witness = clique(params, d)
+                assert witness.size == q ** N
+                members = list(witness.members)
+                assert len({M.entries for M in members}) == q ** N
+                for A, B in itertools.combinations(members, 2):
+                    assert rank_distance(A, B) == d
+            # the clique bound q^N is met at d = 1 and at d = n
             col = d_distance_coloring(params, 1)
             assert realized_colors(col) == q ** N
             assert verify_at_most_d(col, pairwise=True)
+            col = exact_d_coloring(params, n)
+            assert realized_colors(col) == col.num_colors == q ** N
+            assert verify_exactly_d(col, pairwise=True)
 
 
 def test_criterion_7_equidistant_fixtures():

@@ -1,5 +1,7 @@
 """Bound formulas: exact powers, ceiling logs, known values, the table."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -130,23 +132,25 @@ def test_known_chi_exact_d1():
     assert known is not None and known.exact and known.value == 32
 
 
-def test_known_chi_exact_equidistant_pairs():
-    known = known_chi_exact(3, 3, 2, 3)
-    assert known is not None and known.exact and known.value == 8
-    known = known_chi_exact(3, 2, 2, 2)
-    assert known is not None and known.exact and known.value == 8
-    known = known_chi_exact(2, 2, 2, 2)
-    assert known is not None and known.exact and known.value == 4
-    known = known_chi_exact(7, 1, 2, 1)
-    assert known is not None and known.exact and known.value == 128
-    assert known_chi_exact(4, 4, 2, 4) is None  # outside the certified pairs
+def test_known_chi_exact_at_d_equal_n():
+    # the Gabidulin [n,1] clique meets the one-row column-projection coloring
+    for N, n, q, value in ((3, 3, 2, 8), (3, 2, 2, 8), (2, 2, 2, 4), (4, 4, 2, 16), (5, 3, 3, 243)):
+        known = known_chi_exact(N, n, q, n)
+        assert known.exact and known.value == value
+        assert known.provenance == (
+            "distance n: Gabidulin [n,1] clique of size q^N meets the one-row column-projection coloring"
+        )
+    known = known_chi_exact(7, 1, 2, 1)  # d = 1 = n keeps the distance-1 provenance
+    assert known.exact and known.value == 128
+    assert known.provenance.startswith("distance 1: ")
 
 
 def test_known_chi_exact_lower_bound_shape():
-    known = known_chi_exact(3, 3, 2, 2)  # N = C(3,2), d = n - 1
-    assert known is not None and not known.exact and known.value == 7
-    assert bounds_row(3, 3, 2, 2).lower_bounds == [7]
-    assert bounds_row(6, 4, 2, 3).lower_bounds == [15]
+    known = known_chi_exact(3, 3, 2, 2)  # N = C(3,2), d = n - 1: q^N = 8 > q^n - 1 = 7
+    assert not known.exact and known.value == 8
+    assert known.provenance == "Gabidulin [d,1] code padded with n - d zero columns: a clique of size q^N"
+    assert bounds_row(3, 3, 2, 2).lower_bounds == [8]
+    assert bounds_row(6, 4, 2, 3).lower_bounds == [64]  # q = 2, d = 3
     assert bounds_row(2, 2, 2, 1).lower_bounds == [4]
 
 
@@ -155,9 +159,70 @@ def test_lower_bounds_list_the_known_value():
         for N in range(1, 7):
             for n in range(1, N + 1):
                 for d in range(1, n + 1):
-                    known = known_chi_exact(N, n, q, d)
-                    assert bounds_row(N, n, q, d).lower_bounds == ([known.value] if known else [])
-    assert bounds_row(3, 3, 2, 3).lower_bounds == [8]  # the equidistant code of size 2^N
+                    assert bounds_row(N, n, q, d).lower_bounds == [known_chi_exact(N, n, q, d).value]
+    assert bounds_row(3, 3, 2, 3).lower_bounds == [8]  # the Gabidulin [3,1] clique of size 2^N
+
+
+def _previous_known_chi_exact(N, n, q, d):
+    """(value, exact) of the three special cases that the clique bound
+    replaced, or None where they gave no value."""
+    if d == 1:
+        return q ** N, True
+    if q == 2 and d == n and (N, n) in {(2, 2), (3, 2), (3, 3)}:
+        return 2 ** N, True
+    if n >= 3 and N == comb(n, 2) and d == n - 1:
+        return q ** n - 1, False
+    return None
+
+
+def test_clique_bound_never_falls_and_never_passes_an_upper_bound():
+    rows = [
+        (N, n, q, d)
+        for q in (2, 3, 4, 5, 7, 8, 9)
+        for N in range(1, 9)
+        for n in range(1, N + 1)
+        for d in range(1, n + 1)
+    ]
+    assert len(rows) == 840
+    for N, n, q, d in rows:
+        known = known_chi_exact(N, n, q, d)
+        previous = _previous_known_chi_exact(N, n, q, d)
+        if previous is not None:
+            assert known.value >= previous[0]
+            if previous[1]:
+                assert known.exact and known.value == previous[0]
+        projection = q ** (N * min(d, n - d + 1))
+        assert known.value <= min(chi_prime(N, n, q, d), projection)
+        if d == n:
+            assert known.value == projection
+
+
+@pytest.mark.parametrize("N, n, d", [(3, 2, 0), (3, 2, 3), (2, 3, 1)], ids=["d=0", "d>n", "n>N"])
+def test_known_chi_exact_refuses_parameters_out_of_range(N, n, d):
+    with pytest.raises(ValueError, match=r"^need 1 <= d <= n <= N$"):
+        known_chi_exact(N, n, 2, d)
+
+
+def test_counting_bound_row_count_on_a_small_row():
+    # 2 + C(1,1) * 3 = 5 needs exponent 3, so 2 rows over the N = 2 field
+    assert -(-chi_exact_upper_exponent(2, 2, 2, 2) // 2) == 2
+    assert -(-chi_exact_upper_exponent(2, 2, 2, 1) // 2) == 1
+
+
+def test_counting_bound_rows_are_never_below_mstar():
+    # The counting exponent rounded up to whole rows is at least
+    # m* = min(d, n - d + 1), so the default exactly-d coloring never has
+    # more colors than that row count gives, on every row with prime-power
+    # q <= 16 and n <= N <= 12.
+    rows = [
+        (N, n, q, d)
+        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+        for N in range(1, 13)
+        for n in range(1, N + 1)
+        for d in range(1, n + 1)
+    ]
+    assert len(rows) == 3640
+    assert all(-(-chi_exact_upper_exponent(N, n, q, d) // N) >= min(d, n - d + 1) for N, n, q, d in rows)
 
 
 @pytest.mark.parametrize("q, N, n", [(2, 2, 2), (2, 3, 2), (3, 2, 1), (2, 3, 3)])
@@ -199,6 +264,9 @@ def test_table1_contents():
     assert cells[7][4] == str(3 ** 33) and cells[7][5] == str(3 ** 40)
     note = lines[8].split(",")[8]
     assert "published" in note and "2^33" in note and "3^33" in note
+    # the q^N clique bound on every row, exact only on the d = n row
+    assert [c[7] for c in cells] == ["64", "64", "729", "729", "32", "243", "1024", "59049"]
+    assert [c[6] for c in cells] == [""] * 5 + ["243", "", ""]
     # the only rows with notes are the d = n row and the flagged row
     assert [bool(c[8]) for c in cells] == [False] * 5 + [True, False, True]
 

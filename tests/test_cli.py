@@ -330,8 +330,9 @@ def test_code_spectrum_rejects_a_damaged_file(tmp_path, damage, message):
     assert res.stderr.strip() == message
 
 
+@pytest.mark.parametrize("null", [False, True], ids=["dropped", "null"])
 @pytest.mark.parametrize("missing", ["generator", "parity"])
-def test_code_spectrum_derives_a_missing_side(tmp_path, missing):
+def test_code_spectrum_derives_a_missing_side(tmp_path, missing, null):
     # a Gabidulin [3,2] code over F_27 with one side deleted from its file
     full, damaged = tmp_path / "code.json", tmp_path / "damaged.json"
     res = run_cli(
@@ -340,7 +341,10 @@ def test_code_spectrum_derives_a_missing_side(tmp_path, missing):
     )
     assert res.returncode == 0
     code = json.loads(full.read_text())
-    del code[missing]
+    if null:
+        code[missing] = None
+    else:
+        del code[missing]
     damaged.write_text(json.dumps(code))
     want, got = run_cli("code", "spectrum", str(full)), run_cli("code", "spectrum", str(damaged))
     assert want.returncode == got.returncode == 0
@@ -536,8 +540,8 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "mat
 CLI_MODULES = {"matgraph", "matgraph._budget", "matgraph.cli"}
 PRIME_MODULES = {"matgraph._primes"}
 TOWER_MODULES = PRIME_MODULES | {"matgraph._numpy", "matgraph.gftower", "matgraph.linalg"}
-ALL_MODULES = CLI_MODULES | TOWER_MODULES | {
-    f"matgraph.{name}" for name in ("bounds", "codes", "coloring", "graph")
+COLOR_MODULES = CLI_MODULES | TOWER_MODULES | {
+    f"matgraph.{name}" for name in ("codes", "coloring", "graph")
 }
 
 
@@ -555,7 +559,7 @@ ALL_MODULES = CLI_MODULES | TOWER_MODULES | {
          CLI_MODULES | TOWER_MODULES | {"matgraph.codes"}),
         (["code", "builtin", "C3", "--verify"], CLI_MODULES | TOWER_MODULES | {"matgraph.codes"}),
         (["code", "spectrum", "code.json"], CLI_MODULES | TOWER_MODULES | {"matgraph.codes"}),
-        (["color", "assign", "col.json", "--vertex", "1201"], ALL_MODULES),
+        (["color", "assign", "col.json", "--vertex", "1201"], COLOR_MODULES),
     ],
     ids=["bounds-table1", "bounds-row", "field-describe", "graph-stats", "code-gabidulin", "code-builtin",
          "code-spectrum", "color-assign"],
@@ -647,7 +651,7 @@ def test_bounds_row_csv():
     assert res.returncode == 0
     lines = res.stdout.splitlines()
     assert lines[0].startswith("N,n,d,q,bound12,bound8")
-    assert lines[1].split(",")[7] == "7"  # the q^n - 1 clique lower bound
+    assert lines[1].split(",")[7] == "8"  # the q^N clique lower bound
 
 
 def test_bounds_table1(tmp_path):
@@ -776,6 +780,21 @@ def _set(key, value, inner=None):
 _BAD_TOWERS = [("x", "'x'"), (1.5, "1.5"), ([], "[]"), (None, "None")]
 
 
+def _rows_message(key, N):
+    return (
+        f"error: {key!r} must be a list of rows whose entries are N = {N} lists of "
+        "m = 1 integers from 0 to p - 1 = 1"
+    )
+
+
+def _digit_out_of_range(code):
+    code["parity"][0][0][0][0] = 2
+
+
+def _ragged_entry(code):
+    code["generator"][0][0].pop()
+
+
 @pytest.mark.parametrize(
     "kind, damage, message",
     [
@@ -790,6 +809,19 @@ _BAD_TOWERS = [("x", "'x'"), (1.5, "1.5"), ([], "[]"), (None, "None")]
           for key in keys
           for value, shown in (([], "[]"), ({}, "{}"), (None, "None"))),
         ("coloring", _set("d", 1.5), "error: coloring file's 'd' must be an integer, got 1.5"),
+        *(("code", _set("generator", value), _rows_message("generator", 4))
+          for value in ("x", 5, [[1]], [["x"]])),
+        ("code", _digit_out_of_range, _rows_message("parity", 4)),
+        ("code", _ragged_entry, _rows_message("generator", 4)),
+        *(("coloring", _set("H_col", value), _rows_message("H_col", 2)) for value in ("x", [[1]], None)),
+        *((kind, _set("tower", value, key), f"error: stored {key} does not match the deterministic choice")
+          for kind, key, values in (
+              ("code", "modulus_qN", (5, "x", None)), ("code", "modulus_q", (5, None)),
+              ("coloring", "modulus_q", (None,)))
+          for value in values),
+        *((kind, _set("tag", value), f"error: {kind} file's 'tag' must be a string, got {shown}")
+          for kind in ("code", "coloring")
+          for value, shown in (([], "[]"), ({}, "{}"), (5, "5"))),
     ],
 )
 def test_a_file_with_a_value_of_the_wrong_type_names_its_key(tmp_path, kind, damage, message):

@@ -5,27 +5,28 @@ import functools
 import itertools
 import json
 import random
+import subprocess
+import sys
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
 
 from matgraph import coloring as coloring_mod
+from matgraph._budget import BudgetExceededError
 from matgraph.codes import parity_syndrome, span_blocks
 from matgraph.gftower import build_tower, from_digits
 from matgraph.graph import GraphParams
 from matgraph.coloring import (
     Coloring,
     SearchExhaustedError,
-    clique_d1,
+    clique,
     color_table,
     coloring_from_json,
     coloring_to_json,
     d_distance_coloring,
     exact_d_coloring,
     find_violation,
-    forbidden_rows_target,
     kernel_rank_spectrum,
     realized_colors,
     search_forbidden_H,
@@ -33,6 +34,8 @@ from matgraph.coloring import (
     verify_exactly_d,
 )
 from matgraph.linalg import (
+    VecExt,
+    matrix_to_vector,
     null_space,
     rank_distance,
     ranks,
@@ -259,20 +262,60 @@ def test_at_most_coloring_is_also_exactly_proper():
     assert verify_exactly_d(col, 1, pairwise=True)
 
 
-def test_clique_d1():
-    w = clique_d1(P222)
-    assert w.size == 4
-    assert any(all(e == 0 for e in M.entries) for M in w.members)
-    for i, A in enumerate(w.members):
-        for B in w.members[i + 1 :]:
-            assert rank_distance(A, B) == 1
-    assert clique_d1(P322).size == 8
+def _clique_d1_members(params):
+    """The former ``clique_d1``: the q^N matrices supported on column 0."""
+    zeros = (0,) * (params.n - 1)
+    return [vector_to_matrix(VecExt(params.tower, (x, *zeros))) for x in range(params.tower.order)]
 
 
-def test_forbidden_rows_target():
-    # 2 + C(1,1) * 3 = 5 needs exponent 3, so 2 rows over the N = 2 field
-    assert forbidden_rows_target(P222, 2) == 2
-    assert forbidden_rows_target(P222, 1) == 1
+CLIQUE_CASES = [
+    (p, m, N, n, d)
+    for p, m, N in (
+        (2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (3, 1, 3), (5, 1, 2), (2, 2, 2), (2, 2, 3), (3, 2, 2)
+    )
+    for n in range(1, N + 1)
+    for d in range(1, n + 1)
+]
+
+
+@pytest.mark.parametrize("p, m, N, n, d", CLIQUE_CASES)
+def test_clique_members_are_at_pairwise_rank_d(p, m, N, n, d):
+    tower = build_tower(p, m, N)
+    params = GraphParams(tower, n)
+    members = clique(params, d).members
+    Q = tower.order
+    assert len({M.entries for M in members}) == len(members) == Q
+    words = np.array([matrix_to_vector(M).entries for M in members])
+    nonzero = words[words.any(axis=1)]
+    assert len(nonzero) == Q - 1
+    assert ranks(tower, nonzero).tolist() == [d] * (Q - 1)
+    if Q <= 27:
+        assert {rank_distance(A, B) for A, B in itertools.combinations(members, 2)} == {d}
+    if d == 1:
+        assert [M.entries for M in members] == [M.entries for M in _clique_d1_members(params)]
+
+
+def test_clique_refuses_d_outside_1_to_n_and_a_small_budget():
+    for d in (0, 3):
+        with pytest.raises(ValueError, match=r"^need 1 <= d <= n = 2$"):
+            clique(P222, d)
+    with pytest.raises(BudgetExceededError):
+        clique(P322, 2, budget=7)
+    assert clique(P322, 2, budget=8).size == 8
+
+
+def test_clique_needs_no_numpy():
+    script = (
+        "import sys\n"
+        "from matgraph.coloring import clique\n"
+        "from matgraph.gftower import build_tower\n"
+        "from matgraph.graph import GraphParams\n"
+        "size = clique(GraphParams(build_tower(3, 1, 3), 3), 2).size\n"
+        "print(size, 'numpy' in sys.modules)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "27 False\n"
 
 
 def test_search_forbidden_h_small():
@@ -486,22 +529,6 @@ def test_exact_coloring_below_mstar_runs_the_seeded_search():
         search_forbidden_H(tower, 3, 2, 1, seed=1, restarts=4)
     assert str(via_coloring.value) == str(via_search.value)
     assert via_coloring.value.best_spectrum == via_search.value.best_spectrum
-
-
-def test_forbidden_rows_target_is_never_below_mstar():
-    # So the default coloring never has more colors than the counting-bound
-    # row count gave it, on every row with prime-power q <= 16 and n <= N <= 12.
-    # forbidden_rows_target reads only N, n and q, so the rows carry no tower:
-    # finding the moduli of the q = 16 towers alone takes seconds.
-    rows = [
-        (types.SimpleNamespace(N=N, n=n, q=q), d)
-        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
-        for N in range(1, 13)
-        for n in range(1, N + 1)
-        for d in range(1, n + 1)
-    ]
-    assert len(rows) == 3640
-    assert all(forbidden_rows_target(row, d) >= min(d, row.n - d + 1) for row, d in rows)
 
 
 def test_exact_coloring_d1_uses_qn_colors():

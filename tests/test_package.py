@@ -39,7 +39,7 @@ PUBLIC_NAMES = {
     ),
     "coloring": (
         "Coloring",
-        "clique_d1",
+        "clique",
         "d_distance_coloring",
         "exact_d_coloring",
         "search_forbidden_H",
