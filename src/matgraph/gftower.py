@@ -341,6 +341,10 @@ def find_irreducible(field, degree: int) -> tuple[int, ...]:
 # the tower
 # ---------------------------------------------------------------------------
 
+def _is_list_of(value: object, length: int) -> bool:
+    return isinstance(value, list) and len(value) == length
+
+
 class FieldTower:
     """The tower F_p <= F_q = F_{p^m} <= F_{q^N} with deterministic moduli.
 
@@ -415,6 +419,16 @@ class FieldTower:
                 raise ValueError(f"'tower' has no {key!r} key")
             if type(data[key]) is not int:
                 raise ValueError(f"'tower' key {key!r} must be an integer, got {data[key]!r}")
+        # A stored modulus of the wrong shape cannot be the chosen one, and
+        # testing its shape first refuses a huge m or N before the scan.
+        m, N, qN = data["m"], data["N"], data.get("modulus_qN")
+        shaped = {
+            "modulus_q": _is_list_of(data.get("modulus_q"), m + 1),
+            "modulus_qN": _is_list_of(qN, N + 1) and all(_is_list_of(c, m) for c in qN),
+        }
+        for key, ok in shaped.items():
+            if key in data and not ok:
+                raise ValueError(f"stored {key} does not match the deterministic choice")
         tower = build_tower(data["p"], data["m"], data["N"])
         chosen = tower.to_json()
         for key in ("modulus_q", "modulus_qN"):

@@ -6,11 +6,13 @@ rank-one matrices as generators.  ``neighbors`` adds each rank-one matrix
 to a ``MatFq``.  Everything else walks the graph on vertex indices, and
 translates an index by every rank-one step in one place, the neighbor
 rows that ``_StepRows`` computes on demand with ``linalg.add_digits``.
-One level BFS (``bfs_distances``) walks either those rows or the neighbor
-index table that stores them: pair queries (``graph_distance_bfs``, which
-stop at the target), the eccentricity and the bipartiteness check, which
-stops at its first same-parity edge, build no table; only the all-pairs
-check, the translation check and the exports do.
+One level-expansion body (``_bfs_blocks``) walks either those rows or the
+neighbor index table that stores them, and three walks drive it:
+``bfs_distances`` (the eccentricity and the all-pairs check); pair queries
+(``graph_distance_bfs``), which walk from both ends until the two balls
+meet; and the bipartiteness check, which stops at its first edge within a
+level.  Only the all-pairs check, the translation check and the exports
+build the table.
 Every translation preserves the edges iff every row u of the stored table
 has the multiset of differences w - u of row 0, so
 ``check_vertex_transitivity`` is one pass over the table, which sorts only
@@ -32,6 +34,7 @@ tables, the BFS and the exports import it on first use, through
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -130,16 +133,36 @@ class _StepRows:
 
 
 def graph_distance_bfs(M1: MatFq, M2: MatFq, budget: int = DEFAULT_BUDGET) -> int:
-    """Shortest-path length between M1 and M2: ``bfs_distances`` from M1
-    over computed rows, stopped at M2.  It builds no neighbor index table,
-    but a query far enough away touches every entry the budget counts."""
+    """Shortest-path length between M1 and M2, by level BFS from both ends
+    over computed rows until the two balls meet; builds no neighbor table.
+
+    The sides alternate, each expanding one whole level, and the first
+    block of candidates that reaches a vertex the other side has seen
+    decides.  With the expanding side at level L and the other side done
+    with level L', the balls of radius L - 1 and L' were disjoint, so the
+    distance exceeds L - 1 + L', and the meet gives at most L + L': the
+    answer is L + L'.  The walk from M2 gives distances *to* M2 because
+    the graph is undirected: -R has rank 1 whenever R does.  A distance-r
+    query expands the rows of two balls of radius about r/2 - 1, where a
+    walk from M1 alone expands those of the ball of radius r - 1.  The
+    budget still counts the order x degree entries, so the same queries
+    fit the same budgets."""
     if (M1.rows, M1.cols) != (M2.rows, M2.cols) or M1.tower != M2.tower:
         raise ValueError("vertices belong to different graphs")
     if M1.rows != M1.tower.N:
         raise ValueError(f"vertices must have N = {M1.tower.N} rows, have {M1.rows}")
     rows = _StepRows(_shared_params(M1.tower, M1.cols), budget)
-    target = mat_index(M2)
-    return int(bfs_distances(rows, mat_index(M1), target)[target])
+    dist = np.full((2, rows.shape[0]), -1, dtype=np.int16)
+    walks = [_bfs_blocks(rows, dist[side], mat_index(M)) for side, M in enumerate((M1, M2))]
+    for side in itertools.cycle((0, 1)):
+        for level, cand, level_done in walks[side]:
+            reached = int(dist[1 - side][cand].max())
+            if reached >= 0:
+                return level + reached
+            if level_done:
+                break
+        else:
+            return -1  # one side's component is exhausted without a meet
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +182,29 @@ def neighbor_index_table(params: GraphParams, budget: int = DEFAULT_BUDGET) -> n
     return table
 
 
+def _bfs_blocks(nbr, dist: np.ndarray, source: int) -> Iterator[tuple[int, np.ndarray, bool]]:
+    """The one level-expansion body: BFS from ``source`` over the rows of
+    ``nbr``, writing levels into ``dist`` (all -1 on entry).
+
+    Yields (level, candidates, level_done) for each block: first
+    (0, [source], True), then for level L = 1, 2, ... the neighbor rows of
+    about RANK_BLOCK entries of the frontier at L - 1, after the unseen
+    candidates are marked L; ``level_done`` flags the last block of a level.
+    """
+    block = max(1, RANK_BLOCK // nbr.shape[1])
+    dist[source] = 0
+    frontier = np.array([source], dtype=np.int64)
+    yield 0, frontier, True
+    level = 0
+    while frontier.size:
+        level += 1
+        for lo in range(0, frontier.size, block):
+            cand = nbr[frontier[lo : lo + block]].ravel()
+            dist[cand[dist[cand] < 0]] = level
+            yield level, cand, lo + block >= frontier.size
+        frontier = np.flatnonzero(dist == level)
+
+
 def bfs_distances(nbr, source: int, target: int | None = None) -> np.ndarray:
     """Distance from ``source`` to every vertex, by level BFS; -1 if unreached.
 
@@ -167,20 +213,10 @@ def bfs_distances(nbr, source: int, target: int | None = None) -> np.ndarray:
     of about RANK_BLOCK entries; with a ``target`` the walk stops at the
     first block that reaches it, leaving farther vertices at -1.
     """
-    V, degree = nbr.shape
-    block = max(1, RANK_BLOCK // degree)
-    dist = np.full(V, -1, dtype=np.int16)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
-    while frontier.size and (target is None or dist[target] < 0):
-        level += 1
-        for lo in range(0, frontier.size, block):
-            cand = nbr[frontier[lo : lo + block]].ravel()
-            dist[cand[dist[cand] < 0]] = level
-            if target is not None and dist[target] >= 0:
-                break
-        frontier = np.flatnonzero(dist == level)
+    dist = np.full(nbr.shape[0], -1, dtype=np.int16)
+    for _ in _bfs_blocks(nbr, dist, source):
+        if target is not None and dist[target] >= 0:
+            break
     return dist
 
 
@@ -231,21 +267,19 @@ def eccentricity_of_zero(params: GraphParams, budget: int = DEFAULT_BUDGET) -> i
 
 
 def is_bipartite(params: GraphParams, budget: int = DEFAULT_BUDGET) -> bool:
-    """Two-color by BFS parity from 0 and look for a same-parity edge.
+    """Whether no edge joins two vertices of the same BFS level from 0,
+    which for a connected graph is bipartiteness.
 
-    Walks computed rows and builds no table.  The edges are tested in
-    blocks of about RANK_BLOCK entries, stopping at the first block that
-    holds a same-parity edge.  A graph with more than two vertices has a
-    triangle through vertices 0 and 1, so the block holding vertex 1
-    decides: the first one, unless one row fills a block."""
+    Walks computed rows and builds no table.  An edge (u, w) within level
+    L - 1 shows up while level L is expanded, as a candidate w of u's row
+    with dist[w] == L - 1, so the walk stops at the first block that holds
+    one.  A graph with more than two vertices has a triangle through
+    vertices 0 and 1, so the first block of level 2, which holds vertex 1,
+    decides."""
     rows = _StepRows(params, budget)
-    parity = bfs_distances(rows, 0) % 2
-    block = max(1, RANK_BLOCK // params.degree)
-    for lo in range(0, params.order, block):
-        hi = min(lo + block, params.order)
-        if (parity[rows[np.arange(lo, hi)]] == parity[lo:hi, None]).any():
-            return False
-    return True
+    dist = np.full(params.order, -1, dtype=np.int16)
+    blocks = _bfs_blocks(rows, dist, 0)
+    return not any((dist[cand] == level - 1).any() for level, cand, _ in blocks)
 
 
 def _rows_have_row0_differences(params: GraphParams, nbr: np.ndarray) -> bool:

@@ -843,6 +843,28 @@ def test_a_file_with_a_value_of_the_wrong_type_names_its_key(tmp_path, kind, dam
     assert res.stderr == message + "\n"
 
 
+@pytest.mark.parametrize("kind", ["code", "coloring"])
+@pytest.mark.parametrize("key, modulus", [("N", "modulus_qN"), ("m", "modulus_q")])
+def test_a_tower_of_huge_degree_exits_1_at_once(tmp_path, kind, key, modulus):
+    path = tmp_path / f"{kind}.json"
+    if kind == "code":
+        write_gabidulin_code(path)
+        argv = ["code", "spectrum", str(path)]
+    else:
+        params = GraphParams(build_tower(2, 1, 2), 2)
+        path.write_text(json.dumps(coloring_to_json(Coloring(params, "at-most-d", 1, ((1, 2),), 4, tag="x"))))
+        argv = ["color", "verify", str(path)]
+    data = json.loads(path.read_text())
+    data["tower"][key] = 10**30  # the stored moduli no longer fit, so no scan runs
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    res = run_cli(*argv)
+    assert time.perf_counter() - start < 30
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == f"error: stored {modulus} does not match the deterministic choice\n"
+
+
 def test_color_exact_builds_the_mrd_parity_on_a_table1_row():
     # (N, n, d, q) = (10, 7, 4, 2): the search used to exit 3 here
     res = run_cli("color", "exact", "--q", "2", "--m", "1", "--N", "10", "--n", "7", "--d", "4")

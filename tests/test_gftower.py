@@ -525,6 +525,31 @@ def test_tower_json_rejects_foreign_base_modulus():
         FieldTower.from_json(data)
 
 
+@pytest.mark.parametrize("key", ["m", "N"])
+def test_tower_json_checks_the_moduli_shape_before_the_scan(key):
+    data = build_tower(2, 1, 3).to_json()
+    data[key] = 10**30  # a scan for moduli of this degree would never end
+    wrong = "modulus_q" if key == "m" else "modulus_qN"
+    with pytest.raises(ValueError, match=f"^stored {wrong} does not match the deterministic choice$"):
+        FieldTower.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("modulus_q", [1, 1, 1]),  # m + 1 = 2 digits for F_2
+        ("modulus_qN", [[1], [1], [1]]),  # N + 1 = 4 lists for degree 3
+        ("modulus_qN", [[1], [1], [0], [1, 0]]),  # each list holds m = 1 digits
+        ("modulus_qN", [1, 1, 0, 1]),
+    ],
+)
+def test_tower_json_rejects_a_modulus_of_the_wrong_shape(key, value):
+    data = build_tower(2, 1, 3).to_json()
+    data[key] = value
+    with pytest.raises(ValueError, match=f"^stored {key} does not match the deterministic choice$"):
+        FieldTower.from_json(data)
+
+
 def test_fq_from_coeffs_rejects_wrong_length():
     tower = build_tower(2, 2, 2)
     with pytest.raises(ValueError, match="expected 2 coordinates, got 1"):

@@ -225,7 +225,6 @@ def test_bipartiteness_builds_no_table_and_matches_the_stored_table(monkeypatch,
 
 
 def test_bipartiteness_stops_at_the_first_block(monkeypatch):
-    params = GraphParams(build_tower(2, 1, 4), 3)
     add_digits = graph_module.add_digits
     sizes = []
 
@@ -235,9 +234,16 @@ def test_bipartiteness_stops_at_the_first_block(monkeypatch):
         return out
 
     monkeypatch.setattr(graph_module, "add_digits", recorded)
-    assert not is_bipartite(params)
-    # the BFS expands every vertex once, then one block of edges decides
-    assert sum(sizes) <= params.order * params.degree + max(RANK_BLOCK, params.degree)
+    for p, m, N, n in [(2, 1, 4, 3), (2, 1, 2, 1), (3, 1, 3, 2), (2, 2, 2, 2), (5, 1, 2, 1)]:
+        params = GraphParams(build_tower(p, m, N), n)
+        sizes.clear()
+        assert not is_bipartite(params)
+        # level 1 expands vertex 0; the first block of level 2 holds vertex
+        # 1, whose row closes a triangle through 0 within level 1
+        assert sum(sizes) <= params.degree + max(RANK_BLOCK, params.degree)
+    sizes.clear()
+    assert is_bipartite(GraphParams(build_tower(2, 1, 1), 1))  # K_2 walks to the end
+    assert sizes == [1, 1]
 
 
 def _translation_invariant(params, nbr, translations=None):
@@ -581,6 +587,9 @@ def test_pair_walk_blocks_stay_within_rank_block(monkeypatch, pmNn):
         if r == 1:
             # one block, the source's own steps, reaches a neighbour
             assert sizes == [params.degree]
+        if r == 2:
+            # each end expands its own steps, and the two balls of radius 1 meet
+            assert sizes == [params.degree, params.degree]
         if r == n:
             assert len(sizes) > 1
 
@@ -627,3 +636,44 @@ def test_odd_p_pairwise_violations_match_the_per_digit_rule(monkeypatch):
     assert [find_violation(col, pairwise=True) for col in colorings] == fast
     assert sum(pair is not None for pair in fast) >= 6
     assert None in fast
+
+
+# (p, m, N, n): every vertex pair of these graphs is queried
+MEET_ALL_PAIRS_PARAMS = [(2, 1, 2, 2), (2, 1, 3, 2), (3, 1, 2, 2), (2, 2, 2, 1)]
+
+
+def _meet_agrees(params, M1, M2):
+    """The meet, the one-sided walk from M1 stopped at M2, and the rank."""
+    rows = graph_module._StepRows(params, budget=params.order * params.degree)
+    one_sided = int(bfs_distances(rows, mat_index(M1), mat_index(M2))[mat_index(M2)])
+    assert graph_distance_bfs(M1, M2) == one_sided == rank_distance(M1, M2)
+    return one_sided
+
+
+@pytest.mark.parametrize("pmNn", MEET_ALL_PAIRS_PARAMS)
+def test_meet_matches_the_one_sided_walk_on_every_pair(pmNn):
+    p, m, N, n = pmNn
+    params = GraphParams(build_tower(p, m, N), n)
+    mats = [mat_from_index(params.tower, N, n, v) for v in range(params.order)]
+    found = {_meet_agrees(params, M1, M2) for M1 in mats for M2 in mats}
+    assert found == set(range(n + 1))
+
+
+@pytest.mark.parametrize("pmNn", PAIR_WALK_PARAMS)
+def test_meet_matches_the_one_sided_walk_on_seeded_pairs(pmNn):
+    p, m, N, n = pmNn
+    params = GraphParams(build_tower(p, m, N), n)
+    for M1, M2, r in _pairs_of_each_rank(params, per_rank=4, seed=29 + sum(pmNn)):
+        assert _meet_agrees(params, M1, M2) == r
+
+
+@pytest.mark.parametrize("pmNn", PAIR_WALK_PARAMS + MEET_ALL_PAIRS_PARAMS)
+def test_negated_steps_are_the_steps(pmNn):
+    # the walk from the far end reads distances to it: -R has rank 1 with R
+    p, m, N, n = pmNn
+    params = GraphParams(build_tower(p, m, N), n)
+    steps = graph_module._rank_one_indices(params)
+    negated = add_digits(0, steps, p, params.width, sign=-1)
+    assert sorted(negated.tolist()) == sorted(steps.tolist())
+    if p > 2:
+        assert not np.array_equal(negated, steps)  # a real permutation, not the identity
