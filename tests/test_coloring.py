@@ -154,13 +154,14 @@ def test_pairwise_returns_first_violating_pair(col, kind):
 
 
 @pytest.mark.parametrize(
-    "params", [P222, P322, P223, P2222], ids=["q2-N2", "q2-N3", "q3-N2", "m2-N2"]
+    "params", [P222, P322, P223, P2222, P513], ids=["q2-N2", "q2-N3", "q3-N2", "m2-N2", "q5-N3"]
 )
 def test_pairwise_matches_the_reference_on_random_rows(params):
-    # The check walks, per call, the smaller of two partner sets: the
-    # largest color class or the differences whose rank breaks the rule.
-    # Rowless colorings (one class of all V vertices) make the second one
-    # smaller, d = n MRD colorings (one-vertex classes) the first.
+    # The check walks, per call, the partner set with fewer pairs: the
+    # same-colored pairs, sum of s(s - 1)/2 over class sizes s, or the
+    # V |steps| / 2 pairs at a difference whose rank breaks the rule, a tie
+    # going to the steps.  Rowless colorings (one class of all V vertices)
+    # take the steps, d = n MRD colorings (one-vertex classes) the classes.
     tower, n = params.tower, params.n
     order = tower.order
     rng = random.Random(f"{order} {n}")
@@ -172,12 +173,12 @@ def test_pairwise_matches_the_reference_on_random_rows(params):
     smaller, improper = set(), 0
     for col in cols:
         colors = [col.color_index(vec_from_index(tower, n, v)) for v in range(params.order)]
-        largest_class = max(collections.Counter(colors).values())
+        class_pairs = sum(s * (s - 1) for s in collections.Counter(colors).values())
         for d in range(1, n + 2):
             for kind in ("le", "eq"):
                 rule_steps = sum(_breaks_rule(w, d, kind) for w in _rank_distances(params)[0][1:])
-                if largest_class != rule_steps:
-                    smaller.add("class" if largest_class < rule_steps else "rule")
+                if rule_steps:
+                    smaller.add("class" if class_pairs < params.order * rule_steps else "rule")
                 expected = _first_violation_reference(params, colors, d, kind)
                 assert find_violation(col, d, kind, pairwise=True) == expected, (col.h_rows, d, kind)
                 improper += expected is not None
@@ -237,15 +238,16 @@ def test_pairwise_allows_color_classes_of_unequal_size(monkeypatch, seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_pairwise_finds_late_pairs_in_either_partner_set(monkeypatch, seed):
-    # One class of 45 vertices among the later ones, the rest singletons:
-    # the first violation has u >= 20.  45 exceeds the 32 rank-one
-    # differences of F_9^2 and falls short of its 48 rank-two ones, so d = 1
-    # walks the rule differences and d = 2 the color classes.  Digit-wise
-    # addition mod 3 does not keep order (20 + 1 is 18), so the smallest
-    # partner need not come from the smallest difference.
+    # One class of 52 vertices among the later ones, the rest singletons:
+    # the first violation has u >= 20.  Its 52 * 51 ordered pairs are at
+    # least the 81 * 32 at the rank-one differences of F_9^2 and fewer than
+    # the 81 * 48 at its rank-two ones, so d = 1 walks the steps and d = 2
+    # the color classes.  Digit-wise addition mod 3 does not keep order
+    # (20 + 1 is 18), so the smallest partner need not come from the
+    # smallest difference.
     rng = random.Random(seed)
     colors = list(range(81))
-    for v in rng.sample(range(20, 81), 45):
+    for v in rng.sample(range(20, 81), 52):
         colors[v] = 81
     monkeypatch.setattr(coloring_mod, "color_table", lambda col, budget: np.array(colors))
     col = Coloring(P223, "exactly-d", 2, (), 1, tag="x")
@@ -254,6 +256,74 @@ def test_pairwise_finds_late_pairs_in_either_partner_set(monkeypatch, seed):
             expected = _first_violation_reference(P223, colors, d, kind)
             assert expected is not None and expected[0] >= 20
             assert find_violation(col, d, kind, pairwise=True) == expected
+
+
+def _first_violation_among_classmates(params, colors, d, kind):
+    """``_first_violation_reference`` with the rank distance computed only
+    between vertices of one color, for towers whose full distance table is
+    too slow to build."""
+    classes = collections.defaultdict(list)
+    for v, c in enumerate(colors):
+        classes[c].append(v)
+    vec = functools.lru_cache(maxsize=None)(lambda v: vec_from_index(params.tower, params.n, v))
+    for u in range(len(colors)):
+        for v in classes[colors[u]]:
+            if v != u and _breaks_rule(vec_rank_distance(vec(u), vec(v)), d, kind):
+                return (u, v)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pairwise_step_blocks_keep_the_steps_up_from_each_block(monkeypatch, seed):
+    # F_27^2 has 729 vertices and 104 rank-one differences, so the step path
+    # walks blocks of 27 vertices, and a step whose top base-3 digit t is 3
+    # or more goes up from every vertex of a block or from none.  One class
+    # holds a vertex u0 of the block 189..215 (digits 3 and 4 are 1 and 2)
+    # and 300 vertices from 216 up, the rest are singletons: every partner
+    # of u0 lies in a later block, reached by a step with t = 3 and digit 1
+    # or with t = 5.  301 * 300 ordered pairs are at least 729 * 104, so
+    # d = 1 walks the steps, while d = 2 (624 rank-two differences) walks
+    # the classes.
+    params = GraphParams(build_tower(3, 1, 3), 2)
+    rng = random.Random(seed)
+    u0 = rng.randrange(189, 216)
+    colors = list(range(729))
+    for v in [u0, *rng.sample(range(216, 729), 300)]:
+        colors[v] = 729
+    monkeypatch.setattr(coloring_mod, "color_table", lambda col, budget: np.array(colors))
+    walked = []
+    step_pairs = coloring_mod._step_pairs
+    monkeypatch.setattr(
+        coloring_mod, "_step_pairs", lambda *args: walked.append(1) or step_pairs(*args)
+    )
+    col = Coloring(params, "exactly-d", 2, (), 1, tag="x")
+    for d in (1, 2):
+        for kind in ("le", "eq"):
+            expected = _first_violation_among_classmates(params, colors, d, kind)
+            assert expected is not None and expected[0] == u0
+            assert find_violation(col, d, kind, pairwise=True) == expected
+    assert len(walked) == 2
+
+
+def test_pairwise_class_blocks_do_not_grow_with_the_class(monkeypatch):
+    # Two classes of 2048 on (N,n,q) = (4,3,2).  At d = 3 every nonzero
+    # difference breaks the "le" rule, so the 2 * 2048 * 2047 ordered class
+    # pairs are fewer than 4096 * 4095 and the class path runs.  Its blocks
+    # hold RANK_BLOCK pairs whatever the class size: triu_indices(2048)
+    # alone would take about 33 MB.
+    params = GraphParams(build_tower(2, 1, 4), 3)
+    colors = np.zeros(params.order, dtype=np.int64)
+    colors[random.Random(0).sample(range(params.order), 2048)] = 1
+    monkeypatch.setattr(coloring_mod, "color_table", lambda col, budget: colors)
+    col = Coloring(params, "at-most-d", 3, (), 1, tag="x")
+    tracemalloc.start()
+    try:
+        found = find_violation(col, 3, "le", pairwise=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == (0, int(np.flatnonzero(colors == colors[0])[1]))
+    assert peak < 1 << 20
 
 
 def test_at_most_coloring_is_also_exactly_proper():
