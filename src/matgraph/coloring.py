@@ -488,9 +488,10 @@ def find_violation(
     """First same-colored pair violating the distance rule, as vector indices.
 
     Kernel mode (default) scans the kernel code of the syndrome map, which
-    by linearity witnesses a violation iff one exists; pairwise mode checks
-    every vertex directly, against its color class or against the vertices
-    at a rule-breaking difference, and returns the smallest (u, v).
+    by linearity witnesses a violation iff one exists; pairwise mode meets
+    every same-colored pair directly, once, from its smaller end, through
+    the classes or the rule-breaking differences, and returns the smallest
+    (u, v).
     ``threads`` is accepted and has no effect.
     """
     if d is None:
