@@ -27,13 +27,11 @@ _PUBLIC = {
         "rank_distance",
         "vector_to_matrix",
     ),
-    "graph": ("GraphParams", "degree", "graph_distance_bfs", "neighbors"),
+    "graph": ("GraphParams", "graph_distance_bfs", "neighbors"),
     "codes": (
         "EquidistantCode",
         "LinearRankCode",
         "builtin_code",
-        "check_parity_columns",
-        "enumerate_codewords",
         "gabidulin",
         "is_equidistant",
         "min_rank_distance",

@@ -326,8 +326,8 @@ def build_parser() -> _Parser:
         "--rows",
         type=int,
         default=None,
-        help="parity rows: below m* = min(d, n-d+1) the seeded search runs, "
-        "otherwise the proven m*-row coloring is built (the default)",
+        help="parity rows: m* = min(d, n-d+1) or more builds the proven m*-row coloring (the "
+        "default), 2 to m*-1 runs the seeded search, and 1 below m* is proven to fail and refused",
     )
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--verify", action="store_true")

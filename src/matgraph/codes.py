@@ -292,14 +292,6 @@ def enumerate_span(
         yield from map(tuple, block.tolist())
 
 
-def enumerate_codewords(
-    code: LinearRankCode, budget: int = DEFAULT_BUDGET
-) -> Iterator[VecExt]:
-    """All q^(Nk) codewords as vectors, in deterministic order."""
-    for word in enumerate_span(code.tower, code.generator, code.n, budget=budget):
-        yield VecExt(code.tower, word)
-
-
 def word_rank_histogram(tower: FieldTower, blocks: Iterable[np.ndarray]) -> dict[int, int]:
     """Number of words of each column rank, over (B, n) blocks of words;
     ranks in increasing order."""
@@ -372,36 +364,6 @@ def min_nonzero_rank(spectrum: dict[int, int]) -> int:
 def min_rank_distance(code: LinearRankCode, budget: int = DEFAULT_BUDGET) -> int:
     """Least nonzero codeword rank (equals the pairwise minimum by linearity)."""
     return min_nonzero_rank(rank_spectrum(code, budget=budget))
-
-
-def check_parity_columns(tower: FieldTower, parity: Rows, d: int, n: int | None = None) -> bool:
-    """True iff every d-1 columns of the parity matrix are independent over
-    F_{q^N} while some d columns are dependent.
-
-    A 0 x n parity matrix (the whole-space code) still has n columns, each
-    of length zero; pass ``n`` explicitly in that case.
-    """
-    if d < 1:
-        raise ValueError("d must be positive")
-    if parity:
-        ncols = len(parity[0])
-    elif n is not None:
-        ncols = n
-    else:
-        raise ValueError("an empty parity matrix needs an explicit column count")
-    if d > ncols:
-        raise ValueError("d exceeds the number of columns")
-    ext = tower.ext
-    cols = [[row[j] for row in parity] for j in range(ncols)]
-
-    def dependent(subset: Sequence[int]) -> bool:
-        rows = [cols[j] for j in subset]
-        return matrix_rank_over(rows, ext) < len(rows)
-
-    for subset in itertools.combinations(range(ncols), d - 1):
-        if dependent(subset):
-            return False
-    return any(dependent(s) for s in itertools.combinations(range(ncols), d))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ share a color exactly when their difference lies in the kernel code of H.
   rows e_d, ..., e_n color a vertex by its last n - d + 1 columns, so two
   vertices of one color differ only in their first d - 1 columns, a
   difference of rank at most d - 1.  The better of the two has
-  m* = min(d, n - d + 1) rows, so chi_d <= q^(N m*).  Fewer rows than m*
-  are left to a randomized greedy search, whose draw is only a heuristic:
+  m* = min(d, n - d + 1) rows, so chi_d <= q^(N m*).  One row below m* is
+  proven to fail (``exact_d_coloring``) and refused; 2 to m* - 1 rows are
+  left to a randomized greedy search, whose draw is only a heuristic:
   every candidate H is verified by the kernel's exact rank spectrum before
   it is accepted.  The spectrum is enumerated on the smaller of the kernel
   and its dual, H's row space, and carried to the kernel by the
@@ -34,9 +35,9 @@ about 1.3 ms and the d = 2 check about 0.7 ms, against 2.0 and 1.2 ms
 when every pair was met from both ends (medians of 60 calls, one core of
 a 2-vCPU Xeon).
 
-Building a coloring or a clique and coloring one vertex need no numpy;
-the searches, color tables and both verification modes import it on
-first use, through ``matgraph._numpy``.
+Building a coloring or a clique, coloring one vertex and counting the
+colors used need no numpy; the searches, color tables and both
+verification modes import it on first use, through ``matgraph._numpy``.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from .linalg import (
     check_budget,
     from_digits_array,
     index_ranks,
+    matrix_rank_over,
     matrix_to_vector,
     null_space,
     ranks,
@@ -280,11 +282,6 @@ def _greedy_columns(
     return cols
 
 
-def _kernel_basis(tower: FieldTower, h_rows: Rows, n: int) -> Rows:
-    """Independent rows spanning the kernel code {v : v H^T = 0}."""
-    return tuple(null_space(h_rows, n, tower.ext))
-
-
 def kernel_rank_spectrum(
     tower: FieldTower, h_rows: Rows, n: int, budget: int = DEFAULT_BUDGET
 ) -> dict[int, int]:
@@ -317,14 +314,29 @@ def exact_d_coloring(
 
     A smaller ``m`` runs ``search_forbidden_H`` with m rows and ``seed``;
     its result is always kernel-verified.  For d > n the one-color map is
-    proper.
+    proper, and ``seed`` is None.
+
+    ``m = 1`` below m* >= 2, that is with 2 <= d <= n - 1, raises
+    ValueError: every one-row kernel {v : sum_j v_j h_j = 0} then holds a
+    word of rank d.  Take phi(x) = sum_j x_j h_j on F_q^n and a rank-d X
+    over F_q with rows x_i; b X has rank rank(b), and is a kernel word iff
+    sum_i b_i phi(x_i) = 0.  If dim phi(F_q^n) <= 1, take the x_i in ker
+    phi, of dimension >= n - 1 >= d, and any b of rank d.  Otherwise let
+    phi(x_1), phi(x_2) be independent, so (phi(x_i)) is proportional to no
+    a in F_q^d: of the Q^(d-1) solutions b (Q = q^N), only Q^(d-2) lie on
+    each of the (q^d - 1)/(q - 1) < Q hyperplanes sum_i a_i b_i = 0, which
+    hold all b of rank below d.
     """
     if not 1 <= d:
         raise ValueError("d must be positive")
     if d > params.n:
-        return Coloring(params, "exactly-d", d, (), 1, tag="trivial", seed=seed)
+        return Coloring(params, "exactly-d", d, (), 1, tag="trivial")
     tower, n = params.tower, params.n
     rows = min(d, n - d + 1)
+    if m == 1 and rows >= 2:
+        raise ValueError(
+            f"one parity row cannot avoid rank {d}: with 2 <= d < n its kernel has a rank-d word"
+        )
     if m is None or m >= rows:
         if d <= n - d + 1:
             h_rows, tag = gabidulin_parity(tower, n, d), "mrd-parity"
@@ -363,7 +375,7 @@ def _kernel_violation(
     the order of those members, so the first bad word is that of the full
     ``span_blocks`` scan."""
     tower, n = coloring.params.tower, coloring.params.n
-    for block in line_blocks(tower, _kernel_basis(tower, coloring.h_rows, n), n, budget=budget):
+    for block in line_blocks(tower, null_space(coloring.h_rows, n, tower.ext), n, budget=budget):
         bad = np.flatnonzero(_rank_in_violation(kind, ranks(tower, block), d))
         if bad.size:
             return (0, from_digits(reversed(block[bad[0]].tolist()), tower.order))
@@ -387,8 +399,10 @@ def color_table(coloring: Coloring, budget: int = DEFAULT_BUDGET) -> np.ndarray:
 
 
 def realized_colors(coloring: Coloring, budget: int = DEFAULT_BUDGET) -> int:
-    """Number of distinct colors actually used."""
-    return int(np.unique(color_table(coloring, budget=budget)).size)
+    """Number of distinct colors used: the syndrome map is F_{q^N}-linear,
+    so its image has (q^N)^(rank H) elements.  ``budget`` is unused."""
+    tower = coloring.params.tower
+    return tower.order ** matrix_rank_over(coloring.h_rows, tower.ext)
 
 
 def _pairwise_violation(

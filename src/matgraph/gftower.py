@@ -120,11 +120,6 @@ class PrimeField:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return pow(a, self.p - 2, self.p)
 
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            raise ValueError("exponent must be nonnegative")
-        return pow(self._check(a), e, self.p)
-
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
 

@@ -26,7 +26,7 @@ table that fails is searched for its witness source by source, u = 0,
 takes a median of 3.8 ms over 7 calls, and one with row 4095 corrupted
 about 12 s (one core of a 2-vCPU Xeon host).  The exports name each vertex by ``linalg.mat_label``.
 
-``GraphParams``, ``degree`` and ``neighbors`` need no numpy; the index
+``GraphParams`` and ``neighbors`` need no numpy; the index
 tables, the BFS and the exports import it on first use, through
 ``matgraph._numpy``.
 """
@@ -94,11 +94,6 @@ class GraphParams:
 # One GraphParams per (tower, n) for the pair queries, so that each query
 # reuses its order and degree.
 _shared_params = functools.lru_cache(maxsize=32)(GraphParams)
-
-
-def degree(params: GraphParams) -> int:
-    """(q^N - 1)(q^n - 1)/(q - 1), the common vertex degree."""
-    return params.degree
 
 
 def neighbors(M: MatFq, budget: int = DEFAULT_BUDGET) -> Iterator[MatFq]:
@@ -205,18 +200,16 @@ def _bfs_blocks(nbr, dist: np.ndarray, source: int) -> Iterator[tuple[int, np.nd
         frontier = np.flatnonzero(dist == level)
 
 
-def bfs_distances(nbr, source: int, target: int | None = None) -> np.ndarray:
+def bfs_distances(nbr, source: int) -> np.ndarray:
     """Distance from ``source`` to every vertex, by level BFS; -1 if unreached.
 
     ``nbr`` maps an array of vertices to their neighbor rows: the stored
     ``neighbor_index_table`` or ``_StepRows``.  Frontiers expand in blocks
-    of about RANK_BLOCK entries; with a ``target`` the walk stops at the
-    first block that reaches it, leaving farther vertices at -1.
+    of about RANK_BLOCK entries.
     """
     dist = np.full(nbr.shape[0], -1, dtype=np.int16)
     for _ in _bfs_blocks(nbr, dist, source):
-        if target is not None and dist[target] >= 0:
-            break
+        pass
     return dist
 
 

@@ -593,10 +593,10 @@ def write_gabidulin_code(path):
 @pytest.mark.parametrize(
     "argv, code, first_line",
     [
-        (["color", "exact", "--q", "2", "--m", "1", "--N", "3", "--n", "3", "--d", "2",
-          "--rows", "1", "--restarts", "2", "--seed", "1"], 3,
+        (["color", "exact", "--q", "2", "--m", "1", "--N", "5", "--n", "5", "--d", "3",
+          "--rows", "2", "--restarts", "2", "--seed", "1"], 3,
          "budget exceeded: no verified parity matrix after 2 restarts; "
-         "best attempt had 28 kernel words at the forbidden rank"),
+         "best attempt had 3937 kernel words at the forbidden rank"),
         (["code", "spectrum", "code.json", "--budget", "10"], 3,
          "budget exceeded: operation needs 17 items but the budget is 10"),
         (["code", "gabidulin", "--q", "2", "--m", "1", "--N", "3", "--n", "3", "--k", "4"], 1,
@@ -615,10 +615,13 @@ def test_lazily_loaded_errors_map_to_exit_codes(tmp_path, argv, code, first_line
 @pytest.mark.parametrize(
     "argv, first_line",
     [
-        (["color", "exact", "--q", "2", "--m", "1", "--N", "3", "--n", "3", "--d", "2",
-          "--rows", "1", "--restarts", "0"], "error: need restarts >= 1, got 0"),
-        (["color", "exact", "--q", "2", "--m", "1", "--N", "3", "--n", "3", "--d", "2",
-          "--rows", "1", "--restarts", "-3"], "error: need restarts >= 1, got -3"),
+        (["color", "exact", "--q", "2", "--m", "1", "--N", "5", "--n", "5", "--d", "3",
+          "--rows", "2", "--restarts", "0"], "error: need restarts >= 1, got 0"),
+        (["color", "exact", "--q", "2", "--m", "1", "--N", "5", "--n", "5", "--d", "3",
+          "--rows", "2", "--restarts", "-3"], "error: need restarts >= 1, got -3"),
+        (["color", "exact", "--q", "2", "--m", "1", "--N", "4", "--n", "3", "--d", "2",
+          "--rows", "1"],
+         "error: one parity row cannot avoid rank 2: with 2 <= d < n its kernel has a rank-d word"),
         (["bounds", "row", "--N", "3", "--n", "2", "--d", "1", "--q", "1"],
          "error: need 1 <= n <= N, q >= 2 and d >= 1"),
         (["bounds", "row", "--N", "3", "--n", "2", "--d", "1", "--q", "0"],
@@ -626,7 +629,7 @@ def test_lazily_loaded_errors_map_to_exit_codes(tmp_path, argv, code, first_line
         (["bounds", "row", "--N", "3", "--n", "2", "--d", "1", "--q", "6"],
          "error: q = 6 is not a prime power"),
     ],
-    ids=["no-restart", "negative-restarts", "bounds-q1", "bounds-q0", "bounds-q6"],
+    ids=["no-restart", "negative-restarts", "one-row-below-mstar", "bounds-q1", "bounds-q0", "bounds-q6"],
 )
 def test_argument_errors_exit_1_with_their_own_message(argv, first_line):
     res = run_cli(*argv)
@@ -874,13 +877,13 @@ def test_color_exact_builds_the_mrd_parity_on_a_table1_row():
 
 
 def test_color_exact_below_mstar_still_searches():
-    # m* = min(d, n - d + 1) = 2 on (4, 3, 2, 2), so one row is left to the search
-    res = run_cli("color", "exact", "--q", "2", "--m", "1", "--N", "4", "--n", "3", "--d", "2", "--rows", "1")
+    # m* = min(d, n - d + 1) = 3 on (5, 5, 3, 2), so two rows are left to the search
+    res = run_cli("color", "exact", "--q", "2", "--m", "1", "--N", "5", "--n", "5", "--d", "3", "--rows", "2")
     assert res.returncode == 3
     assert res.stdout == ""
     assert res.stderr == (
         "budget exceeded: no verified parity matrix after 64 restarts; "
-        "best attempt had 60 kernel words at the forbidden rank\n"
+        "best attempt had 3503 kernel words at the forbidden rank\n"
     )
 
 

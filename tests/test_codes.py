@@ -17,10 +17,8 @@ from matgraph.codes import (
     LinearRankCode,
     _smaller_side_spectrum,
     builtin_code,
-    check_parity_columns,
     code_from_json,
     code_to_json,
-    enumerate_codewords,
     enumerate_span,
     gabidulin,
     gabidulin_parity,
@@ -149,9 +147,14 @@ def test_duality_rejects_rank_deficient():
         LinearRankCode(T8, 3, 2, None, None)
 
 
+def _codewords(code):
+    """Every codeword of ``code`` as a vector, in ``enumerate_span`` order."""
+    return [VecExt(code.tower, w) for w in enumerate_span(code.tower, code.generator, code.n)]
+
+
 def test_enumerate_codewords():
     code = gabidulin(T8, 3, 1)
-    words = list(enumerate_codewords(code))
+    words = _codewords(code)
     assert len(words) == 8
     assert len(set(w.entries for w in words)) == 8
     assert VecExt(T8, (0, 0, 0)) in words
@@ -409,31 +412,9 @@ def test_min_nonzero_rank_reads_the_spectrum():
         min_nonzero_rank({0: 1})
 
 
-def test_check_parity_columns_gabidulin():
-    code = gabidulin(T8, 3, 1)
-    assert check_parity_columns(T8, code.parity, 3)
-    assert not check_parity_columns(T8, code.parity, 2)
-
-
-def test_check_parity_columns_zero_column():
-    assert not check_parity_columns(T8, ((1, 0), (2, 0)), 2)
-
-
-def test_check_parity_columns_single_row():
-    # two columns of a one-row matrix are always dependent
-    assert check_parity_columns(T8, ((1, 2),), 2)
-    assert not check_parity_columns(T8, ((1, 0),), 2)
-
-
-def test_check_parity_columns_empty_parity():
-    assert check_parity_columns(T8, (), 1, n=3)
-    with pytest.raises(ValueError):
-        check_parity_columns(T8, (), 1)
-
-
 def test_min_distance_agrees_with_pairwise():
     code = gabidulin(T4N2, 2, 1)
-    words = list(enumerate_codewords(code))
+    words = _codewords(code)
     pairwise = min(
         vec_rank_distance(a, b)
         for i, a in enumerate(words)
@@ -548,14 +529,14 @@ def test_gabidulin_json_is_pinned(pmN, n, k, s, h, generator, parity, digest):
 
 def test_is_equidistant_negative():
     code = gabidulin(T8, 3, 2)  # distance 2, but spectrum has ranks 2 and 3
-    words = list(enumerate_codewords(code))
+    words = _codewords(code)
     assert is_equidistant(words) is None
     assert is_equidistant(words[:2]) is not None  # any two words are equidistant
 
 
 def test_gabidulin_codeword_set_is_equidistant():
     code = gabidulin(T8, 3, 1)
-    assert is_equidistant(list(enumerate_codewords(code))) == 3
+    assert is_equidistant(_codewords(code)) == 3
 
 
 def test_code_json_roundtrip():
@@ -650,13 +631,6 @@ def test_gabidulin_parity_rejects_bad_n_and_h():
         gabidulin_parity(T8, 0, 1)
     with pytest.raises(ValueError, match="h must have 2 elements"):
         gabidulin_parity(T8, 2, 1, h=(1,))
-
-
-def test_check_parity_columns_rejects_d_out_of_range():
-    with pytest.raises(ValueError, match="d must be positive"):
-        check_parity_columns(T8, ((1, 2),), 0)
-    with pytest.raises(ValueError, match="d exceeds the number of columns"):
-        check_parity_columns(T8, ((1, 2),), 3)
 
 
 def test_is_equidistant_needs_two_words():

@@ -592,13 +592,47 @@ def test_exact_coloring_with_rows_at_least_mstar_builds_mstar_rows(m):
 
 
 def test_exact_coloring_below_mstar_runs_the_seeded_search():
-    tower = build_tower(2, 1, 4)
+    tower = build_tower(2, 1, 5)  # m* = min(3, 5 - 3 + 1) = 3 on (N, n, d) = (5, 5, 3)
     with pytest.raises(SearchExhaustedError) as via_coloring:
-        exact_d_coloring(GraphParams(tower, 3), 2, seed=1, m=1, restarts=4)
+        exact_d_coloring(GraphParams(tower, 5), 3, seed=1, m=2, restarts=4)
     with pytest.raises(SearchExhaustedError) as via_search:
-        search_forbidden_H(tower, 3, 2, 1, seed=1, restarts=4)
+        search_forbidden_H(tower, 5, 3, 2, seed=1, restarts=4)
     assert str(via_coloring.value) == str(via_search.value)
     assert via_coloring.value.best_spectrum == via_search.value.best_spectrum
+
+
+@pytest.mark.parametrize("pmN, n, d", [((2, 1, 3), 3, 2), ((3, 1, 3), 3, 2), ((2, 1, 5), 5, 3)])
+def test_exact_coloring_refuses_one_row_below_mstar(pmN, n, d):
+    params = GraphParams(build_tower(*pmN), n)
+    assert min(d, n - d + 1) >= 2
+    with pytest.raises(ValueError, match=f"^one parity row cannot avoid rank {d}: with 2 <= d < n"):
+        exact_d_coloring(params, d, seed=0, m=1)
+
+
+# (p, m, N, n, d) with m* = min(d, n - d + 1) >= 2, each with every nonzero
+# one-row H up to scaling checked, 15,059 rows in all, and the zero row.
+ONE_ROW_CASES = [(2, 1, 3, 3, 2), (2, 1, 4, 3, 2), (3, 1, 3, 3, 2), (2, 1, 4, 4, 2),
+                 (2, 1, 4, 4, 3), (2, 1, 5, 3, 2), (2, 2, 3, 3, 2)]
+
+
+def test_every_one_row_kernel_below_mstar_has_a_rank_d_word():
+    """The proof behind the one-row refusal, checked exhaustively: scaling a
+    row keeps its kernel, so one row per F_{q^N}^* line, its first nonzero
+    entry 1, stands for all of them, and the zero row for itself."""
+    rows_checked = 0
+    for p, m, N, n, d in ONE_ROW_CASES:
+        tower = build_tower(p, m, N)
+        Q = tower.order
+        rows = [
+            (0,) * lead + (1,) + rest
+            for lead in range(n)
+            for rest in itertools.product(range(Q), repeat=n - lead - 1)
+        ]
+        assert len(rows) == (Q**n - 1) // (Q - 1)
+        for row in [(0,) * n] + rows:
+            assert kernel_rank_spectrum(tower, (row,), n).get(d, 0) > 0, (p, m, N, n, d, row)
+        rows_checked += len(rows)
+    assert rows_checked == 15059
 
 
 def test_exact_coloring_d1_uses_qn_colors():
@@ -608,8 +642,9 @@ def test_exact_coloring_d1_uses_qn_colors():
 
 
 def test_exact_coloring_above_diameter():
-    col = exact_d_coloring(P222, 3, seed=0)
+    col = exact_d_coloring(P222, 3, seed=5)
     assert col.num_colors == 1
+    assert col.seed is None  # nothing was searched
     assert verify_exactly_d(col)
 
 
@@ -655,6 +690,50 @@ def _random_rows(tower, n, rows, seed):
     return tuple(tuple(rng.randrange(tower.order) for _ in range(n)) for _ in range(rows))
 
 
+def _scaled(tower, c, row):
+    return tuple(tower.ext.mul(c, x) for x in row)
+
+
+def _realized_fixtures():
+    """Colorings on at most 2^12 vertices: the constructions, random rows,
+    and rank-deficient H with repeated, scaled, summed or zero rows."""
+    P432 = GraphParams(build_tower(2, 1, 4), 3)
+    cols = [d_distance_coloring(params, d) for params in (P222, P322, P223, P2222, P513, P432) for d in (1, 2, 3)]
+    cols += [exact_d_coloring(params, d) for params in (P222, P223, P2222, P432) for d in (1, 2, 3)]
+    for params, seed in ((P222, 0), (P223, 1), (P2222, 2), (P513, 3), (P432, 4)):
+        tower, n = params.tower, params.n
+        for k in range(1, n + 2):
+            h_rows = _random_rows(tower, n, k, seed=seed + 10 * k)
+            cols.append(Coloring(params, "at-most-d", 1, h_rows, tower.order**k, tag="random"))
+        (a,), (b,) = _random_rows(tower, n, 1, seed=seed), _random_rows(tower, n, 1, seed=seed + 1)
+        total = tuple(tower.ext.add(x, y) for x, y in zip(a, b))
+        for h_rows in (
+            (a, a),
+            (a, _scaled(tower, tower.order - 1, a)),
+            (a, b, total),
+            ((0,) * n,),
+            ((0,) * n, a, (0,) * n),
+        ):
+            cols.append(Coloring(params, "at-most-d", 1, h_rows, tower.order ** len(h_rows), tag="deficient"))
+    return cols
+
+
+REALIZED_FIXTURES = _realized_fixtures()
+
+
+@pytest.mark.parametrize("col", REALIZED_FIXTURES, ids=range(len(REALIZED_FIXTURES)))
+def test_realized_colors_matches_the_distinct_table_entries(col):
+    assert col.params.order <= 1 << 12
+    reference = int(np.unique(color_table(col)).size)  # the count as first defined
+    assert realized_colors(col) == reference
+
+
+def test_realized_fixtures_include_counts_below_num_colors():
+    below = [col for col in REALIZED_FIXTURES if realized_colors(col) < col.num_colors]
+    assert {col.tag for col in below} >= {"random", "deficient"}
+    assert all(realized_colors(col) < col.num_colors for col in REALIZED_FIXTURES if col.tag == "deficient")
+
+
 def test_color_table_memory_does_not_grow_with_the_field():
     # 2^16 vertices, one color each: the table itself is 512 KiB of int64
     col = d_distance_coloring(GraphParams(build_tower(2, 1, 16), 1), 1)
@@ -681,9 +760,9 @@ def test_color_table_rejects_color_indices_beyond_int64():
     with pytest.raises(ValueError):
         color_table(col)
     with pytest.raises(ValueError):
-        realized_colors(col)
-    with pytest.raises(ValueError):
         find_violation(col, pairwise=True)
+    # The count reads rank H, 2 for nine rows of length 2, and builds no table.
+    assert realized_colors(col) == 256**2
 
 
 def test_threads_do_not_change_results():

@@ -15,7 +15,6 @@ from matgraph.graph import (
     GraphParams,
     bfs_distances,
     check_vertex_transitivity,
-    degree,
     eccentricity_of_zero,
     export_dot,
     export_edgelist_csv,
@@ -188,14 +187,6 @@ def test_bfs_over_computed_rows_matches_stored_table(pmNn):
     params = GraphParams(build_tower(p, m, N), n)
     rows = graph_module._StepRows(params, budget=params.order * params.degree)
     assert np.array_equal(_stacked_bfs(rows), _stacked_bfs(neighbor_index_table(params)))
-
-
-def test_bfs_stops_at_its_target():
-    nbr = neighbor_index_table(P322)
-    target = int(nbr[0, 0])
-    dist = bfs_distances(nbr, 0, target)
-    assert dist[target] == 1
-    assert (dist[rank_table(P322) >= 2] == -1).all()
 
 
 def test_not_bipartite():
@@ -425,9 +416,9 @@ def test_distance_check_on_a_clean_table_walks_one_source(monkeypatch, pmNn):
     params = GraphParams(build_tower(p, m, N), n)
     sources = []
 
-    def recorded(nbr, source, target=None):
+    def recorded(nbr, source):
         sources.append(source)
-        return bfs_distances(nbr, source, target)
+        return bfs_distances(nbr, source)
 
     monkeypatch.setattr(graph_module, "bfs_distances", recorded)
     assert verify_distance_equals_rank(params) is None
@@ -642,12 +633,17 @@ def test_odd_p_pairwise_violations_match_the_per_digit_rule(monkeypatch):
 MEET_ALL_PAIRS_PARAMS = [(2, 1, 2, 2), (2, 1, 3, 2), (3, 1, 2, 2), (2, 2, 2, 1)]
 
 
-def _meet_agrees(params, M1, M2):
-    """The meet, the one-sided walk from M1 stopped at M2, and the rank."""
+def _one_sided(params, M1):
+    """Distances from M1 by the one-sided walk over computed rows."""
     rows = graph_module._StepRows(params, budget=params.order * params.degree)
-    one_sided = int(bfs_distances(rows, mat_index(M1), mat_index(M2))[mat_index(M2)])
-    assert graph_distance_bfs(M1, M2) == one_sided == rank_distance(M1, M2)
-    return one_sided
+    return bfs_distances(rows, mat_index(M1))
+
+
+def _meet_agrees(M1, M2, one_sided):
+    """The meet, the one-sided walk from M1 read at M2, and the rank."""
+    dist = int(one_sided[mat_index(M2)])
+    assert graph_distance_bfs(M1, M2) == dist == rank_distance(M1, M2)
+    return dist
 
 
 @pytest.mark.parametrize("pmNn", MEET_ALL_PAIRS_PARAMS)
@@ -655,7 +651,10 @@ def test_meet_matches_the_one_sided_walk_on_every_pair(pmNn):
     p, m, N, n = pmNn
     params = GraphParams(build_tower(p, m, N), n)
     mats = [mat_from_index(params.tower, N, n, v) for v in range(params.order)]
-    found = {_meet_agrees(params, M1, M2) for M1 in mats for M2 in mats}
+    found = set()
+    for M1 in mats:
+        one_sided = _one_sided(params, M1)
+        found |= {_meet_agrees(M1, M2, one_sided) for M2 in mats}
     assert found == set(range(n + 1))
 
 
@@ -664,7 +663,7 @@ def test_meet_matches_the_one_sided_walk_on_seeded_pairs(pmNn):
     p, m, N, n = pmNn
     params = GraphParams(build_tower(p, m, N), n)
     for M1, M2, r in _pairs_of_each_rank(params, per_rank=4, seed=29 + sum(pmNn)):
-        assert _meet_agrees(params, M1, M2) == r
+        assert _meet_agrees(M1, M2, _one_sided(params, M1)) == r
 
 
 @pytest.mark.parametrize("pmNn", PAIR_WALK_PARAMS + MEET_ALL_PAIRS_PARAMS)

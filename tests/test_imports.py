@@ -1,5 +1,6 @@
 """Import hygiene: every name a library module imports is used there, or is
-an alias kept only for the benchmark tracer, which wraps it by name."""
+an alias kept only for the benchmark tracer, which wraps it by name; and
+every private module-level helper is used by the library itself."""
 
 import ast
 import importlib.util
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in (ROOT / "src" / "matgraph").glob("*.py") if p.name != "__init__.py")
+MODULE_HOOKS = {"__getattr__", "__dir__"}  # called by the import system, not by name
 
 
 def _traced_names():
@@ -49,3 +51,32 @@ def test_every_import_is_used_or_traced(path):
             elif (module, name) not in traced:
                 problems.append(f"line {node.lineno}: {name} is kept for the tracer, which no longer wraps it")
     assert not problems, f"{path.name}: " + "; ".join(problems)
+
+
+def _statement_references():
+    """(module file name, top-level statement, the names it loads or reads
+    as an attribute) for every top-level statement of the library."""
+    out = []
+    for path in sorted((ROOT / "src" / "matgraph").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            names = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+            names |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+            out.append((path.name, stmt, names))
+    return out
+
+
+STATEMENTS = _statement_references()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_helper_is_used_by_the_library(path):
+    unused = [
+        stmt.name
+        for module, stmt, _ in STATEMENTS
+        if module == path.name
+        and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name.startswith("_")
+        and stmt.name not in MODULE_HOOKS
+        and not any(other is not stmt and stmt.name in names for _, other, names in STATEMENTS)
+    ]
+    assert not unused, f"{path.name}: referenced nowhere in src/matgraph outside their own definitions: {unused}"
