@@ -690,10 +690,6 @@ def _random_rows(tower, n, rows, seed):
     return tuple(tuple(rng.randrange(tower.order) for _ in range(n)) for _ in range(rows))
 
 
-def _scaled(tower, c, row):
-    return tuple(tower.ext.mul(c, x) for x in row)
-
-
 def _realized_fixtures():
     """Colorings on at most 2^12 vertices: the constructions, random rows,
     and rank-deficient H with repeated, scaled, summed or zero rows."""
@@ -709,7 +705,7 @@ def _realized_fixtures():
         total = tuple(tower.ext.add(x, y) for x, y in zip(a, b))
         for h_rows in (
             (a, a),
-            (a, _scaled(tower, tower.order - 1, a)),
+            (a, tuple(tower.ext.mul(tower.order - 1, x) for x in a)),
             (a, b, total),
             ((0,) * n,),
             ((0,) * n, a, (0,) * n),
