@@ -334,9 +334,7 @@ def exact_d_coloring(
     tower, n = params.tower, params.n
     rows = min(d, n - d + 1)
     if m == 1 and rows >= 2:
-        raise ValueError(
-            f"one parity row cannot avoid rank {d}: with 2 <= d < n its kernel has a rank-d word"
-        )
+        raise ValueError(f"one parity row cannot avoid rank {d}: with 2 <= d < n its kernel has a rank-d word")
     if m is None or m >= rows:
         if d <= n - d + 1:
             h_rows, tag = gabidulin_parity(tower, n, d), "mrd-parity"
