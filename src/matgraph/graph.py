@@ -8,23 +8,25 @@ translates an index by every rank-one step in one place, the neighbor
 rows that ``_StepRows`` computes on demand with ``linalg.add_digits``.
 One level-expansion body (``_bfs_blocks``) walks either those rows or the
 neighbor index table that stores them, and three walks drive it:
-``bfs_distances`` (the eccentricity and the all-pairs check); pair queries
-(``graph_distance_bfs``), which walk from both ends until the two balls
-meet; and the bipartiteness check, which stops at its first edge within a
-level.  Only the all-pairs check, the translation check and the exports
-build the table.
+``bfs_distances`` (the eccentricity and the all-pairs check), which stops
+at the block that reaches the last vertex, before the full-rank matrices
+of the last level are expanded; pair queries (``graph_distance_bfs``),
+which walk from both ends until the two balls meet; and the bipartiteness
+check, which stops at its first edge within a level.  Only the all-pairs
+check, the translation check and the exports build the table.
 Every translation preserves the edges iff every row u of the stored table
 has the multiset of differences w - u of row 0, so
 ``check_vertex_transitivity`` is one pass over the table, which sorts only
-the blocks whose differences are not row 0's in column order.  A table that
+the blocks whose rows are not u + row 0 in column order.  A table that
 passes is the Cayley digraph of row 0's entries, translation by u is an
 automorphism of it, and d(u, v) = d(0, v - u).  So when the BFS from 0
 agrees with the rank of every vertex, d(u, v) equals the rank of v - u
 for every pair, and ``verify_distance_equals_rank`` walks one source.  A
 table that fails is searched for its witness source by source, u = 0,
 1, ..., up to the first mismatch: on (N,n,q) = (4,3,2) the clean check
-takes a median of 3.8 ms over 7 calls, and one with row 4095 corrupted
-about 12 s (one core of a 2-vCPU Xeon host).  The exports name each vertex by ``linalg.mat_label``.
+takes a median of 2.3 ms (7 repeats of 5 calls), and one with row 4095
+corrupted about 2.3 s (one core of a 2-vCPU Xeon host).  The exports
+name each vertex by ``linalg.mat_label``.
 
 ``GraphParams`` and ``neighbors`` need no numpy; the index
 tables, the BFS and the exports import it on first use, through
@@ -150,7 +152,7 @@ def graph_distance_bfs(M1: MatFq, M2: MatFq, budget: int = DEFAULT_BUDGET) -> in
     dist = np.full((2, rows.shape[0]), -1, dtype=np.int16)
     walks = [_bfs_blocks(rows, dist[side], mat_index(M)) for side, M in enumerate((M1, M2))]
     for side in itertools.cycle((0, 1)):
-        for level, cand, level_done in walks[side]:
+        for level, cand, _, level_done in walks[side]:
             reached = int(dist[1 - side][cand].max())
             if reached >= 0:
                 return level + reached
@@ -177,26 +179,30 @@ def neighbor_index_table(params: GraphParams, budget: int = DEFAULT_BUDGET) -> n
     return table
 
 
-def _bfs_blocks(nbr, dist: np.ndarray, source: int) -> Iterator[tuple[int, np.ndarray, bool]]:
+def _bfs_blocks(nbr, dist: np.ndarray, source: int) -> Iterator[tuple[int, np.ndarray, int, bool]]:
     """The one level-expansion body: BFS from ``source`` over the rows of
     ``nbr``, writing levels into ``dist`` (all -1 on entry).
 
-    Yields (level, candidates, level_done) for each block: first
-    (0, [source], True), then for level L = 1, 2, ... the neighbor rows of
-    about RANK_BLOCK entries of the frontier at L - 1, after the unseen
-    candidates are marked L; ``level_done`` flags the last block of a level.
+    Yields (level, candidates, fresh, level_done) for each block: first
+    (0, [source], 1, True), then for level L = 1, 2, ... the neighbor rows
+    of about RANK_BLOCK entries of the frontier at L - 1, after the unseen
+    candidates are marked L.  ``fresh`` counts those unseen candidates,
+    repeats included, so it bounds the vertices the block reached first;
+    ``level_done`` flags the last block of a level.  The generator expands
+    every level; a walk that needs less stops drawing blocks.
     """
     block = max(1, RANK_BLOCK // nbr.shape[1])
     dist[source] = 0
     frontier = np.array([source], dtype=np.int64)
-    yield 0, frontier, True
+    yield 0, frontier, 1, True
     level = 0
     while frontier.size:
         level += 1
         for lo in range(0, frontier.size, block):
             cand = nbr[frontier[lo : lo + block]].ravel()
-            dist[cand[dist[cand] < 0]] = level
-            yield level, cand, lo + block >= frontier.size
+            fresh = cand[dist[cand] < 0]
+            dist[fresh] = level
+            yield level, cand, fresh.size, lo + block >= frontier.size
         frontier = np.flatnonzero(dist == level)
 
 
@@ -205,11 +211,27 @@ def bfs_distances(nbr, source: int) -> np.ndarray:
 
     ``nbr`` maps an array of vertices to their neighbor rows: the stored
     ``neighbor_index_table`` or ``_StepRows``.  Frontiers expand in blocks
-    of about RANK_BLOCK entries.
+    of about RANK_BLOCK entries, and the walk stops at the first block
+    after which no vertex is unreached: expanding further marks nothing.
+    On the matrix graph that skips the last level, the full-rank matrices,
+    which is most of the graph.  The test is exact and cheap: the blocks'
+    ``fresh`` counts bound the vertices first reached, so the unreached
+    vertices are listed only once the counts since the last listing reach
+    their number, and each later listing filters the previous one.  A
+    listing thus costs no more entries than the blocks before it, and
+    the distances are those of the full walk.
     """
     dist = np.full(nbr.shape[0], -1, dtype=np.int16)
-    for _ in _bfs_blocks(nbr, dist, source):
-        pass
+    unseen = None  # the vertices unreached at the last listing
+    left, reached = dist.size, 0  # their number; fresh counts since
+    for _, _, fresh, _ in _bfs_blocks(nbr, dist, source):
+        reached += fresh
+        if reached < left:
+            continue
+        unseen = np.flatnonzero(dist < 0) if unseen is None else unseen[dist[unseen] < 0]
+        if not unseen.size:
+            break
+        left, reached = unseen.size, 0
     return dist
 
 
@@ -272,7 +294,7 @@ def is_bipartite(params: GraphParams, budget: int = DEFAULT_BUDGET) -> bool:
     rows = _StepRows(params, budget)
     dist = np.full(params.order, -1, dtype=np.int16)
     blocks = _bfs_blocks(rows, dist, 0)
-    return not any((dist[cand] == level - 1).any() for level, cand, _ in blocks)
+    return not any((dist[cand] == level - 1).any() for level, cand, _, _ in blocks)
 
 
 def _rows_have_row0_differences(params: GraphParams, nbr: np.ndarray) -> bool:
@@ -282,8 +304,10 @@ def _rows_have_row0_differences(params: GraphParams, nbr: np.ndarray) -> bool:
     differences w - u over row u of the table equals that of row u + t, for
     every u.  So every translation does iff every row has the difference
     multiset of row 0: one pass over the table, in blocks of about
-    RANK_BLOCK entries.  Rows whose differences equal row 0's in column
-    order have its multiset, so only a block that differs is sorted.
+    RANK_BLOCK entries.  Translation is a bijection, so a row u with
+    w_j == u + row0[j] in every column j has row 0's differences in column
+    order, and so its multiset; the differences are computed and sorted
+    only for a block that fails that forward test.
     """
     p, width = params.tower.p, params.width
     row0 = nbr[0]  # vertex 0 is the zero matrix: its differences are its entries
@@ -291,8 +315,11 @@ def _rows_have_row0_differences(params: GraphParams, nbr: np.ndarray) -> bool:
     block = max(1, RANK_BLOCK // params.degree)
     for lo in range(0, params.order, block):
         hi = min(lo + block, params.order)
-        diffs = add_digits(nbr[lo:hi], np.arange(lo, hi)[:, None], p, width, sign=-1)
-        if not (diffs == row0).all() and not (np.sort(diffs, axis=1) == row0_sorted).all():
+        u = np.arange(lo, hi)[:, None]
+        if (nbr[lo:hi] == add_digits(u, row0, p, width)).all():
+            continue
+        diffs = add_digits(nbr[lo:hi], u, p, width, sign=-1)
+        if not (np.sort(diffs, axis=1) == row0_sorted).all():
             return False
     return True
 

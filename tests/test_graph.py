@@ -1,5 +1,6 @@
 """Implicit matrix graph: degrees, BFS distances, transitivity, export."""
 
+import collections
 import hashlib
 import time
 
@@ -189,6 +190,53 @@ def test_bfs_over_computed_rows_matches_stored_table(pmNn):
     assert np.array_equal(_stacked_bfs(rows), _stacked_bfs(neighbor_index_table(params)))
 
 
+class _CountingRows:
+    """A row source that counts the rows the walk asks it for."""
+
+    def __init__(self, nbr):
+        self.nbr, self.shape, self.asked = nbr, nbr.shape, 0
+
+    def __getitem__(self, vertices):
+        self.asked += vertices.size
+        return self.nbr[vertices]
+
+
+def _full_rank_count(params):
+    q, N, n = params.q, params.N, params.n
+    return int(np.prod([q**N - q**i for i in range(n)], dtype=object))
+
+
+# (p, m, N, n) for (N,n,q) = (4,3,2), (3,2,3), (5,2,2) and (2,2,4)
+EARLY_STOP_PARAMS = [(2, 1, 4, 3), (3, 1, 3, 2), (2, 1, 5, 2), (2, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("pmNn", EARLY_STOP_PARAMS)
+def test_bfs_stops_at_the_block_that_reaches_the_last_vertex(pmNn):
+    p, m, N, n = pmNn
+    params = GraphParams(build_tower(p, m, N), n)
+    # the last level holds the full-rank matrices and is never expanded
+    bound = params.order - _full_rank_count(params) + max(1, RANK_BLOCK // params.degree)
+    for source in (graph_module._StepRows(params, params.order * params.degree), neighbor_index_table(params)):
+        rows = _CountingRows(source)
+        assert np.array_equal(bfs_distances(rows, 0), rank_table(params))
+        assert rows.asked <= bound
+
+
+# every n = 1 graph is the complete graph on q^N vertices
+COMPLETE_PARAMS = [(2, 1, 1, 1), (3, 1, 1, 1), (5, 1, 1, 1), (2, 2, 1, 1), (2, 1, 2, 1), (2, 1, 3, 1), (3, 1, 2, 1)]
+
+
+@pytest.mark.parametrize("pmNn", COMPLETE_PARAMS)
+def test_complete_graphs_stop_after_one_row_but_keep_their_triangles(pmNn):
+    p, m, N, n = pmNn
+    params = GraphParams(build_tower(p, m, N), n)
+    rows = _CountingRows(graph_module._StepRows(params, params.order * params.degree))
+    assert bfs_distances(rows, 0).tolist() == [0] + [1] * (params.order - 1)
+    assert rows.asked == 1  # level 1 reaches every vertex
+    # an edge within level 1 shows up only while level 2 is expanded
+    assert is_bipartite(params) == (params.order == 2)
+
+
 def test_not_bipartite():
     assert not is_bipartite(P222)
     assert not is_bipartite(P223)
@@ -312,6 +360,37 @@ def test_vertex_transitivity_sorts_rows_out_of_column_order(monkeypatch, pmNn):
     assert not check_vertex_transitivity(params)
 
 
+def _record_signs(monkeypatch):
+    """Record the sign of every ``add_digits`` call the graph module makes."""
+    add_digits = graph_module.add_digits
+    signs = []
+
+    def recorded(a, b, p, width, sign=1):
+        signs.append(sign)
+        return add_digits(a, b, p, width, sign=sign)
+
+    monkeypatch.setattr(graph_module, "add_digits", recorded)
+    return signs
+
+
+@pytest.mark.parametrize("pmNn", [(2, 1, 4, 3), (3, 1, 3, 2), (5, 1, 2, 2), (2, 2, 2, 2), (3, 2, 2, 1)])
+def test_vertex_transitivity_on_a_clean_table_computes_no_differences(monkeypatch, pmNn):
+    p, m, N, n = pmNn
+    params = GraphParams(build_tower(p, m, N), n)
+    table = neighbor_index_table(params)
+    monkeypatch.setattr(graph_module, "neighbor_index_table", lambda params, budget: table)
+    signs = _record_signs(monkeypatch)
+    assert check_vertex_transitivity(params)
+    assert signs and -1 not in signs
+    # a block whose rows are out of column order has its differences sorted
+    permuted = table.copy()
+    permuted[1:] = permuted[1:, np.roll(np.arange(params.degree), 1)]
+    monkeypatch.setattr(graph_module, "neighbor_index_table", lambda params, budget: permuted)
+    signs.clear()
+    assert check_vertex_transitivity(params)
+    assert -1 in signs
+
+
 def _corrupted(table, kind, params, rng):
     """A copy of the neighbor table with one corruption; the shuffled row and
     the translated column keep it translation invariant."""
@@ -329,9 +408,11 @@ def _corrupted(table, kind, params, rng):
     return table
 
 
-@pytest.mark.parametrize(
-    "pmNn", [(2, 1, 2, 2), (3, 1, 2, 2), (2, 1, 3, 2), (2, 2, 2, 1), (2, 2, 2, 2), (3, 1, 1, 1), (5, 1, 2, 1)]
-)
+# (p, m, N, n) of the corrupted-table tests
+CORRUPTED_PMNN = [(2, 1, 2, 2), (3, 1, 2, 2), (2, 1, 3, 2), (2, 2, 2, 1), (2, 2, 2, 2), (3, 1, 1, 1), (5, 1, 2, 1)]
+
+
+@pytest.mark.parametrize("pmNn", CORRUPTED_PMNN)
 def test_vertex_transitivity_matches_the_reference_on_corrupted_tables(monkeypatch, pmNn):
     p, m, N, n = pmNn
     params = GraphParams(build_tower(p, m, N), n)
@@ -375,18 +456,81 @@ def _stacked_bfs(nbr):
     return np.stack([bfs_distances(nbr, s) for s in range(nbr.shape[0])])
 
 
+def _deque_bfs(rows, source):
+    """Reference: breadth-first search with a deque over ``rows``, the
+    neighbor rows as lists; -1 marks an unreached vertex."""
+    dist = [-1] * len(rows)
+    dist[source] = 0
+    queue = collections.deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in rows[u]:
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def _rows_of(nbr):
+    """The neighbor rows of a table or row source, one vertex at a time."""
+    return [nbr[np.array([u])].ravel().tolist() for u in range(nbr.shape[0])]
+
+
 def _first_mismatch(params, nbr):
-    """Reference: the level BFS from every source against the rank of
+    """Reference: the deque BFS from every source against the rank of
     v - u, first mismatch in (u, v) order."""
     vertices = np.arange(params.order, dtype=np.int64)
     diffs = add_digits(vertices, vertices[:, None], params.tower.p, params.width, sign=-1)
-    expected = rank_table(params)[diffs]
-    dist = _stacked_bfs(nbr)
-    wrong = np.argwhere(dist != expected)
-    if not wrong.size:
-        return None
-    u, v = (int(i) for i in wrong[0])
-    return (u, v, int(dist[u, v]), int(expected[u, v]))
+    expected = rank_table(params)[diffs].tolist()
+    rows = _rows_of(nbr)
+    for u in range(params.order):
+        dist = _deque_bfs(rows, u)
+        for v in range(params.order):
+            if dist[v] != expected[u][v]:
+                return (u, v, dist[v], expected[u][v])
+    return None
+
+
+# every (p, m, N, n) of the pmNn lists in this file
+ALL_PMNN = [
+    (2, 1, 1, 1), (2, 1, 2, 1), (2, 1, 2, 2), (2, 1, 3, 1), (2, 1, 3, 2), (2, 1, 3, 3), (2, 1, 4, 3),
+    (2, 1, 5, 2), (2, 2, 1, 1), (2, 2, 2, 1), (2, 2, 2, 2), (3, 1, 1, 1), (3, 1, 2, 1), (3, 1, 2, 2),
+    (3, 1, 3, 2), (3, 2, 2, 1), (3, 2, 2, 2), (5, 1, 1, 1), (5, 1, 2, 1), (5, 1, 2, 2),
+]
+
+
+@pytest.mark.parametrize("pmNn", ALL_PMNN)
+def test_bfs_distances_match_a_deque_bfs(pmNn):
+    p, m, N, n = pmNn
+    params = GraphParams(build_tower(p, m, N), n)
+    budget = params.order * params.degree
+    # one source on (3,2,2,2), whose 5,248,800 entries the reference walks slowly
+    sources = sorted({0, params.order // 3, params.order - 1}) if budget <= 1 << 20 else [0]
+    for nbr in (neighbor_index_table(params, budget), graph_module._StepRows(params, budget)):
+        rows = _rows_of(nbr)
+        for s in sources:
+            assert bfs_distances(nbr, s).tolist() == _deque_bfs(rows, s), (s, type(nbr))
+
+
+@pytest.mark.parametrize("pmNn", CORRUPTED_PMNN)
+def test_bfs_distances_match_a_deque_bfs_on_corrupted_tables(pmNn):
+    p, m, N, n = pmNn
+    params = GraphParams(build_tower(p, m, N), n)
+    clean = neighbor_index_table(params)
+    rng = np.random.default_rng(sum(pmNn))
+    kinds = ("reroute", "shuffle row", "translate column", "random entry")
+    tables = [_corrupted(clean, kinds[i % 4], params, rng) for i in range(40)]
+    # vertex V - 1 loses every in-edge: each entry naming it names the next column's vertex
+    orphaned = clean.copy()
+    r, c = np.nonzero(clean == params.order - 1)
+    orphaned[r, c] = clean[r, (c + 1) % params.degree]
+    tables.append(orphaned)
+    for table in tables:
+        rows = _rows_of(table)
+        for s in sorted({0, int(rng.integers(params.order)), params.order - 1}):
+            assert bfs_distances(table, s).tolist() == _deque_bfs(rows, s), s
+    dist = bfs_distances(orphaned, 0)
+    assert dist[-1] == -1 and (dist[:-1] >= 0).all()
 
 
 @pytest.mark.parametrize("pmNn", [(2, 1, 2, 2), (3, 1, 2, 2), (5, 1, 2, 1), (2, 2, 2, 1)])
@@ -423,6 +567,16 @@ def test_distance_check_on_a_clean_table_walks_one_source(monkeypatch, pmNn):
     monkeypatch.setattr(graph_module, "bfs_distances", recorded)
     assert verify_distance_equals_rank(params) is None
     assert sources == [0]
+
+
+@pytest.mark.parametrize("V, deg", [(64, 8), (100, 7), (50, 50)])
+def test_bfs_distances_match_a_deque_bfs_on_a_cycle_with_repeated_entries(V, deg):
+    # each row names its successor deg times, so the fresh counts overshoot
+    # the vertices reached and the unreached vertices are listed many times
+    cycle = np.repeat(((np.arange(V) + 1) % V)[:, None], deg, axis=1)
+    assert bfs_distances(cycle, 0).tolist() == _deque_bfs(cycle.tolist(), 0) == list(range(V))
+    cycle[V - 2] = 0  # vertex V - 1 loses its only in-edge
+    assert bfs_distances(cycle, 0).tolist() == _deque_bfs(cycle.tolist(), 0) == list(range(V - 1)) + [-1]
 
 
 def test_translation_moves_m1_to_m2():
