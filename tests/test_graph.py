@@ -2,6 +2,7 @@
 
 import collections
 import hashlib
+import math
 import time
 
 import numpy as np
@@ -203,7 +204,7 @@ class _CountingRows:
 
 def _full_rank_count(params):
     q, N, n = params.q, params.N, params.n
-    return int(np.prod([q**N - q**i for i in range(n)], dtype=object))
+    return math.prod(q**N - q**i for i in range(n))
 
 
 # (p, m, N, n) for (N,n,q) = (4,3,2), (3,2,3), (5,2,2) and (2,2,4)
@@ -533,6 +534,16 @@ def test_bfs_distances_match_a_deque_bfs_on_corrupted_tables(pmNn):
     assert dist[-1] == -1 and (dist[:-1] >= 0).all()
 
 
+@pytest.mark.parametrize("V, deg", [(64, 8), (100, 7), (50, 50)])
+def test_bfs_distances_match_a_deque_bfs_on_a_cycle_with_repeated_entries(V, deg):
+    # each row names its successor deg times, so the fresh counts overshoot
+    # the vertices reached and the unreached vertices are listed many times
+    cycle = np.repeat(((np.arange(V) + 1) % V)[:, None], deg, axis=1)
+    assert bfs_distances(cycle, 0).tolist() == _deque_bfs(cycle.tolist(), 0) == list(range(V))
+    cycle[V - 2] = 0  # vertex V - 1 loses its only in-edge
+    assert bfs_distances(cycle, 0).tolist() == _deque_bfs(cycle.tolist(), 0) == list(range(V - 1)) + [-1]
+
+
 @pytest.mark.parametrize("pmNn", [(2, 1, 2, 2), (3, 1, 2, 2), (5, 1, 2, 1), (2, 2, 2, 1)])
 def test_distance_check_matches_the_per_source_reference(monkeypatch, pmNn):
     p, m, N, n = pmNn
@@ -567,16 +578,6 @@ def test_distance_check_on_a_clean_table_walks_one_source(monkeypatch, pmNn):
     monkeypatch.setattr(graph_module, "bfs_distances", recorded)
     assert verify_distance_equals_rank(params) is None
     assert sources == [0]
-
-
-@pytest.mark.parametrize("V, deg", [(64, 8), (100, 7), (50, 50)])
-def test_bfs_distances_match_a_deque_bfs_on_a_cycle_with_repeated_entries(V, deg):
-    # each row names its successor deg times, so the fresh counts overshoot
-    # the vertices reached and the unreached vertices are listed many times
-    cycle = np.repeat(((np.arange(V) + 1) % V)[:, None], deg, axis=1)
-    assert bfs_distances(cycle, 0).tolist() == _deque_bfs(cycle.tolist(), 0) == list(range(V))
-    cycle[V - 2] = 0  # vertex V - 1 loses its only in-edge
-    assert bfs_distances(cycle, 0).tolist() == _deque_bfs(cycle.tolist(), 0) == list(range(V - 1)) + [-1]
 
 
 def test_translation_moves_m1_to_m2():
