@@ -676,16 +676,37 @@ def test_export_budget():
         export_dot(big, budget=1000)
 
 
-def test_bfs_budget():
+def test_bfs_budget(monkeypatch):
     big = GraphParams(build_tower(2, 1, 5), 5)
     z = zero_matrix(big.tower, 5, 5)
     other = mat_from_index(big.tower, 5, 5, 1)
     with pytest.raises(BudgetExceededError):
         graph_distance_bfs(z, other, budget=1000)
+    # the cached BFS from 0 is one read-only array per graph, shared by the
+    # pair queries and the eccentricity, and reading it still costs the budget
+    params = GraphParams(build_tower(2, 1, 4), 3)
+    entries = params.order * params.degree
+    z, one = zero_matrix(params.tower, 4, 3), mat_from_index(params.tower, 4, 3, 1)
+    distances, served = graph_module._distances_from_zero, []
+
+    def recorded(*args):
+        served.append(distances(*args))
+        return served[-1]
+
+    monkeypatch.setattr(graph_module, "_distances_from_zero", recorded)
+    assert graph_distance_bfs(z, one, budget=entries) == 1
+    assert eccentricity_of_zero(params, budget=entries) == 3
+    assert served[0] is served[1] and not served[0].flags.writeable
+    with pytest.raises(ValueError):
+        served[0][0] = 1
+    with pytest.raises(BudgetExceededError):
+        graph_distance_bfs(z, one, budget=entries - 1)
+    with pytest.raises(BudgetExceededError):
+        eccentricity_of_zero(params, budget=entries - 1)
 
 
 # (p, m, N, n): q = 2, 3, 4 = 2^2 and 9 = 3^2
-PAIR_WALK_PARAMS = [(2, 1, 4, 3), (3, 1, 3, 2), (2, 2, 2, 2), (3, 2, 2, 1)]
+PAIR_WALK_PARAMS = [(2, 1, 4, 3), (3, 1, 3, 2), (5, 1, 2, 2), (2, 2, 2, 2), (3, 2, 2, 1)]
 
 
 def _pairs_of_each_rank(params, per_rank, seed):
@@ -714,30 +735,34 @@ def test_pair_walk_builds_no_table(monkeypatch, pmNn):
 
 
 @pytest.mark.parametrize("pmNn", [(2, 1, 4, 3), (3, 1, 3, 2)])
-def test_pair_walk_blocks_stay_within_rank_block(monkeypatch, pmNn):
+def test_pair_queries_walk_once_from_zero(monkeypatch, pmNn):
     p, m, N, n = pmNn
     params = GraphParams(build_tower(p, m, N), n)
-    add_digits = graph_module.add_digits
-    sizes = []
+    (M1, M2, r), *later = _pairs_of_each_rank(params, per_rank=2, seed=7)
+    bfs, add_digits = graph_module.bfs_distances, graph_module.add_digits
+    sources, sizes = [], []
 
-    def recorded(*args, **kwargs):
+    def recorded_bfs(nbr, source):
+        sources.append(source)
+        return bfs(nbr, source)
+
+    def recorded_add(*args, **kwargs):
         out = add_digits(*args, **kwargs)
         sizes.append(np.size(out))
         return out
 
-    monkeypatch.setattr(graph_module, "add_digits", recorded)
-    for M1, M2, r in _pairs_of_each_rank(params, per_rank=1, seed=7):
-        sizes.clear()
+    monkeypatch.setattr(graph_module, "bfs_distances", recorded_bfs)
+    monkeypatch.setattr(graph_module, "add_digits", recorded_add)
+    assert graph_distance_bfs(M1, M2) == r
+    assert sources == [0]
+    assert 0 < max(sizes) <= max(RANK_BLOCK, params.degree)
+    sources.clear()
+    sizes.clear()
+    # every later query on the graph, and its eccentricity, read the array
+    for M1, M2, r in later:
         assert graph_distance_bfs(M1, M2) == r
-        assert max(sizes, default=0) <= max(RANK_BLOCK, params.degree)
-        if r == 1:
-            # one block, the source's own steps, reaches a neighbour
-            assert sizes == [params.degree]
-        if r == 2:
-            # each end expands its own steps, and the two balls of radius 1 meet
-            assert sizes == [params.degree, params.degree]
-        if r == n:
-            assert len(sizes) > 1
+    assert eccentricity_of_zero(params) == n
+    assert sources == sizes == []
 
 
 def _add_digit_by_digit(a, b, p, width, sign=1):
@@ -785,45 +810,46 @@ def test_odd_p_pairwise_violations_match_the_per_digit_rule(monkeypatch):
 
 
 # (p, m, N, n): every vertex pair of these graphs is queried
-MEET_ALL_PAIRS_PARAMS = [(2, 1, 2, 2), (2, 1, 3, 2), (3, 1, 2, 2), (2, 2, 2, 1)]
+ALL_PAIRS_QUERY_PARAMS = [(2, 1, 2, 2), (2, 1, 3, 2), (3, 1, 2, 2), (5, 1, 2, 1), (2, 2, 2, 1)]
 
 
 def _one_sided(params, M1):
-    """Distances from M1 by the one-sided walk over computed rows."""
+    """Distances from M1 by the one-sided walk over computed rows: no
+    translation to 0, so it checks d(M1, M2) = d(0, M2 - M1)."""
     rows = graph_module._StepRows(params, budget=params.order * params.degree)
     return bfs_distances(rows, mat_index(M1))
 
 
-def _meet_agrees(M1, M2, one_sided):
-    """The meet, the one-sided walk from M1 read at M2, and the rank."""
+def _pair_query_agrees(M1, M2, one_sided):
+    """The pair query, the one-sided walk from M1 read at M2, and the rank."""
     dist = int(one_sided[mat_index(M2)])
     assert graph_distance_bfs(M1, M2) == dist == rank_distance(M1, M2)
     return dist
 
 
-@pytest.mark.parametrize("pmNn", MEET_ALL_PAIRS_PARAMS)
-def test_meet_matches_the_one_sided_walk_on_every_pair(pmNn):
+@pytest.mark.parametrize("pmNn", ALL_PAIRS_QUERY_PARAMS)
+def test_pair_query_matches_the_one_sided_walk_on_every_pair(pmNn):
     p, m, N, n = pmNn
     params = GraphParams(build_tower(p, m, N), n)
     mats = [mat_from_index(params.tower, N, n, v) for v in range(params.order)]
     found = set()
     for M1 in mats:
         one_sided = _one_sided(params, M1)
-        found |= {_meet_agrees(M1, M2, one_sided) for M2 in mats}
+        found |= {_pair_query_agrees(M1, M2, one_sided) for M2 in mats}
     assert found == set(range(n + 1))
 
 
 @pytest.mark.parametrize("pmNn", PAIR_WALK_PARAMS)
-def test_meet_matches_the_one_sided_walk_on_seeded_pairs(pmNn):
+def test_pair_query_matches_the_one_sided_walk_on_seeded_pairs(pmNn):
     p, m, N, n = pmNn
     params = GraphParams(build_tower(p, m, N), n)
     for M1, M2, r in _pairs_of_each_rank(params, per_rank=4, seed=29 + sum(pmNn)):
-        assert _meet_agrees(M1, M2, _one_sided(params, M1)) == r
+        assert _pair_query_agrees(M1, M2, _one_sided(params, M1)) == r
 
 
-@pytest.mark.parametrize("pmNn", PAIR_WALK_PARAMS + MEET_ALL_PAIRS_PARAMS)
+@pytest.mark.parametrize("pmNn", PAIR_WALK_PARAMS + ALL_PAIRS_QUERY_PARAMS)
 def test_negated_steps_are_the_steps(pmNn):
-    # the walk from the far end reads distances to it: -R has rank 1 with R
+    # the graph is undirected, so d(0, M2 - M1) = d(0, M1 - M2): -R has rank 1 with R
     p, m, N, n = pmNn
     params = GraphParams(build_tower(p, m, N), n)
     steps = graph_module._rank_one_indices(params)
