@@ -177,22 +177,22 @@ def neighbor_index_table(params: GraphParams, budget: int = DEFAULT_BUDGET) -> n
     return table
 
 
-def _bfs_blocks(nbr, dist: np.ndarray, source: int) -> Iterator[tuple[int, np.ndarray, int, bool]]:
+def _bfs_blocks(nbr, dist: np.ndarray, source: int) -> Iterator[tuple[int, np.ndarray, int]]:
     """The one level-expansion body: BFS from ``source`` over the rows of
     ``nbr``, writing levels into ``dist`` (all -1 on entry).
 
-    Yields (level, candidates, fresh, level_done) for each block: first
-    (0, [source], 1, True), then for level L = 1, 2, ... the neighbor rows
+    Yields (level, candidates, fresh) for each block: first
+    (0, [source], 1), then for level L = 1, 2, ... the neighbor rows
     of about RANK_BLOCK entries of the frontier at L - 1, after the unseen
     candidates are marked L.  ``fresh`` counts those unseen candidates,
-    repeats included, so it bounds the vertices the block reached first;
-    ``level_done`` flags the last block of a level.  The generator expands
-    every level; a walk that needs less stops drawing blocks.
+    repeats included, so it bounds the vertices the block reached first.
+    The generator expands every level; a walk that needs less stops
+    drawing blocks.
     """
     block = max(1, RANK_BLOCK // nbr.shape[1])
     dist[source] = 0
     frontier = np.array([source], dtype=np.int64)
-    yield 0, frontier, 1, True
+    yield 0, frontier, 1
     level = 0
     while frontier.size:
         level += 1
@@ -200,7 +200,7 @@ def _bfs_blocks(nbr, dist: np.ndarray, source: int) -> Iterator[tuple[int, np.nd
             cand = nbr[frontier[lo : lo + block]].ravel()
             fresh = cand[dist[cand] < 0]
             dist[fresh] = level
-            yield level, cand, fresh.size, lo + block >= frontier.size
+            yield level, cand, fresh.size
         frontier = np.flatnonzero(dist == level)
 
 
@@ -222,7 +222,7 @@ def bfs_distances(nbr, source: int) -> np.ndarray:
     dist = np.full(nbr.shape[0], -1, dtype=np.int16)
     unseen = None  # the vertices unreached at the last listing
     left, reached = dist.size, 0  # their number; fresh counts since
-    for _, _, fresh, _ in _bfs_blocks(nbr, dist, source):
+    for _, _, fresh in _bfs_blocks(nbr, dist, source):
         reached += fresh
         if reached < left:
             continue
@@ -292,7 +292,7 @@ def is_bipartite(params: GraphParams, budget: int = DEFAULT_BUDGET) -> bool:
     rows = _StepRows(params, budget)
     dist = np.full(params.order, -1, dtype=np.int16)
     blocks = _bfs_blocks(rows, dist, 0)
-    return not any((dist[cand] == level - 1).any() for level, cand, _, _ in blocks)
+    return not any((dist[cand] == level - 1).any() for level, cand, _ in blocks)
 
 
 def _rows_have_row0_differences(params: GraphParams, nbr: np.ndarray) -> bool:
