@@ -13,15 +13,16 @@ For the graph on N x n matrices over F_q (n <= N):
 
       chi_d <= q^ceil(log_q(2 + C(n-1, d-1) (q^N - 1)^(d-1)))
 
-  (column ``bound12``).  All ceiling logs are computed by big-integer
-  threshold scans; (N, n, d, q) = (6, 4, 2, 3) sits at the knife edge
-  2186 <= 3^7 = 2187, where floating point could misround.
+  (column ``bound12``).  Every ceiling log is settled with exact integer
+  powers; (N, n, d, q) = (6, 4, 2, 3) sits at the knife edge
+  2186 <= 3^7 = 2187, where floating point alone could misround.
 
 * the Gabidulin [d, 1] code padded with n - d zero columns is a clique of
   q^N matrices at pairwise rank d, so chi_d >= q^N for every 1 <= d <= n
   (column ``lower_bounds``).  The bound is exact at d = 1 and at d = n,
   where colorings with q^N colors exist (column ``known_exact``).
 
+``row_json`` and ``rows_csv`` are the only places that print a row.
 ``table1`` recomputes the built-in comparison table and flags any entry
 that disagrees with the published values it is checked against, rather
 than silently reproducing them.
@@ -29,34 +30,50 @@ than silently reproducing them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from math import comb
+import json
+import sys
+from contextlib import contextmanager
+from math import ceil, comb, log2, log10
+from typing import NamedTuple
 
+from ._budget import DEFAULT_BUDGET, BudgetExceededError
 from ._primes import is_prime_power
 
 
 def ceil_log(base: int, value: int) -> int:
-    """Smallest e >= 0 with base**e >= value, by threshold scan."""
+    """Smallest e >= 0 with base**e >= value.
+
+    The float estimate log2(value) / log2(base), which Python takes from
+    the bit length and leading bits of a big integer, is settled with exact
+    integer powers, so one big power and a step or two replace a scan of
+    one multiplication per exponent."""
     if base < 2:
         raise ValueError("base must be at least 2")
     if value < 1:
         raise ValueError("value must be positive")
-    e = 0
-    p = 1
+    e = int(log2(value) / log2(base))
+    p = base**e
     while p < value:
         p *= base
         e += 1
+    while e and p // base >= value:
+        p //= base
+        e -= 1
     return e
 
 
-def chi_prime(N: int, n: int, q: int, d: int) -> int:
-    """Exact at-most-d chromatic number q^(N min(d, n)): past the diameter n
-    every two vertices are within distance d, so each needs its own color.
-    A q that is not a prime power names no field and is a ValueError."""
+def _check_params(N: int, n: int, q: int, d: int) -> None:
+    """A q that is not a prime power names no field and is a ValueError."""
     if min(N, n, d) < 1 or q < 2 or n > N:
         raise ValueError("need 1 <= n <= N, q >= 2 and d >= 1")
     if not is_prime_power(q):
         raise ValueError(f"q = {q} is not a prime power")
+
+
+def chi_prime(N: int, n: int, q: int, d: int) -> int:
+    """Exact at-most-d chromatic number q^(N min(d, n)): past the diameter n
+    every two vertices are within distance d, so each needs its own color."""
+    _check_params(N, n, q, d)
     return q ** (N * min(d, n))
 
 
@@ -73,8 +90,7 @@ def chi_exact_upper(N: int, n: int, q: int, d: int) -> int:
     return q ** chi_exact_upper_exponent(N, n, q, d)
 
 
-@dataclass(frozen=True)
-class KnownChi:
+class KnownChi(NamedTuple):
     value: int
     exact: bool
     provenance: str
@@ -102,8 +118,7 @@ def known_chi_exact(N: int, n: int, q: int, d: int) -> KnownChi:
     return KnownChi(q ** N, exact=d in (1, n), provenance=provenance)
 
 
-@dataclass(frozen=True)
-class BoundsRow:
+class BoundsRow(NamedTuple):
     N: int
     n: int
     d: int
@@ -112,16 +127,22 @@ class BoundsRow:
     chi_lower_eq1: int  # the sphere-packing lower bound, tight, so chi_prime_exact
     chi_exact_upper_thm: int  # bound12
     chi_exact_upper_nat: int  # bound8
-    known_exact: KnownChi
-    lower_bounds: list[int]  # the known value, exact or not
+    known_exact: KnownChi  # its value is also the lower_bounds column, exact or not
     note: str
 
 
-def bounds_row(N: int, n: int, q: int, d: int) -> BoundsRow:
+def bounds_row(N: int, n: int, q: int, d: int, budget: int = DEFAULT_BUDGET) -> BoundsRow:
+    """The row of (N, n, d, q).  A row whose printed integers would total
+    more than ``budget`` decimal digits raises ``BudgetExceededError``
+    before any power is computed: four values of about q^(Nd) and two of
+    q^N, estimated from N d log10 q."""
     if not 1 <= d <= n <= N:
         raise ValueError("need 1 <= d <= n <= N")
-    at_most_d = chi_prime(N, n, q, d)
-    known = known_chi_exact(N, n, q, d)
+    _check_params(N, n, q, d)
+    digits = ceil((4 * d + 2) * N * log10(q))
+    if digits > budget:
+        raise BudgetExceededError(digits, budget)
+    at_most_d = q ** (N * d)
     return BoundsRow(
         N=N,
         n=n,
@@ -131,8 +152,7 @@ def bounds_row(N: int, n: int, q: int, d: int) -> BoundsRow:
         chi_lower_eq1=at_most_d,
         chi_exact_upper_thm=chi_exact_upper(N, n, q, d),
         chi_exact_upper_nat=at_most_d,
-        known_exact=known,
-        lower_bounds=[known.value],
+        known_exact=known_chi_exact(N, n, q, d),
         note="d = n; the at-most-d count is the full q^(Nd)" if d == n else "",
     )
 
@@ -155,16 +175,50 @@ TABLE1_PARAMS = tuple(_PUBLISHED)
 TABLE1_HEADER = "N,n,d,q,bound12,bound8,known_exact,lower_bounds,note"
 
 
+@contextmanager
+def _printable_big_ints():
+    """Lift the interpreter's limit on int-to-str conversion (4300 digits
+    by default) while a row prints; parsing input keeps the limit, and the
+    digit budget of ``bounds_row`` bounds what prints here."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit before Python 3.10.7
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def row_json(row: BoundsRow) -> str:
+    """The JSON text of one row, as ``bounds row`` prints it."""
+    known = row.known_exact
+    with _printable_big_ints():
+        return json.dumps({
+            "N": row.N,
+            "n": row.n,
+            "d": row.d,
+            "q": row.q,
+            "chi_prime": str(row.chi_prime_exact),
+            "chi_prime_lower": str(row.chi_lower_eq1),
+            "bound12": str(row.chi_exact_upper_thm),
+            "bound8": str(row.chi_exact_upper_nat),
+            "known_exact": {"value": str(known.value), "exact": known.exact, "provenance": known.provenance},
+            "lower_bounds": [str(known.value)],
+            "note": row.note,
+        }, indent=2, sort_keys=True) + "\n"
+
+
 def rows_csv(rows: list[BoundsRow]) -> str:
     """CSV text: the TABLE1_HEADER line, then one line per row."""
     lines = [TABLE1_HEADER]
-    for row in rows:
-        known = str(row.known_exact.value) if row.known_exact.exact else ""
-        lows = ";".join(str(v) for v in row.lower_bounds)
-        lines.append(
-            f"{row.N},{row.n},{row.d},{row.q},{row.chi_exact_upper_thm},"
-            f"{row.chi_exact_upper_nat},{known},{lows},{row.note}"
-        )
+    with _printable_big_ints():
+        for row in rows:
+            known = row.known_exact
+            lines.append(
+                f"{row.N},{row.n},{row.d},{row.q},{row.chi_exact_upper_thm},"
+                f"{row.chi_exact_upper_nat},{known.value if known.exact else ''},{known.value},{row.note}"
+            )
     return "\n".join(lines) + "\n"
 
 
@@ -190,5 +244,5 @@ def table1() -> str:
                 f"bound8 published {pub8[0]}^{pub8[1]} but recomputed {q}^{N * d}"
             )
         notes.extend(mismatched)
-        rows.append(replace(row, note="; ".join(notes)))
+        rows.append(row._replace(note="; ".join(notes)))
     return rows_csv(rows)

@@ -226,28 +226,8 @@ def _cmd_color_assign(args: argparse.Namespace) -> int:
 def _cmd_bounds_row(args: argparse.Namespace) -> int:
     from . import bounds
 
-    row = bounds.bounds_row(args.N, args.n, args.q, args.d)
-    if args.format == "csv":
-        _emit(bounds.rows_csv([row]), args.out)
-    else:
-        data = {
-            "N": row.N,
-            "n": row.n,
-            "d": row.d,
-            "q": row.q,
-            "chi_prime": str(row.chi_prime_exact),
-            "chi_prime_lower": str(row.chi_lower_eq1),
-            "bound12": str(row.chi_exact_upper_thm),
-            "bound8": str(row.chi_exact_upper_nat),
-            "known_exact": {
-                "value": str(row.known_exact.value),
-                "exact": row.known_exact.exact,
-                "provenance": row.known_exact.provenance,
-            },
-            "lower_bounds": [str(v) for v in row.lower_bounds],
-            "note": row.note,
-        }
-        _dump_json(data, args.out)
+    row = bounds.bounds_row(args.N, args.n, args.q, args.d, budget=args.budget)
+    _emit(bounds.rows_csv([row]) if args.format == "csv" else bounds.row_json(row), args.out)
     return 0
 
 
@@ -267,7 +247,7 @@ def _common_flags(budget: int) -> argparse.ArgumentParser:
         type=int,
         default=budget,
         help="max items to enumerate; a rank spectrum counts the F_{q^N}^* lines of the smaller "
-        "of the code and its dual, the side it scans",
+        "of the code and its dual, the side it scans; bounds row counts the decimal digits it prints",
     )
     common.add_argument("--seed", type=int, default=0, help="seed for randomized search")
     common.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")

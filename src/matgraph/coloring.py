@@ -31,9 +31,8 @@ vertices.  The scan meets each unordered pair once, from its smaller end
 u, and walks whichever partner set gives fewer pairs: u's later
 classmates, grouped by one sort, or the vertices u + s above u at a step
 s whose rank breaks the rule.  On (N,n,q) = (4,3,2) the d = 1 check takes
-about 1.3 ms and the d = 2 check about 0.7 ms, against 2.0 and 1.2 ms
-when every pair was met from both ends (medians of 60 calls, one core of
-a 2-vCPU Xeon).
+about 1.3 ms and the d = 2 check about 0.7 ms (medians of 60 calls, one
+core of a 2-vCPU Xeon).
 
 Building a coloring or a clique, coloring one vertex and counting the
 colors used need no numpy; the searches, color tables and both

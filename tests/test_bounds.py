@@ -5,6 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from matgraph._budget import BudgetExceededError
 from matgraph.bounds import (
     TABLE1_HEADER,
     TABLE1_PARAMS,
@@ -45,6 +46,16 @@ def test_ceil_log_against_linear_scan():
         values = range(1, 10 ** 6 + 1, 7 if base != 2 else 1)
         for v in values:
             assert ceil_log(base, v) == int(np.searchsorted(arr, v, side="left"))
+
+
+@pytest.mark.parametrize("base", [2, 3, 5, 7])
+def test_ceil_log_next_to_powers(base):
+    # the definition, at b^e - 1, b^e and b^e + 1, up to e = 10^5
+    for e in [*range(1, 80), 1000, 4321, 10**4, 54321, 10**5]:
+        power = base**e
+        for value in (power - 1, power, power + 1):
+            got = ceil_log(base, value)
+            assert base**got >= value > base ** (got - 1), (base, e, value)
 
 
 def test_chi_prime_values():
@@ -149,9 +160,9 @@ def test_known_chi_exact_lower_bound_shape():
     known = known_chi_exact(3, 3, 2, 2)  # N = C(3,2), d = n - 1: q^N = 8 > q^n - 1 = 7
     assert not known.exact and known.value == 8
     assert known.provenance == "Gabidulin [d,1] code padded with n - d zero columns: a clique of size q^N"
-    assert bounds_row(3, 3, 2, 2).lower_bounds == [8]
-    assert bounds_row(6, 4, 2, 3).lower_bounds == [64]  # q = 2, d = 3
-    assert bounds_row(2, 2, 2, 1).lower_bounds == [4]
+    assert bounds_row(3, 3, 2, 2).known_exact.value == 8
+    assert bounds_row(6, 4, 2, 3).known_exact.value == 64  # q = 2, d = 3
+    assert bounds_row(2, 2, 2, 1).known_exact.value == 4
 
 
 def test_lower_bounds_list_the_known_value():
@@ -159,8 +170,8 @@ def test_lower_bounds_list_the_known_value():
         for N in range(1, 7):
             for n in range(1, N + 1):
                 for d in range(1, n + 1):
-                    assert bounds_row(N, n, q, d).lower_bounds == [known_chi_exact(N, n, q, d).value]
-    assert bounds_row(3, 3, 2, 3).lower_bounds == [8]  # the Gabidulin [3,1] clique of size 2^N
+                    assert bounds_row(N, n, q, d).known_exact.value == known_chi_exact(N, n, q, d).value
+    assert bounds_row(3, 3, 2, 3).known_exact.value == 8  # the Gabidulin [3,1] clique of size 2^N
 
 
 def _previous_known_chi_exact(N, n, q, d):
@@ -240,6 +251,17 @@ def test_bounds_row_fields():
     assert row.note == ""
     row = bounds_row(5, 3, 3, 3)
     assert "d = n" in row.note
+
+
+def test_bounds_row_refuses_rows_past_the_digit_budget():
+    # four values of about q^(Nd) and two of q^N: (4 * 2 + 2) * 6 * log10(3) = 28.6
+    assert bounds_row(6, 4, 3, 2, budget=29).chi_exact_upper_thm == 3**7
+    with pytest.raises(BudgetExceededError, match=r"^operation needs 29 items but the budget is 28$"):
+        bounds_row(6, 4, 3, 2, budget=28)
+    with pytest.raises(BudgetExceededError):
+        bounds_row(3000, 3000, 2, 1500)  # about 5.4 million digits against the default 2^20
+    with pytest.raises(ValueError, match=r"^q = 6 is not a prime power$"):
+        bounds_row(3000, 3000, 6, 1500)  # a bad row is refused before its budget
 
 
 def test_table1_contents():

@@ -1,6 +1,7 @@
 """End-to-end CLI checks: output shapes, exit codes, determinism."""
 
 import csv
+import decimal
 import importlib.util
 import json
 import os
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import matgraph
+from matgraph.bounds import TABLE1_PARAMS, bounds_row, row_json
 from matgraph.cli import build_parser
 from matgraph.coloring import Coloring, coloring_to_json
 from matgraph.gftower import build_tower
@@ -575,6 +577,33 @@ def test_each_call_loads_only_the_submodules_it_runs(tmp_path, argv, modules):
     assert json.loads(res.stdout) == [0, sorted(modules)]
 
 
+# The named standard modules that are loaded after cli.main runs argv in a
+# fresh interpreter, or at a bare start when argv is empty.
+STDLIB_MODULES_AFTER_MAIN = """
+import contextlib, io, json, sys
+names = json.loads(sys.argv[1])
+argv = json.loads(sys.argv[2])
+if argv:
+    from matgraph.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+print(json.dumps(sorted(name for name in names if name in sys.modules)))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bounds", "table1"], ["bounds", "row", "--N", "6", "--n", "4", "--d", "2", "--q", "2"]],
+    ids=["bounds-table1", "bounds-row"],
+)
+def test_bounds_calls_load_neither_dataclasses_nor_inspect(argv):
+    names = json.dumps(["dataclasses", "inspect"])
+    bare = run_python("-c", STDLIB_MODULES_AFTER_MAIN, names, "[]")
+    res = run_python("-c", STDLIB_MODULES_AFTER_MAIN, names, json.dumps(argv))
+    assert (bare.returncode, res.returncode) == (0, 0), bare.stderr + res.stderr
+    assert res.stdout == bare.stdout
+
+
 def test_importing_the_package_loads_no_submodule():
     res = run_python("-c", "import sys, matgraph; print(sorted(m for m in sys.modules if 'matgraph' in m))")
     assert res.returncode == 0, res.stderr
@@ -655,6 +684,48 @@ def test_bounds_row_csv():
     lines = res.stdout.splitlines()
     assert lines[0].startswith("N,n,d,q,bound12,bound8")
     assert lines[1].split(",")[7] == "8"  # the q^N clique lower bound
+
+
+def test_bounds_row_json_is_what_the_cli_prints():
+    rows = [*TABLE1_PARAMS, (4, 3, 1, 2), (4, 4, 4, 3)]  # plus a d = 1 and a d = n row
+    argv = [["bounds", "row", "--N", str(N), "--n", str(n), "--d", str(d), "--q", str(q)] for N, n, d, q in rows]
+    res = run_python("-c", MAIN_IN_ONE_INTERPRETER, json.dumps(argv))
+    assert res.returncode == 0, res.stderr
+    for (N, n, d, q), (code, stdout, _) in zip(rows, json.loads(res.stdout)):
+        assert (code, stdout) == (0, row_json(bounds_row(N, n, q, d))), (N, n, d, q)
+
+
+def test_bounds_row_prints_integers_past_the_conversion_limit():
+    # 2^20000 has 6021 digits, past the interpreter's default limit of 4300,
+    # which str() keeps here; Decimal converts without it
+    with decimal.localcontext() as ctx:
+        ctx.prec = 7000
+        want = str(decimal.Decimal(2) ** 20000)
+    for fmt in ("json", "csv"):
+        res = run_cli("bounds", "row", "--N", "20000", "--n", "1", "--d", "1", "--q", "2", "--format", fmt)
+        assert res.returncode == 0, res.stderr
+        if fmt == "json":
+            data = json.loads(res.stdout)
+            values = [data[key] for key in ("chi_prime", "chi_prime_lower", "bound8")]
+            values += [data["known_exact"]["value"], *data["lower_bounds"]]
+            assert data["bound12"] == "4"
+        else:
+            cells = res.stdout.splitlines()[1].split(",")
+            values = cells[5:8]
+            assert cells[4] == "4"
+        assert len(want) == 6021 and values and all(v == want for v in values)
+
+
+def test_bounds_row_past_the_digit_budget_exits_3_at_once():
+    # 2^(3000 * 1500) has about 1.35 million digits, and the row prints four such
+    start = time.perf_counter()
+    res = run_cli("bounds", "row", "--N", "3000", "--n", "3000", "--d", "1500", "--q", "2")
+    assert time.perf_counter() - start < 1
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert res.stderr == "budget exceeded: operation needs 5420347 items but the budget is 1048576\n"
+    res = run_cli("bounds", "row", "--N", "6", "--n", "4", "--d", "2", "--q", "2", "--budget", "18")
+    assert (res.returncode, res.stderr) == (3, "budget exceeded: operation needs 19 items but the budget is 18\n")
 
 
 def test_bounds_table1(tmp_path):
