@@ -30,6 +30,7 @@ than silently reproducing them.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -70,6 +71,13 @@ def _check_params(N: int, n: int, q: int, d: int) -> None:
         raise ValueError(f"q = {q} is not a prime power")
 
 
+def _check_exact_params(N: int, n: int, q: int, d: int) -> None:
+    """The exactly-d bounds need d <= n as well as a field order q."""
+    if not 1 <= d <= n <= N:
+        raise ValueError("need 1 <= d <= n <= N")
+    _check_params(N, n, q, d)
+
+
 def chi_prime(N: int, n: int, q: int, d: int) -> int:
     """Exact at-most-d chromatic number q^(N min(d, n)): past the diameter n
     every two vertices are within distance d, so each needs its own color."""
@@ -79,8 +87,7 @@ def chi_prime(N: int, n: int, q: int, d: int) -> int:
 
 def chi_exact_upper_exponent(N: int, n: int, q: int, d: int) -> int:
     """The exponent ceil(log_q(2 + C(n-1, d-1) (q^N - 1)^(d-1)))."""
-    if not 1 <= d <= n <= N:
-        raise ValueError("need 1 <= d <= n <= N")
+    _check_exact_params(N, n, q, d)
     value = 2 + comb(n - 1, d - 1) * (q ** N - 1) ** (d - 1)
     return ceil_log(q, value)
 
@@ -105,8 +112,7 @@ def known_chi_exact(N: int, n: int, q: int, d: int) -> KnownChi:
     the q^N-color at-most-1 coloring meets it, and at d = n the one-row
     column-projection coloring of ``coloring.exact_d_coloring`` does.
     """
-    if not 1 <= d <= n <= N:
-        raise ValueError("need 1 <= d <= n <= N")
+    _check_exact_params(N, n, q, d)
     if d == 1:
         provenance = "distance 1: single-column clique of size q^N meets the q^N-color construction"
     elif d == n:
@@ -136,9 +142,7 @@ def bounds_row(N: int, n: int, q: int, d: int, budget: int = DEFAULT_BUDGET) -> 
     more than ``budget`` decimal digits raises ``BudgetExceededError``
     before any power is computed: four values of about q^(Nd) and two of
     q^N, estimated from N d log10 q."""
-    if not 1 <= d <= n <= N:
-        raise ValueError("need 1 <= d <= n <= N")
-    _check_params(N, n, q, d)
+    _check_exact_params(N, n, q, d)
     digits = ceil((4 * d + 2) * N * log10(q))
     if digits > budget:
         raise BudgetExceededError(digits, budget)
@@ -194,17 +198,18 @@ def row_json(row: BoundsRow) -> str:
     """The JSON text of one row, as ``bounds row`` prints it."""
     known = row.known_exact
     with _printable_big_ints():
+        text = functools.cache(str)  # a row repeats q^(Nd) and q^N
         return json.dumps({
             "N": row.N,
             "n": row.n,
             "d": row.d,
             "q": row.q,
-            "chi_prime": str(row.chi_prime_exact),
-            "chi_prime_lower": str(row.chi_lower_eq1),
-            "bound12": str(row.chi_exact_upper_thm),
-            "bound8": str(row.chi_exact_upper_nat),
-            "known_exact": {"value": str(known.value), "exact": known.exact, "provenance": known.provenance},
-            "lower_bounds": [str(known.value)],
+            "chi_prime": text(row.chi_prime_exact),
+            "chi_prime_lower": text(row.chi_lower_eq1),
+            "bound12": text(row.chi_exact_upper_thm),
+            "bound8": text(row.chi_exact_upper_nat),
+            "known_exact": {"value": text(known.value), "exact": known.exact, "provenance": known.provenance},
+            "lower_bounds": [text(known.value)],
             "note": row.note,
         }, indent=2, sort_keys=True) + "\n"
 
@@ -213,11 +218,13 @@ def rows_csv(rows: list[BoundsRow]) -> str:
     """CSV text: the TABLE1_HEADER line, then one line per row."""
     lines = [TABLE1_HEADER]
     with _printable_big_ints():
+        text = functools.cache(str)
         for row in rows:
             known = row.known_exact
+            value = text(known.value)
             lines.append(
-                f"{row.N},{row.n},{row.d},{row.q},{row.chi_exact_upper_thm},"
-                f"{row.chi_exact_upper_nat},{known.value if known.exact else ''},{known.value},{row.note}"
+                f"{row.N},{row.n},{row.d},{row.q},{text(row.chi_exact_upper_thm)},"
+                f"{text(row.chi_exact_upper_nat)},{value if known.exact else ''},{value},{row.note}"
             )
     return "\n".join(lines) + "\n"
 

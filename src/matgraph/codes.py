@@ -124,10 +124,6 @@ class LinearRankCode:
     def size(self) -> int:
         return self.tower.order ** self.k
 
-    def syndrome(self, word: Sequence[int]) -> tuple[int, ...]:
-        """word * parity^T as a tuple of n-k field elements."""
-        return parity_syndrome(self.tower, self.parity, word)
-
 
 def _dual_basis(rows: Rows, n: int, ext, error: str) -> Rows:
     """Basis of {v : v R^T = 0} for the matrix R given by ``rows``, from one

@@ -146,19 +146,6 @@ class ForbiddenDistanceCode:
     restarts_used: int = 0
 
 
-@dataclass(frozen=True)
-class CliqueWitness:
-    """Matrices at pairwise rank distance d, from ``clique(params, d)``; its
-    size lower-bounds the distance-d color count, exactly-d or at-most-d,
-    for every 1 <= d <= n."""
-
-    members: tuple[MatFq, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
 # ---------------------------------------------------------------------------
 # constructions
 # ---------------------------------------------------------------------------
@@ -188,7 +175,7 @@ def d_distance_coloring(params: GraphParams, d: int) -> Coloring:
     )
 
 
-def clique(params: GraphParams, d: int, budget: int = DEFAULT_BUDGET) -> CliqueWitness:
+def clique(params: GraphParams, d: int, budget: int = DEFAULT_BUDGET) -> tuple[MatFq, ...]:
     """The q^N matrices x g, x in F_{q^N}, with g the one generator row of
     the Gabidulin [d, 1] code padded with n - d zero columns.
 
@@ -205,7 +192,7 @@ def clique(params: GraphParams, d: int, budget: int = DEFAULT_BUDGET) -> CliqueW
     (g,) = gabidulin(tower, d, 1).generator
     row, mul = (*g, *(0,) * (params.n - d)), tower.ext.mul
     members = (vector_to_matrix(VecExt(tower, tuple(mul(x, y) for y in row))) for x in range(tower.order))
-    return CliqueWitness(tuple(members))
+    return tuple(members)
 
 
 def search_forbidden_H(

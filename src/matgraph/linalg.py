@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from math import prod
 from typing import Iterator, NamedTuple, Sequence
 
 from ._budget import DEFAULT_BUDGET, BudgetExceededError
@@ -26,8 +27,9 @@ from .gftower import FieldTower, from_digits, to_digits
 # of 2^10, 2^12, 2^14 and 2^16 words took 0.24, 0.19, 0.18 and 0.26 s and
 # grew the resident set by 0.9, 1.9, 3.1 and 13 MB.
 RANK_BLOCK = 1 << 12
-# The F_q tables have q^2 entries, built by scalar field operations in up to
-# about 2 s at q = 3^5; above this order the batched ranks go word by word.
+# The F_q tables have q^2 entries, built once by scalar field operations:
+# about 0.6 s at q = 3^5, 0.08 s at 2^8 and 0.02 s at 251 (2-vCPU Xeon).
+# Above this order the batched ranks go word by word.
 FQ_TABLE_MAX_Q = 1 << 8
 # Bound on the entries of each digit-sum table of ``add_digits``, p^(2k) for
 # chunks of k base-p digits.  On one (700 x 104) call at p = 3 and width 6
@@ -69,9 +71,6 @@ class MatFq:
                 raise ValueError(f"entry {e} is not an element of F_{q}")
         object.__setattr__(self, "entries", entries)
 
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
@@ -106,10 +105,6 @@ class MatFq:
             self.cols,
             tuple(sub(a, b) for a, b in zip(self.entries, other.entries)),
         )
-
-    def __neg__(self) -> "MatFq":
-        neg = self.tower.base.neg
-        return MatFq(self.tower, self.rows, self.cols, tuple(neg(a) for a in self.entries))
 
     def __repr__(self) -> str:
         return f"MatFq({self.rows}x{self.cols} over F_{self.tower.q}, {mat_label(self)})"
@@ -453,15 +448,7 @@ def count_rank_k(N: int, n: int, q: int, k: int) -> int:
     """Number of N x n matrices over F_q of rank exactly k (exact integer)."""
     if not 0 <= k <= n <= N:
         raise ValueError(f"need 0 <= k <= n <= N, got k={k}, n={n}, N={N}")
-    num = 1
-    for i in range(k):
-        num *= (q ** N - q ** i) * (q ** n - q ** i)
-    den = 1
-    for i in range(k):
-        den *= q ** k - q ** i
-    quotient, remainder = divmod(num, den)
-    assert remainder == 0, "rank count formula must divide exactly"
-    return quotient
+    return _gaussian_binomial(n, k, q) * prod(q**N - q**i for i in range(k))
 
 
 def _gaussian_binomial(a: int, b: int, q: int) -> int:

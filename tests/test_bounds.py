@@ -1,5 +1,6 @@
 """Bound formulas: exact powers, ceiling logs, known values, the table."""
 
+from collections import Counter
 from math import comb
 
 import numpy as np
@@ -15,6 +16,8 @@ from matgraph.bounds import (
     chi_exact_upper_exponent,
     chi_prime,
     known_chi_exact,
+    row_json,
+    rows_csv,
     table1,
 )
 from matgraph.coloring import d_distance_coloring
@@ -69,18 +72,16 @@ def test_chi_prime_values():
 
 @pytest.mark.parametrize("q", [0, 1])
 def test_chi_prime_rejects_q_below_two(q):
-    with pytest.raises(ValueError, match=r"^need 1 <= n <= N, q >= 2 and d >= 1$"):
-        chi_prime(3, 2, q, 1)
-    with pytest.raises(ValueError, match=r"^need 1 <= n <= N, q >= 2 and d >= 1$"):
-        bounds_row(3, 2, q, 1)
+    for bound in (chi_prime, bounds_row, chi_exact_upper, chi_exact_upper_exponent, known_chi_exact):
+        with pytest.raises(ValueError, match=r"^need 1 <= n <= N, q >= 2 and d >= 1$"):
+            bound(3, 2, q, 1)
 
 
 @pytest.mark.parametrize("q", [6, 10, 12, 15, 36, 2 * 3 ** 5, 1000000007 * 2])
 def test_chi_prime_rejects_q_not_a_prime_power(q):
-    with pytest.raises(ValueError, match=rf"^q = {q} is not a prime power$"):
-        chi_prime(3, 2, q, 1)
-    with pytest.raises(ValueError, match=rf"^q = {q} is not a prime power$"):
-        bounds_row(3, 2, q, 1)
+    for bound in (chi_prime, bounds_row, chi_exact_upper, chi_exact_upper_exponent, known_chi_exact):
+        with pytest.raises(ValueError, match=rf"^q = {q} is not a prime power$"):
+            bound(3, 2, q, 1)
 
 
 def test_chi_prime_accepts_every_prime_power():
@@ -262,6 +263,33 @@ def test_bounds_row_refuses_rows_past_the_digit_budget():
         bounds_row(3000, 3000, 2, 1500)  # about 5.4 million digits against the default 2^20
     with pytest.raises(ValueError, match=r"^q = 6 is not a prime power$"):
         bounds_row(3000, 3000, 6, 1500)  # a bad row is refused before its budget
+
+
+@pytest.mark.parametrize("d", [1, 2], ids=["d=1, q^(Nd) = q^N", "d=2"])
+def test_row_text_converts_each_distinct_integer_once(d):
+    # A row repeats q^(Nd) and q^N, whose conversion to text is what a big row costs.
+    conversions = Counter()
+
+    class Counted(int):
+        def __str__(self):
+            conversions[int(self)] += 1
+            return int.__str__(self)
+
+    row = bounds_row(3, 2, 2, d)
+    known = row.known_exact
+    counted = row._replace(
+        chi_prime_exact=Counted(row.chi_prime_exact),
+        chi_lower_eq1=Counted(row.chi_lower_eq1),
+        chi_exact_upper_thm=Counted(row.chi_exact_upper_thm),
+        chi_exact_upper_nat=Counted(row.chi_exact_upper_nat),
+        known_exact=known._replace(value=Counted(known.value)),
+    )
+    values = {row.chi_prime_exact, row.chi_exact_upper_thm, known.value}
+    assert len(values) == 3 - (d == 1)
+    for text in (row_json, lambda r: rows_csv([r])):
+        conversions.clear()
+        assert text(counted) == text(row)
+        assert conversions == Counter(values)
 
 
 def test_table1_contents():

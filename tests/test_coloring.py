@@ -352,7 +352,7 @@ CLIQUE_CASES = [
 def test_clique_members_are_at_pairwise_rank_d(p, m, N, n, d):
     tower = build_tower(p, m, N)
     params = GraphParams(tower, n)
-    members = clique(params, d).members
+    members = clique(params, d)
     Q = tower.order
     assert len({M.entries for M in members}) == len(members) == Q
     words = np.array([matrix_to_vector(M).entries for M in members])
@@ -371,7 +371,7 @@ def test_clique_refuses_d_outside_1_to_n_and_a_small_budget():
             clique(P222, d)
     with pytest.raises(BudgetExceededError):
         clique(P322, 2, budget=7)
-    assert clique(P322, 2, budget=8).size == 8
+    assert len(clique(P322, 2, budget=8)) == 8
 
 
 def test_clique_needs_no_numpy():
@@ -380,7 +380,7 @@ def test_clique_needs_no_numpy():
         "from matgraph.coloring import clique\n"
         "from matgraph.gftower import build_tower\n"
         "from matgraph.graph import GraphParams\n"
-        "size = clique(GraphParams(build_tower(3, 1, 3), 3), 2).size\n"
+        "size = len(clique(GraphParams(build_tower(3, 1, 3), 3), 2))\n"
         "print(size, 'numpy' in sys.modules)\n"
     )
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

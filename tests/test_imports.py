@@ -1,6 +1,7 @@
 """Import hygiene: every name a library module imports is used there, or is
-an alias kept only for the benchmark tracer, which wraps it by name; and
-every private module-level helper is used by the library itself."""
+an alias kept only for the benchmark tracer, which wraps it by name; every
+private module-level helper is used by the library itself; and every public
+method of a library class is used by the library or the benchmarks."""
 
 import ast
 import importlib.util
@@ -53,15 +54,19 @@ def test_every_import_is_used_or_traced(path):
     assert not problems, f"{path.name}: " + "; ".join(problems)
 
 
+def _names(node):
+    """The names a node loads or reads as an attribute."""
+    names = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+    return names | {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
 def _statement_references():
     """(module file name, top-level statement, the names it loads or reads
     as an attribute) for every top-level statement of the library."""
     out = []
     for path in sorted((ROOT / "src" / "matgraph").glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
-            names = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
-            names |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
-            out.append((path.name, stmt, names))
+            out.append((path.name, stmt, _names(stmt)))
     return out
 
 
@@ -80,3 +85,35 @@ def test_every_private_helper_is_used_by_the_library(path):
         and not any(other is not stmt and stmt.name in names for _, other, names in STATEMENTS)
     ]
     assert not unused, f"{path.name}: referenced nowhere in src/matgraph outside their own definitions: {unused}"
+
+
+def _member_references():
+    """(file path, class name or None, statement, its names) for every
+    top-level statement of the library and the benchmarks, each class split
+    into the statements of its body, so a method's own body is no use of it."""
+    out = []
+    for path in sorted((ROOT / "src" / "matgraph").glob("*.py")) + sorted((ROOT / "benchmarks").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.ClassDef):
+                out.extend((path, stmt.name, item, _names(item)) for item in stmt.body)
+            else:
+                out.append((path, None, stmt, _names(stmt)))
+    return out
+
+
+MEMBERS = _member_references()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_public_method_is_used_by_the_library_or_benchmarks(path):
+    # Tests alone do not keep a method alive; dunders are called by the language.
+    unused = [
+        f"{cls}.{stmt.name}"
+        for file, cls, stmt, _ in MEMBERS
+        if file == path
+        and cls is not None
+        and isinstance(stmt, ast.FunctionDef)
+        and not stmt.name.startswith("_")
+        and not any(other is not stmt and stmt.name in names for _, _, other, names in MEMBERS)
+    ]
+    assert not unused, f"{path.name}: referenced nowhere in src/matgraph or benchmarks/ outside their own defs: {unused}"

@@ -84,7 +84,7 @@ def test_rank_matches_generic_elimination():
 
 def test_rank_invariant_under_transpose_elimination():
     for M in enumerate_matrices(T33, 3, 2):
-        transposed = [[M.entry(i, j) for i in range(M.rows)] for j in range(M.cols)]
+        transposed = [[M.row(i)[j] for i in range(M.rows)] for j in range(M.cols)]
         assert rank(M) == matrix_rank_over(transposed, T33.base)
 
 
@@ -194,6 +194,31 @@ def test_count_rank_k_sums_to_space_size():
             for n in range(1, N + 1):
                 total = sum(count_rank_k(N, n, q, k) for k in range(n + 1))
                 assert total == q ** (N * n)
+
+
+def _count_rank_k_quotient(N, n, q, k):
+    """The count as prod (q^N - q^i)(q^n - q^i) / prod (q^k - q^i) over i < k,
+    an exact quotient."""
+    num = den = 1
+    for i in range(k):
+        num *= (q**N - q**i) * (q**n - q**i)
+        den *= q**k - q**i
+    quotient, remainder = divmod(num, den)
+    assert remainder == 0
+    return quotient
+
+
+@pytest.mark.parametrize(
+    "q, N_max", [(2, 40), (3, 40), (4, 40), (9, 40), (2**61 - 1, 20)], ids=["2", "3", "4", "9", "mersenne61"]
+)
+def test_count_rank_k_matches_the_quotient_formula(q, N_max):
+    # Every row n <= N <= N_max, far past what enumeration or the eigenmatrix
+    # tests reach.  Over the Mersenne prime the quotient's numerator reaches
+    # 48k bits at N = 20, and N <= 40 would take about 35 s (2-vCPU Xeon).
+    for N in range(N_max + 1):
+        for n in range(N + 1):
+            for k in range(n + 1):
+                assert count_rank_k(N, n, q, k) == _count_rank_k_quotient(N, n, q, k), (N, n, k)
 
 
 def test_count_rank_k_matches_enumeration_small():
